@@ -42,7 +42,7 @@ from .errors import (BudgetExceededError, InternalInconsistencyError,
 from .fields import get_field
 from .graph6 import design_to_json, encode_graph6
 from .schemes import (METHODS, SchemeRecord, build_DX, certify, recover_X,
-                      verify_scheme)
+                      route_verdicts)
 from .search import (search_all_X, search_cyclotomic_unions,
                      search_galois_invariant)
 
@@ -162,9 +162,8 @@ def cmd_construct(args) -> int:
         ra, rb = (_load_record(p) for p in inputs)
         if ra.tower != rb.tower:
             raise ParameterError("the two schemes live in different towers")
-        Xa = ra.X if ra.X is not None else recover_X(ra)
-        Xb = rb.X if rb.X is not None else recover_X(rb)
-        records = [union_scheme(ra.p, ra.e, ra.l, Xa, Xb)]
+        records = [union_scheme(ra.p, ra.e, ra.l, recover_X(ra),
+                                recover_X(rb))]
         outputs = [args.out]
     else:
         inputs = []
@@ -183,26 +182,21 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    rec = _load_record(Path(args.scheme))
-    if args.method != "all":
-        try:
-            verdict = verify_scheme(rec, args.method)
-        except PreconditionError as err:
-            print(f"{args.method}: not applicable ({err})")
-            return 1
-        print(f"{args.method}: {str(verdict).lower()}")
-        return 0 if verdict else 2
-    verdicts = {}
-    for method in METHODS:
-        try:
-            verdicts[method] = verify_scheme(rec, method)
-            print(f"{method}: {str(verdicts[method]).lower()}")
-        except PreconditionError as err:
-            print(f"{method}: skipped ({err})")
-    if len(set(verdicts.values())) > 1:
-        raise InternalInconsistencyError(
-            f"routes disagree: {sorted(verdicts.items())}")
-    return 0 if all(verdicts.values()) else 2
+    data = json.loads(Path(args.scheme).read_text())
+    data["verified_by"] = []  # every route runs below; skip the re-earning
+    rec = SchemeRecord.from_json(data)
+    methods = METHODS if args.method == "all" else (args.method,)
+    passed = True
+    for method, verdict in route_verdicts(rec, methods):
+        if isinstance(verdict, PreconditionError):
+            if args.method != "all":
+                print(f"{method}: not applicable ({verdict})")
+                return 1
+            print(f"{method}: skipped ({verdict})")
+        else:
+            print(f"{method}: {str(verdict).lower()}")
+            passed = passed and verdict
+    return 0 if passed else 2
 
 
 # -- search ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ composition of existing residue sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 
@@ -19,8 +19,7 @@ from .errors import (InternalInconsistencyError, ParameterError,
 from .fields import is_prime
 from .groupring import (CyclicGroup, GroupRingElement, ds_quotient,
                         is_difference_set)
-from .schemes import (SchemeRecord, build_DX, verify_additive,
-                      verify_quotient)
+from .schemes import SchemeRecord, build_DX, certify, verify_quotient
 from .singer import gmw_components, singer_bundle
 
 ADP_ORIGINS = ("power", "half_power", "lifted", "quotient")
@@ -71,9 +70,15 @@ def _as_element(v: int, X: Iterable[int]) -> GroupRingElement:
     return GroupRingElement.from_indices(CyclicGroup(v), sorted(X))
 
 
-def _stamp(rec: SchemeRecord, *tokens: str) -> SchemeRecord:
-    """Record routes that were already run by the caller."""
-    return replace(rec, verified_by=rec.verified_by | frozenset(tokens))
+def _guaranteed(rec: SchemeRecord, routes: tuple[str, ...],
+                what: str) -> SchemeRecord:
+    """Certify a record its construction guarantees to be a scheme."""
+    out = certify(rec, routes, strict=False)
+    if out.verified_by != frozenset(routes):
+        raise InternalInconsistencyError(
+            f"{what} failed verification (passed {sorted(out.verified_by)} "
+            f"of {sorted(routes)})")
+    return out
 
 
 def power_set(X: Iterable[int], t: int, v: int) -> tuple[int, ...]:
@@ -179,49 +184,55 @@ def _presentation_aligner(p: int, e: int, t: int, s: int) -> int:
         "no multiplier aligns the two subfield presentations")
 
 
-def adp_lift(rec: AdpRecord, s: int) -> tuple[AdpRecord, AdpRecord]:
-    """Lift an order-v_t record to layer st by the two trace-set twists.
+def _lift(p: int, e: int, t: int, s: int,
+          X: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The two twists R~^(-1) X and R~^(2) X of a layer-t set in Z_{v_st}.
 
-    The input exponents are read in the standalone layer-t presentation
-    and re-expressed relative to the embedded subfield generator before
-    the convolution.
+    X is read in the standalone layer-t presentation and re-expressed
+    relative to the embedded subfield generator before the convolution.
     """
-    t = rec.l
     if s % 2 == 0 or t % 2 == 0:
         raise ParameterError("both layer counts must be odd")
     if s < 3:
         raise ParameterError("lifting needs at least three layers")
-    if not rec.adp_certified:
-        raise PreconditionError("only certified records lift")
-    comps = _gmw_cached(rec.p, rec.e, t, s)
+    comps = _gmw_cached(p, e, t, s)
     G = CyclicGroup(comps.v_st)
     Rt = GroupRingElement.from_indices(G, comps.rtilde)
-    if t == 1:
-        Aemb = GroupRingElement.identity(G)
-    else:
-        c = _presentation_aligner(rec.p, rec.e, t, s)
-        Aemb = GroupRingElement.from_indices(
-            G, comps.embed(power_set(rec.A, c, comps.v_t)))
-    q = rec.q
-    st = s * t
-    params = (comps.v_st, q ** (st - 1), q ** (st - 2) * (q - 1))
+    c = _presentation_aligner(p, e, t, s)
+    X = power_set(X, c, comps.v_t)
+    Xemb = GroupRingElement.from_indices(G, comps.embed(X))
     out = []
     for power in (-1, 2):
-        prod = Rt.power_map(power) * Aemb
+        prod = Rt.power_map(power) * Xemb
         if not prod.is_zero_one():
             raise InternalInconsistencyError(
                 "lifted product is not a subset; embedding layout is wrong")
         lifted = prod.subset_indices()
-        if len(lifted) != q ** (st - t) * len(rec.A):
+        if len(lifted) != (p ** e) ** (s * t - t) * len(X):
             raise InternalInconsistencyError("lifted set has the wrong size")
-        if comps.v_st < ADP_CERTIFY_LIMIT:
+        out.append(lifted)
+    return out[0], out[1]
+
+
+def adp_lift(rec: AdpRecord, s: int) -> tuple[AdpRecord, AdpRecord]:
+    """Lift an order-v_t record to layer st by the two trace-set twists."""
+    if not rec.adp_certified:
+        raise PreconditionError("only certified records lift")
+    lifts = _lift(rec.p, rec.e, rec.l, s, rec.A)
+    q = rec.q
+    st = s * rec.l
+    v_st = (q ** st - 1) // (q - 1)
+    params = (v_st, q ** (st - 1), q ** (st - 2) * (q - 1))
+    out = []
+    for lifted in lifts:
+        if v_st < ADP_CERTIFY_LIMIT:
             cert = adp_check(rec.p, rec.e, st, lifted, origin="lifted")
             if cert is None:
                 raise InternalInconsistencyError(
                     "lifted set failed the dividing-set guarantee")
             out.append(cert)
         else:
-            if not is_difference_set(_as_element(comps.v_st, lifted), *params):
+            if not is_difference_set(_as_element(v_st, lifted), *params):
                 raise InternalInconsistencyError(
                     "lifted set is not a difference set")
             out.append(AdpRecord(p=rec.p, e=rec.e, l=st, A=lifted, dual=None,
@@ -235,14 +246,8 @@ def scheme_from_adp(rec: AdpRecord) -> SchemeRecord:
         raise PreconditionError("record is not certified as a dividing set")
     if rec.l % 2 == 0:
         raise PreconditionError("schemes need odd l")
-    scheme = build_DX(rec.p, rec.e, rec.l, rec.A, provenance="adp")
-    ok_q = verify_quotient(rec.p, rec.e, rec.l, rec.A)
-    ok_a = verify_additive(scheme)
-    if not (ok_q and ok_a):
-        raise InternalInconsistencyError(
-            f"certified dividing set did not produce a scheme "
-            f"(quotient {ok_q}, additive {ok_a})")
-    return _stamp(scheme, "quotient", "additive")
+    return _guaranteed(build_DX(rec.p, rec.e, rec.l, rec.A, provenance="adp"),
+                       ("quotient", "additive"), "certified dividing set")
 
 
 # -- cyclotomic pullbacks ------------------------------------------------------
@@ -271,14 +276,9 @@ def cyclotomic_scheme(p: int, e: int, l: int, n: int,
     q = p ** e
     v = (q ** l - 1) // (q - 1)
     pullback = [i for i in range(v) if i % n in set(X)]
-    scheme = build_DX(p, e, l, pullback, provenance="cyclotomic")
-    ok_q = verify_quotient(p, e, l, pullback)
-    ok_a = verify_additive(scheme)
-    if not (ok_q and ok_a):
-        raise InternalInconsistencyError(
-            f"cyclotomic pullback of X = {X} failed verification "
-            f"(quotient {ok_q}, additive {ok_a})")
-    return _stamp(scheme, "quotient", "additive")
+    return _guaranteed(build_DX(p, e, l, pullback, provenance="cyclotomic"),
+                       ("quotient", "additive"),
+                       f"cyclotomic pullback of X = {X}")
 
 
 # -- small-prime solver branch ---------------------------------------------------
@@ -429,14 +429,11 @@ def langevin_scheme(p: int, p_prime: int, m: int = 1,
         if len(X) != len(T) * len(P):
             raise InternalInconsistencyError("candidate sumset collapsed")
         pullback = [i for i in range(v) if i % mod in X]
-        rec = build_DX(p, 1, params.l, pullback, provenance="langevin")
-        ok_q = verify_quotient(p, 1, params.l, pullback)
-        ok_a = verify_additive(rec)
-        if ok_q != ok_a:
-            raise InternalInconsistencyError(
-                f"routes disagree on candidate {label}")
-        if ok_q:
-            found.append(_stamp(rec, "quotient", "additive"))
+        rec = certify(build_DX(p, 1, params.l, pullback,
+                               provenance="langevin"),
+                      ("quotient", "additive"), strict=False)
+        if rec.verified_by:
+            found.append(rec)
             found_labels.append(label)
     if not found:
         raise InternalInconsistencyError(
@@ -455,38 +452,17 @@ def gmw_lift_scheme(p: int, e: int, t: int, s: int,
     X is read in the standalone layer-t presentation, exactly like the
     scheme it is checked against, then re-expressed for the embedding.
     """
-    if s % 2 == 0 or t % 2 == 0:
-        raise ParameterError("both layer counts must be odd")
-    if s < 3:
-        raise ParameterError("lifting needs at least three layers")
     v_t = ((p ** e) ** t - 1) // (p ** e - 1)
     X = sorted({int(x) for x in X})
     if X and (X[0] < 0 or X[-1] >= v_t):
         raise ParameterError(f"X must lie in 0..{v_t - 1}")
+    lifts = _lift(p, e, t, s, X)
     if not verify_quotient(p, e, t, X):
         raise PreconditionError("X does not define a scheme at the base layer")
-    comps = _gmw_cached(p, e, t, s)
-    G = CyclicGroup(comps.v_st)
-    Rt = GroupRingElement.from_indices(G, comps.rtilde)
-    if X:
-        c = _presentation_aligner(p, e, t, s)
-        Xemb = GroupRingElement.from_indices(
-            G, comps.embed(power_set(X, c, v_t)))
-    else:
-        Xemb = GroupRingElement.zero(G)
-    out = []
-    for power in (-1, 2):
-        prod = Rt.power_map(power) * Xemb
-        if not prod.is_zero_one():
-            raise InternalInconsistencyError(
-                "lifted residue product is not a subset")
-        lifted = prod.subset_indices()
-        rec = build_DX(p, e, s * t, lifted, provenance="gmw_lift")
-        if not verify_quotient(p, e, s * t, lifted):
-            raise InternalInconsistencyError(
-                "lifted residue set failed verification")
-        out.append(_stamp(rec, "quotient"))
-    return out[0], out[1]
+    return tuple(_guaranteed(build_DX(p, e, s * t, lifted,
+                                      provenance="gmw_lift"),
+                             ("quotient",), "lifted residue set")
+                 for lifted in lifts)
 
 
 def union_scheme(p: int, e: int, l: int, X1: Iterable[int],
@@ -508,14 +484,8 @@ def union_scheme(p: int, e: int, l: int, X1: Iterable[int],
     else:
         raise PreconditionError(
             "inputs neither disjoint nor covering; composition undefined")
-    rec = build_DX(p, e, l, sorted(X), provenance="union")
-    ok_q = verify_quotient(p, e, l, sorted(X))
-    ok_a = verify_additive(rec)
-    if not (ok_q and ok_a):
-        raise InternalInconsistencyError(
-            f"composed set failed verification (quotient {ok_q}, "
-            f"additive {ok_a})")
-    return _stamp(rec, "quotient", "additive")
+    return _guaranteed(build_DX(p, e, l, X, provenance="union"),
+                       ("quotient", "additive"), "composed set")
 
 
 def is_strong_multiplier(X: Iterable[int], v: int, t: int) -> bool:

@@ -37,20 +37,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _x_order_is_maximal(modulus: Sequence[int], p: int) -> bool:
     """True iff x generates the full unit group modulo `modulus`.
 
@@ -167,8 +153,6 @@ class FiniteField:
         c0 = codes % p
         plus_one = codes - c0 + (c0 + 1) % p
         self.zech = powers[plus_one].astype(np.int32)
-        self._exp_codes = codes
-        self._log_codes = powers
 
         sentinels = np.flatnonzero(self.zech == ZERO)
         if len(sentinels) != 1 or sentinels[0] != n1 // 2:
@@ -209,11 +193,6 @@ class FiniteField:
         if a == ZERO or b == ZERO:
             return ZERO
         return (a + b) % self.n1
-
-    def inv(self, a: int) -> int:
-        if a == ZERO:
-            raise ParameterError("zero has no multiplicative inverse")
-        return (-a) % self.n1
 
     def pow(self, a: int, k: int) -> int:
         if a == ZERO:
@@ -298,17 +277,6 @@ class FiniteField:
         if t == 0:
             return ZERO
         return int(self._dlog_small[t])
-
-    def poly_of(self, a: int) -> tuple[int, ...]:
-        """Coefficient tuple (c_0..c_{m-1}) of g^a; all zeros for ZERO."""
-        if a == ZERO:
-            return (0,) * self.m
-        code = int(self._exp_codes[a % self.n1])
-        out = []
-        for _ in range(self.m):
-            out.append(code % self.p)
-            code //= self.p
-        return tuple(out)
 
     def descriptor(self) -> dict:
         return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}

@@ -10,9 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ParameterError
+
 # p = c * 2^k + 1 with generator 3 in every case
 _PRIMES = (998244353, 167772161, 469762049)
 _GEN = 3
+# 998244353 - 1 = 119 * 2^23: no root of unity of any longer power-of-two
+# order exists, and a longer transform returns wrong coefficients
+_MAX_SIZE = 1 << 23
 
 
 def _ntt(a: np.ndarray, p: int, invert: bool) -> np.ndarray:
@@ -69,6 +74,10 @@ def convolve_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     size = 1
     while size < out_len:
         size <<= 1
+    if size > _MAX_SIZE:
+        raise ParameterError(
+            f"NTT length {size} exceeds 2^23, the longest transform "
+            f"the primes support")
     p1, p2, p3 = _PRIMES
     r1 = _conv_mod(a, b, p1, size)[:out_len]
     r2 = _conv_mod(a, b, p2, size)[:out_len]

@@ -10,13 +10,18 @@ equivalent routes that exploit the trace structure of the field:
 divisibility of D^(-1) * R by q^((l-1)/2) in the unit group
 (`multiplicative`), the same divisibility for X^(-1) * W down in Z_v
 (`quotient`), and integrality of the dual construction (`dual`).
+
+`certify` is where routes run: every applicable route it is asked for
+runs, their verdicts must agree, and those that pass are stamped on the
+record.  Stamps read from a file are claims, not facts; `from_json`
+re-earns each claimed route and refuses the file unless all of them hold.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -107,22 +112,33 @@ class SchemeRecord:
 
     @classmethod
     def from_json(cls, data: dict) -> "SchemeRecord":
+        """Load a record, re-earning every route its file claims."""
         fd = data["field"]
         field = FiniteField(fd["p"], fd["e"] * fd["l"],
                             modulus=tuple(fd["modulus"]))
-        return cls(field=field, e=fd["e"], l=fd["l"],
-                   D=tuple(int(x) for x in data["D"]),
-                   X=tuple(int(x) for x in data["X"]) if "X" in data else None,
-                   provenance=data["provenance"],
-                   verified_by=frozenset(data["verified_by"]))
+        rec = cls(field=field, e=fd["e"], l=fd["l"],
+                  D=tuple(int(x) for x in data["D"]),
+                  X=tuple(int(x) for x in data["X"]) if "X" in data else None,
+                  provenance=data["provenance"],
+                  verified_by=frozenset(data["verified_by"]))
+        if rec.verified_by:
+            claimed = [m for m in METHODS if m in rec.verified_by]
+            earned = certify(replace(rec, verified_by=frozenset()), claimed,
+                             strict=False).verified_by
+            if earned != rec.verified_by:
+                raise VerificationFailedError(
+                    f"record claims {claimed} but only "
+                    f"{sorted(earned)} verify")
+        return rec
 
 
-def _bundle_for(rec: SchemeRecord) -> SingerBundle:
-    default = get_field(rec.p, rec.field.m)
-    if rec.field == default:
-        return singer_bundle(rec.p, rec.e, rec.l)
-    return build_singer_bundle(rec.p, rec.e, rec.l, field=rec.field,
-                               verify=False)
+def _bundle(p: int, e: int, l: int,
+            field: Optional[FiniteField] = None) -> SingerBundle:
+    """The cached bundle of the default field, or an unverified bundle
+    built over another modulus."""
+    if field is None or field == get_field(p, e * l):
+        return singer_bundle(p, e, l)
+    return build_singer_bundle(p, e, l, field=field, verify=False)
 
 
 # -- construction -------------------------------------------------------------
@@ -187,15 +203,21 @@ def verify_additive(rec: SchemeRecord) -> bool:
     return lhs == rhs
 
 
-def verify_multiplicative(rec: SchemeRecord) -> bool:
-    """Divisibility of D^(-1) * R by q^((l-1)/2) in the unit group."""
+def _inverse_times_R(rec: SchemeRecord) -> GroupRingElement:
+    """D^(-1) * R in the unit group; defined for half-point sets, odd l."""
     if rec.l % 2 == 0:
         raise PreconditionError("route needs odd l")
     if not is_half_point(rec):
         raise PreconditionError("route applies to half-point sets only")
-    R = GroupRingElement.from_indices(CyclicGroup(rec.n1), _bundle_for(rec).R)
-    prod = rec.unit_element().power_map(-1) * R
-    return prod.scalar_divisible(rec.q ** ((rec.l - 1) // 2))
+    bundle = _bundle(rec.p, rec.e, rec.l, rec.field)
+    R = GroupRingElement.from_indices(CyclicGroup(rec.n1), bundle.R)
+    return rec.unit_element().power_map(-1) * R
+
+
+def verify_multiplicative(rec: SchemeRecord) -> bool:
+    """Divisibility of D^(-1) * R by q^((l-1)/2) in the unit group."""
+    return _inverse_times_R(rec).scalar_divisible(
+        rec.q ** ((rec.l - 1) // 2))
 
 
 def verify_quotient(p: int, e: int, l: int, X: Iterable[int],
@@ -203,12 +225,7 @@ def verify_quotient(p: int, e: int, l: int, X: Iterable[int],
     """Divisibility of X^(-1) * W by q^((l-1)/2) down in Z_v."""
     if l % 2 == 0:
         raise PreconditionError("route needs odd l")
-    if field is None:
-        field = get_field(p, e * l)
-    if field == get_field(p, e * l):
-        bundle = singer_bundle(p, e, l)
-    else:
-        bundle = build_singer_bundle(p, e, l, field=field, verify=False)
+    bundle = _bundle(p, e, l, field)
     v = bundle.v
     X = sorted({int(x) for x in X})
     if X and (X[0] < 0 or X[-1] >= v):
@@ -218,21 +235,16 @@ def verify_quotient(p: int, e: int, l: int, X: Iterable[int],
     return prod.scalar_divisible((p ** e) ** ((l - 1) // 2))
 
 
-def _dual_coefficients(rec: SchemeRecord) -> tuple[np.ndarray, int, int]:
+def _dual_coefficients(rec: SchemeRecord) -> tuple[np.ndarray, int]:
+    """Coefficients of D^(-1) * R - c F*, and Q; 0/1 times Q iff dual."""
     Q = rec.q ** ((rec.l - 1) // 2)
     c = (rec.q ** (rec.l - 1) - Q) // 2
-    R = GroupRingElement.from_indices(CyclicGroup(rec.n1), _bundle_for(rec).R)
-    prod = rec.unit_element().power_map(-1) * R
-    return prod.coeffs - c, Q, c
+    return _inverse_times_R(rec).coeffs - c, Q
 
 
 def verify_dual(rec: SchemeRecord) -> bool:
     """True iff the dual construction lands on a genuine 0/1 subset."""
-    if rec.l % 2 == 0:
-        raise PreconditionError("route needs odd l")
-    if not is_half_point(rec):
-        raise PreconditionError("route applies to half-point sets only")
-    shifted, Q, _ = _dual_coefficients(rec)
+    shifted, Q = _dual_coefficients(rec)
     return bool(np.all((shifted == 0) | (shifted == Q)))
 
 
@@ -242,35 +254,57 @@ def verify_scheme(rec: SchemeRecord, method: str = "additive") -> bool:
     if method == "multiplicative":
         return verify_multiplicative(rec)
     if method == "quotient":
-        X = rec.X if rec.X is not None else recover_X(rec)
-        return verify_quotient(rec.p, rec.e, rec.l, X, field=rec.field)
+        # X is read off D, so a stored X that D does not match is ignored
+        return verify_quotient(rec.p, rec.e, rec.l, recover_X(rec),
+                               field=rec.field)
     if method == "dual":
         return verify_dual(rec)
     raise ParameterError(f"unknown method {method!r}")
+
+
+def route_verdicts(rec: SchemeRecord, methods: Iterable[str]
+                   ) -> Iterator[tuple[str, bool | PreconditionError]]:
+    """Run the routes in turn, yielding (method, verdict).
+
+    The verdict is a bool, or the PreconditionError of a route that does
+    not apply to this record.  Applicable routes must agree: a verdict
+    that differs from an earlier one raises InternalInconsistencyError.
+    """
+    first = None
+    for method in methods:
+        try:
+            ok = verify_scheme(rec, method)
+        except PreconditionError as err:
+            yield method, err
+            continue
+        if first is None:
+            first = (method, ok)
+        elif ok != first[1]:
+            raise InternalInconsistencyError(
+                f"routes disagree: {first[0]} says {first[1]}, "
+                f"{method} says {ok}")
+        yield method, ok
 
 
 def certify(rec: SchemeRecord, methods=("additive",),
             strict: bool = True) -> SchemeRecord:
     """Run the requested routes and stamp those that pass.
 
-    With strict=True a failing route raises; routes whose preconditions do
-    not apply are skipped either way (that is not a failure).
+    Routes whose preconditions do not apply are skipped (that is not a
+    failure).  Applicable routes that disagree raise
+    InternalInconsistencyError; with strict=True, failing ones raise
+    VerificationFailedError.
     """
     if methods == "all":
         methods = METHODS
-    stamps = set(rec.verified_by)
-    for method in methods:
-        try:
-            ok = verify_scheme(rec, method)
-        except PreconditionError:
-            continue
-        if ok:
-            stamps.add(method)
-        elif strict:
-            raise VerificationFailedError(
-                f"{method} verification failed for D of size {len(rec.D)} "
-                f"over F_{rec.p}^{rec.field.m}")
-    return replace(rec, verified_by=frozenset(stamps))
+    verdicts = {method: ok for method, ok in route_verdicts(rec, methods)
+                if not isinstance(ok, PreconditionError)}
+    if strict and not all(verdicts.values()):
+        raise VerificationFailedError(
+            f"{', '.join(verdicts)} verification failed for D of size "
+            f"{len(rec.D)} over F_{rec.p}^{rec.field.m}")
+    passed = frozenset(m for m, ok in verdicts.items() if ok)
+    return replace(rec, verified_by=rec.verified_by | passed)
 
 
 # -- dual and unit transforms --------------------------------------------------
@@ -280,9 +314,7 @@ def dual_scheme(rec: SchemeRecord) -> SchemeRecord:
     """The subset D-hat defined by D^(-1) * R = Q D-hat + c F*."""
     if not rec.verified_by:
         raise PreconditionError("dual of an unverified record is not defined")
-    if rec.l % 2 == 0 or not is_half_point(rec):
-        raise PreconditionError("dual needs odd l and a half-point set")
-    shifted, Q, _ = _dual_coefficients(rec)
+    shifted, Q = _dual_coefficients(rec)
     if not np.all((shifted == 0) | (shifted == Q)):
         raise InternalInconsistencyError(
             "verified record produced a non 0/1 dual; verification stamps "

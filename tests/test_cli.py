@@ -3,12 +3,15 @@ import json
 import numpy as np
 import pytest
 
+from paleyschemes import schemes
 from paleyschemes.cli import main
 from paleyschemes.constructions import (adp_half_power_family,
                                         adp_power_family, cyclotomic_scheme,
                                         langevin_scheme, scheme_from_adp)
+from paleyschemes.errors import (InternalInconsistencyError,
+                                 VerificationFailedError)
 from paleyschemes.graph6 import decode_graph6
-from paleyschemes.schemes import SchemeRecord
+from paleyschemes.schemes import SchemeRecord, certify
 from paleyschemes.search import search_all_X
 
 
@@ -126,6 +129,28 @@ def test_verify_tampered_record_fails(tmp_path, capsys):
     (tmp_path / "bad.json").write_text(json.dumps(data))
     assert run("verify", tmp_path / "bad.json", "--method", "additive") == 2
     assert "additive: false" in capsys.readouterr().out
+
+
+def test_route_disagreement_is_an_internal_error(tmp_path, monkeypatch):
+    out = make_paley27(tmp_path)
+    rec = SchemeRecord.from_json(load(out))
+    monkeypatch.setattr(schemes, "verify_dual", lambda rec: False)
+    with pytest.raises(InternalInconsistencyError):
+        certify(rec, "all", strict=False)
+    assert run("verify", out, "--method", "all") == 2
+
+
+@pytest.mark.parametrize("claim", ["additive", "quotient"])
+def test_stamps_on_disk_are_re_earned(tmp_path, claim):
+    out = make_paley27(tmp_path)
+    data = load(out)
+    data["D"] = [1] + data["D"][1:]  # flip one exponent, keep it sorted
+    data["verified_by"] = [claim]  # X stays as written for the old D
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    with pytest.raises(VerificationFailedError):
+        SchemeRecord.from_json(data)
+    assert run("classify", "--in", bad) == 2
 
 
 def test_verify_inapplicable_method(tmp_path, capsys):

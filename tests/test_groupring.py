@@ -139,6 +139,16 @@ def test_ntt_matches_schoolbook():
         assert [int(x) for x in got] == [int(x) for x in want]
 
 
+def test_ntt_refuses_lengths_past_its_roots_of_unity(monkeypatch):
+    def no_transform(*args):
+        raise AssertionError("transform ran past the size guard")
+
+    monkeypatch.setattr(ntt, "_conv_mod", no_transform)
+    a = np.zeros(2 ** 22 + 1, dtype=np.int64)  # padded length 2^24
+    with pytest.raises(ParameterError):
+        ntt.convolve_exact(a, a)
+
+
 def test_serialization_roundtrip():
     g = FieldAdditiveGroup(get_field(3, 2))
     a = GroupRingElement.from_indices(g, [0, 3, 5])
