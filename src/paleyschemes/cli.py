@@ -58,7 +58,11 @@ def _budget(name: str, explicit: Optional[int]) -> int:
     if explicit is not None:
         return explicit
     env, fallback = _ENV_BUDGETS[name]
-    return int(os.environ.get(env, fallback))
+    try:
+        return int(os.environ.get(env, fallback))
+    except ValueError:
+        raise ParameterError(
+            f"{env}={os.environ[env]!r} is not an integer") from None
 
 
 def _parse_residues(text: str) -> tuple[int, ...]:

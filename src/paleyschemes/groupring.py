@@ -1,9 +1,10 @@
 """Exact integer group-ring arithmetic over the two group kinds in play.
 
 Supported groups: cyclic Z_n, and the additive group of a finite field.
-Coefficient vectors are numpy int64 with an explicit overflow bound check;
-when a product could leave the 64-bit range the convolution escalates to
-arbitrary-precision Python integers instead of wrapping.
+Coefficient vectors are numpy int64, or Python integers for a product
+whose coefficient bound passes 2^62.  Every cyclic product is one exact
+`ntt.convolve_exact` folded mod n, which raises `ParameterError` past the
+range of its primes rather than return a wrong answer.
 
 Coefficient indexing for field-additive groups is fixed for serialization:
 index 0 is the zero field element and index 1 + i is g^i.
@@ -18,9 +19,6 @@ import numpy as np
 from . import ntt
 from .errors import InternalInconsistencyError, ParameterError
 from .fields import ZERO, FiniteField, field_from_descriptor
-
-_INT64_SAFE = 2 ** 62
-_SCHOOLBOOK_LIMIT = 20000
 
 
 class CyclicGroup:
@@ -120,24 +118,9 @@ def group_from_descriptor(desc: dict):
 
 
 def _conv_cyclic(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    bound = min(int(np.abs(a).sum()) * int(np.abs(b).max(initial=0)),
-                int(np.abs(b).sum()) * int(np.abs(a).max(initial=0)))
-    if bound >= _INT64_SAFE:
-        # escalate to arbitrary precision rather than risk wraparound
-        out = [0] * n
-        for i in np.flatnonzero(a):
-            ai = int(a[i])
-            for j in np.flatnonzero(b):
-                out[(int(i) + int(j)) % n] += ai * int(b[j])
-        return np.array(out, dtype=object)
-    if n > _SCHOOLBOOK_LIMIT:
-        lin = ntt.convolve_exact(a, b).astype(np.int64)
-    else:
-        lin = np.convolve(a, b)
-    out = np.zeros(n, dtype=np.int64)
-    for start in range(0, len(lin), n):
-        chunk = lin[start:start + n]
-        out[: len(chunk)] += chunk
+    lin = ntt.convolve_exact(a, b)
+    out = lin[:n].copy()
+    out[: len(lin) - n] += lin[n:]
     return out
 
 
@@ -222,7 +205,7 @@ class GroupRingElement:
         if np.count_nonzero(a) > np.count_nonzero(b):
             a, b = b, a
         bound = int(np.abs(a).sum()) * int(np.abs(b).max(initial=0))
-        dtype = object if bound >= _INT64_SAFE else np.int64
+        dtype = object if bound >= ntt.INT64_SAFE else np.int64
         out = np.zeros(g.order, dtype=dtype)
         bb = b if dtype is np.int64 else b.astype(object)
         for i in np.flatnonzero(a):

@@ -1,97 +1,107 @@
 """Exact integer convolution via number-theoretic transforms.
 
-Three NTT-friendly primes and a CRT lift give exact linear convolutions for
-coefficient magnitudes up to ~7.8e25, far beyond anything the package
-produces.  Used only above the schoolbook size threshold; correctness is
-cross-checked against schoolbook convolution in the test suite.
+The package's only cyclic product kernel.  Every output coefficient is at
+most min(|a|_1 |b|_inf, |b|_1 |a|_inf) in size, and the transform runs
+modulo the fewest primes whose product exceeds twice that bound (one for
+every product the package makes); the CRT then recovers each coefficient
+exactly.  Output is int64 below 2^62 and Python integers past it.  A bound
+past three primes (~3.9e25) or a padded length past 2^23 raises
+`ParameterError` before any transform runs.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
 from .errors import ParameterError
 
-# p = c * 2^k + 1 with generator 3 in every case
-_PRIMES = (998244353, 167772161, 469762049)
+# p = c * 2^k + 1 with generator 3 in every case, largest first
+_PRIMES = (998244353, 469762049, 167772161)
 _GEN = 3
 # 998244353 - 1 = 119 * 2^23: no root of unity of any longer power-of-two
 # order exists, and a longer transform returns wrong coefficients
 _MAX_SIZE = 1 << 23
+# int64 output below this, so sums of a few products cannot wrap
+INT64_SAFE = 2 ** 62
 
 
-def _ntt(a: np.ndarray, p: int, invert: bool) -> np.ndarray:
-    n = len(a)
-    a = a % p
-    # bit reversal
-    j = 0
-    for i in range(1, n):
-        bit = n >> 1
-        while j & bit:
-            j ^= bit
-            bit >>= 1
-        j |= bit
-        if i < j:
-            a[i], a[j] = a[j], a[i]
-    length = 2
-    while length <= n:
-        w = pow(_GEN, (p - 1) // length, p)
-        if invert:
-            w = pow(w, p - 2, p)
-        half = length // 2
-        ws = np.empty(half, dtype=np.int64)
-        cur = 1
-        for i in range(half):
-            ws[i] = cur
-            cur = cur * w % p
-        blocks = a.reshape(-1, length)
-        u = blocks[:, :half].copy()
-        v = blocks[:, half:] * ws % p
-        blocks[:, :half] = (u + v) % p
-        blocks[:, half:] = (u - v) % p
-        length <<= 1
-    if invert:
-        n_inv = pow(n, p - 2, p)
-        a = a * n_inv % p
-    return a
+def _norms(x: np.ndarray) -> tuple[int, int]:
+    """Exact (|x|_1, |x|_inf) as Python integers."""
+    top = max(int(x.max(initial=0)), -int(x.min(initial=0)))
+    if top * len(x) >= 2 ** 63:
+        x = x.astype(object)
+    return int(np.abs(x).sum()), top
+
+
+@functools.lru_cache(maxsize=8)
+def _roots(p: int, size: int) -> np.ndarray:
+    """w^k mod p for k < size/2, w a primitive size-th root of unity."""
+    w = pow(_GEN, (p - 1) // size, p)
+    roots = np.ones(max(size // 2, 1), dtype=np.int64)
+    k = 1
+    while k < len(roots):
+        roots[k:2 * k] = roots[:k] * pow(w, k, p) % p
+        k *= 2
+    roots.setflags(write=False)
+    return roots
+
+
+def _transform(x: np.ndarray, p: int, roots: np.ndarray) -> np.ndarray:
+    """NTT of each row of x in Stockham form, natural order in and out: row
+    j of the (m, size/m) view holds the length-m transforms at frequency j
+    of the stride-(size/m) subsequences, so no bit reversal is needed."""
+    size = x.shape[-1]
+    x = x.reshape(*x.shape[:-1], 1, size)
+    while x.shape[-2] < size:
+        m, half = x.shape[-2], x.shape[-1] // 2
+        even = x[..., :half]
+        odd = x[..., half:] * roots[::size // (2 * m), None] % p
+        # both lie in [-p, p): adding p on a set sign bit beats a remainder
+        s, d = even + odd - p, even - odd
+        x = np.concatenate((s + ((s >> 63) & p), d + ((d >> 63) & p)), axis=-2)
+    return x.reshape(*x.shape[:-2], size)
 
 
 def _conv_mod(a: np.ndarray, b: np.ndarray, p: int, size: int) -> np.ndarray:
-    fa = np.zeros(size, dtype=np.int64)
-    fb = np.zeros(size, dtype=np.int64)
-    fa[: len(a)] = a % p
-    fb[: len(b)] = b % p
-    fa = _ntt(fa, p, False)
-    fb = _ntt(fb, p, False)
-    return _ntt(fa * fb % p, p, True)
+    roots = _roots(p, size)
+    x = np.zeros((2, size), dtype=np.int64)
+    x[0, :len(a)] = a % p
+    x[1, :len(b)] = b % p
+    fa, fb = _transform(x, p, roots)
+    # the forward transform at -k is size times the inverse at k
+    y = _transform(fa * fb % p, p, roots)
+    return np.concatenate((y[:1], y[:0:-1])) * pow(size, -1, p) % p
+
+
+def _crt(residues: list, primes: tuple) -> np.ndarray:
+    """Centred value modulo prod(primes) of each coefficient (Garner)."""
+    x, modulus = residues[0], primes[0]
+    for r, p in zip(residues[1:], primes[1:]):
+        if modulus * p >= 2 ** 63:
+            x = x.astype(object)
+        x = x + (r - x % p) * pow(modulus, -1, p) % p * modulus
+        modulus *= p
+    return np.where(x > modulus // 2, x - modulus, x)
 
 
 def convolve_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact linear convolution of integer vectors (possibly negative)."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
+    a, b = np.asarray(a), np.asarray(b)
     out_len = len(a) + len(b) - 1
-    size = 1
-    while size < out_len:
-        size <<= 1
+    size = 1 << (out_len - 1).bit_length()
     if size > _MAX_SIZE:
         raise ParameterError(
             f"NTT length {size} exceeds 2^23, the longest transform "
             f"the primes support")
-    p1, p2, p3 = _PRIMES
-    r1 = _conv_mod(a, b, p1, size)[:out_len]
-    r2 = _conv_mod(a, b, p2, size)[:out_len]
-    r3 = _conv_mod(a, b, p3, size)[:out_len]
-    # CRT: combine r1, r2 into a residue mod p1*p2 (fits in int64), then
-    # lift with p3 in exact Python integers.
-    inv12 = pow(p1, p2 - 2, p2)
-    t12 = (r2 - r1) * inv12 % p2
-    m12 = p1 * p2
-    x12 = r1 + t12 * p1  # < p1*p2 ~ 1.7e17, int64-safe
-    inv3 = pow(m12 % p3, p3 - 2, p3)
-    t3 = (r3 - x12 % p3) * inv3 % p3
-    big = x12.astype(object) + t3.astype(object) * m12
-    modulus = m12 * p3
-    half = modulus // 2
-    big = np.where(big > half, big - modulus, big)
-    return big
+    (a1, a_top), (b1, b_top) = _norms(a), _norms(b)
+    bound = min(a1 * b_top, b1 * a_top)
+    primes = next((_PRIMES[:k] for k in range(1, len(_PRIMES) + 1)
+                   if math.prod(_PRIMES[:k]) > 2 * bound), None)
+    if primes is None:
+        raise ParameterError(
+            f"coefficient bound {bound} exceeds the range of the NTT primes")
+    lin = _crt([_conv_mod(a, b, p, size)[:out_len] for p in primes], primes)
+    return lin.astype(np.int64) if bound < INT64_SAFE else lin

@@ -210,13 +210,18 @@ def test_search_budget_exit_code():
     assert run("search", "galois", "--p", 3, "--degree", 7) == 3
 
 
-def test_search_budget_env_override(tmp_path, monkeypatch):
+def test_search_budget_env_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PALEY_MAX_ORBITS", "10")
     assert run("search", "galois", "--p", 5, "--degree", 3,
                "--out", tmp_path / "r.json") == 3
     monkeypatch.setenv("PALEY_MAX_ORBITS", "11")
     assert run("search", "galois", "--p", 5, "--degree", 3,
                "--out", tmp_path / "r.json") == 0
+    capsys.readouterr()
+    monkeypatch.setenv("PALEY_MAX_ORBITS", "abc")
+    assert run("search", "galois", "--p", 5, "--degree", 3,
+               "--out", tmp_path / "r.json") == 1
+    assert capsys.readouterr().err.startswith("error: PALEY_MAX_ORBITS=")
 
 
 # -- classify and export -----------------------------------------------------------

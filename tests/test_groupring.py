@@ -129,7 +129,7 @@ def test_overflow_escalates_to_exact():
     assert prod.coeffs[0] == 3 * big * big  # > 2^63, must not wrap
 
 
-def test_ntt_matches_schoolbook():
+def test_ntt_matches_schoolbook(monkeypatch):
     rng = np.random.default_rng(123)
     for n, m in [(1, 1), (5, 9), (64, 64), (200, 133), (1000, 1000)]:
         a = rng.integers(-10 ** 6, 10 ** 6, size=n)
@@ -137,6 +137,26 @@ def test_ntt_matches_schoolbook():
         want = np.convolve(a, b)
         got = ntt.convolve_exact(a, b)
         assert [int(x) for x in got] == [int(x) for x in want]
+    # magnitudes whose coefficient bound needs exactly one, two and three
+    # primes, and a length past 20000; the oracle stays inside int64
+    primes_used = []
+    conv_mod = ntt._conv_mod
+
+    def spy(a, b, p, size):
+        primes_used.append(p)
+        return conv_mod(a, b, p, size)
+
+    monkeypatch.setattr(ntt, "_conv_mod", spy)
+    for n, m, mag, primes in [(300, 500, 10 ** 2, 1), (200, 133, 10 ** 3, 1),
+                              (200, 133, 10 ** 6, 2), (100, 100, 10 ** 8, 3),
+                              (20011, 20011, 2, 1)]:
+        a = rng.integers(-mag, mag, size=n)
+        b = rng.integers(-mag, mag, size=m)
+        primes_used.clear()
+        got = ntt.convolve_exact(a, b)
+        assert len(primes_used) == primes
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.convolve(a, b))
 
 
 def test_ntt_refuses_lengths_past_its_roots_of_unity(monkeypatch):
@@ -147,6 +167,32 @@ def test_ntt_refuses_lengths_past_its_roots_of_unity(monkeypatch):
     a = np.zeros(2 ** 22 + 1, dtype=np.int64)  # padded length 2^24
     with pytest.raises(ParameterError):
         ntt.convolve_exact(a, a)
+
+
+def test_ntt_refuses_bounds_past_its_primes(monkeypatch):
+    def no_transform(*args):
+        raise AssertionError("transform ran past the bound guard")
+
+    monkeypatch.setattr(ntt, "_conv_mod", no_transform)
+    a = np.full(2, 2 ** 45, dtype=np.int64)  # bound 2^91 > prod(primes) / 2
+    with pytest.raises(ParameterError):
+        ntt.convolve_exact(a, a)
+    with pytest.raises(ParameterError):
+        GroupRingElement(CyclicGroup(2), a) * GroupRingElement(CyclicGroup(2), a)
+
+
+def test_cyclic_product_past_20000_is_the_folded_linear_product():
+    n = 20011
+    rng = np.random.default_rng(n)
+    a = rng.integers(0, 2, size=n)
+    b = rng.integers(-1, 2, size=n)
+    lin = np.convolve(a, b)
+    want = lin[:n].copy()
+    want[: n - 1] += lin[n:]
+    g = CyclicGroup(n)
+    got = (GroupRingElement(g, a) * GroupRingElement(g, b)).coeffs
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
 
 
 def test_serialization_roundtrip():
