@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (BudgetExceededError, InternalInconsistencyError,
                      ParameterError, PreconditionError)
-from .fields import ZERO
+from .fields import ZERO, FiniteField
 from .schemes import SchemeRecord
 
 DEFAULT_NODE_BUDGET = 1_000_000
@@ -187,16 +187,16 @@ def triple_profile(C: Configuration) -> tuple:
 
 # -- development designs without the incidence matrix --------------------------
 
-_ADD_TABLE_CACHE: dict[tuple[int, int], np.ndarray] = {}
+# Keyed on the whole field, modulus included: the table depends on it.
+_ADD_TABLE_CACHE: dict[FiniteField, np.ndarray] = {}
 
 
 def _add_table(F) -> np.ndarray:
     """Padded addition table: entry [x+1, y+1] is the id of x + y, ZERO at 0."""
-    key = (F.p, F.m)
-    if key not in _ADD_TABLE_CACHE:
+    if F not in _ADD_TABLE_CACHE:
         elems = np.concatenate(([ZERO], np.arange(F.n1, dtype=np.int64)))
-        _ADD_TABLE_CACHE[key] = F.add_array(elems[:, None], elems[None, :]) + 1
-    return _ADD_TABLE_CACHE[key]
+        _ADD_TABLE_CACHE[F] = F.add_array(elems[:, None], elems[None, :]) + 1
+    return _ADD_TABLE_CACHE[F]
 
 
 def _triple_table(F, D) -> np.ndarray:
@@ -256,8 +256,8 @@ def affine_link(rec1: SchemeRecord, rec2: SchemeRecord) -> Optional[np.ndarray]:
     direct image comparison before it is returned.
     """
     F = rec1.field
-    if (rec2.field.p, rec2.field.m) != (F.p, F.m):
-        raise ParameterError("affine links need a common field")
+    if rec2.field != F:
+        raise ParameterError("affine links need a common field and modulus")
     if (F.n1 + 1) % 4 != 3:
         raise ParameterError("affine links are defined for designs")
     if len(rec1.D) != len(rec2.D):

@@ -43,14 +43,15 @@ from .fields import get_field
 from .graph6 import design_to_json, encode_graph6
 from .schemes import (METHODS, SchemeRecord, build_DX, certify, recover_X,
                       route_verdicts)
-from .search import (search_all_X, search_cyclotomic_unions,
+from .search import (DEFAULT_MAX_CLASSES, DEFAULT_MAX_ORBITS, DEFAULT_MAX_V,
+                     search_all_X, search_cyclotomic_unions,
                      search_galois_invariant)
 
 _ENV_BUDGETS = {
     "classify_budget": ("PALEY_CLASSIFY_BUDGET", DEFAULT_NODE_BUDGET),
-    "max_v": ("PALEY_MAX_V", 16),
-    "max_orbits": ("PALEY_MAX_ORBITS", 26),
-    "max_classes": ("PALEY_MAX_CLASSES", 16),
+    "max_v": ("PALEY_MAX_V", DEFAULT_MAX_V),
+    "max_orbits": ("PALEY_MAX_ORBITS", DEFAULT_MAX_ORBITS),
+    "max_classes": ("PALEY_MAX_CLASSES", DEFAULT_MAX_CLASSES),
 }
 
 

@@ -19,7 +19,7 @@ class PreconditionError(PaleyError):
 
 
 class InternalInconsistencyError(PaleyError):
-    """Two routes that must agree by theory disagreed; indicates a bug."""
+    """Two results that must agree by theory disagreed; indicates a bug."""
 
 
 class VerificationFailedError(PaleyError):

@@ -5,66 +5,90 @@ residue of x modulo the (primitive) defining polynomial; the zero element is
 the sentinel ZERO = -1.  Multiplication is exponent addition, and addition
 goes through a Zech logarithm table Z with g^{Z(i)} = 1 + g^i, so every
 operation is exact integer arithmetic.
+
+The modulus and the tables both come from C, the companion matrix of
+"multiply by x" over F_p.  A monic f is primitive iff C^(q-1) = I and
+C^((q-1)/r) != I for each prime r | q-1 (Lidl & Niederreiter, *Finite
+Fields*, Thm 3.16; full order implies irreducibility); this one test serves
+default and supplied moduli.  The tables take x^0, ..., x^(q-2) as row
+vectors times powers of C, by doubling and then in fixed-size blocks.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import InternalInconsistencyError, ParameterError
 
 ZERO = -1
 
-DEFAULT_MAX_ORDER = int(os.environ.get("PALEY_MAX_FIELD_ORDER", 3 ** 15))
+DEFAULT_MAX_ORDER = 3 ** 15
+# int32 tables; also keeps the int64 matrix products exact (m (p-1)^2 < 2^63)
+_TABLE_LIMIT = 2 ** 31 - 1
+_BLOCK = 1 << 14  # rows of coefficient digits held at once by the table build
+
+
+def _prime_divisors(n: int) -> list[int]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and _prime_divisors(n) == [n]
 
 
-def _x_order_is_maximal(modulus: Sequence[int], p: int) -> bool:
-    """True iff x generates the full unit group modulo `modulus`.
+def _max_order() -> int:
+    text = os.environ.get("PALEY_MAX_FIELD_ORDER")
+    if text is None:
+        return DEFAULT_MAX_ORDER
+    try:
+        return int(text)
+    except ValueError:
+        raise ParameterError(
+            f"PALEY_MAX_FIELD_ORDER={text!r} is not an integer") from None
 
-    This single check subsumes irreducibility: if the modulus were reducible
-    the unit group of Z_p[x]/(f) would be strictly smaller than p^m - 1, so
-    x could not have order p^m - 1.
-    """
+
+def _companion(modulus: Sequence[int], p: int) -> np.ndarray:
+    """Matrix of a -> x*a mod f on little-endian coefficient row vectors."""
     m = len(modulus) - 1
-    if modulus[0] % p == 0:  # x divides f, hopeless
-        return False
+    C = np.eye(m, m, 1, dtype=np.int64)
+    C[-1] = [(-c) % p for c in modulus[:m]]
+    return C
+
+
+def _mat_pow(C: np.ndarray, k: int, p: int) -> np.ndarray:
+    out = np.eye(len(C), dtype=np.int64)
+    while k:
+        if k & 1:
+            out = out @ C % p
+        C = C @ C % p
+        k >>= 1
+    return out
+
+
+def _is_primitive(modulus: Sequence[int], p: int) -> bool:
+    """True iff x has order p^m - 1 modulo the monic `modulus`."""
+    m = len(modulus) - 1
     n1 = p ** m - 1
-    x_scalar = (-modulus[0]) % p  # residue of x when m == 1
-    cur = [1] + [0] * (m - 1)     # poly encoded little-endian, reduced mod f
-    seen_one_at = None
-    for i in range(1, n1 + 1):
-        if m > 1:
-            # multiply by x: shift and reduce by f
-            lead = cur[-1]
-            cur = [0] + cur[:-1]
-            if lead:
-                for j in range(m):
-                    cur[j] = (cur[j] - lead * modulus[j]) % p
-        else:
-            cur = [cur[0] * x_scalar % p]
-        if all(c == 0 for c in cur[1:]) and cur[0] == 1:
-            seen_one_at = i
-            break
-    return seen_one_at == n1
+    C = _companion(modulus, p)
+    eye = np.eye(m, dtype=np.int64)
+    return (np.array_equal(_mat_pow(C, n1, p), eye)
+            and not any(np.array_equal(_mat_pow(C, n1 // r, p), eye)
+                        for r in _prime_divisors(n1)))
 
 
 def _default_modulus(p: int, m: int) -> tuple[int, ...]:
@@ -74,17 +98,10 @@ def _default_modulus(p: int, m: int) -> tuple[int, ...]:
     ascending; the first primitive one wins.  The choice is deterministic,
     so two runs always build identical tables.
     """
-    # Ascending `code` enumerates the tuples (c_{m-1}, ..., c_0) in
-    # lexicographic order when c_0 is taken as the least significant digit.
-    for code in range(p ** m):
-        coeffs = []
-        t = code
-        for _ in range(m):
-            coeffs.append(t % p)
-            t //= p
-        coeffs.append(1)  # monic
-        if _x_order_is_maximal(coeffs, p):
-            return tuple(coeffs)
+    for tail in itertools.product(range(p), repeat=m):
+        coeffs = tail[::-1] + (1,)
+        if _is_primitive(coeffs, p):
+            return coeffs
     raise ParameterError(f"no primitive polynomial of degree {m} over F_{p}")
 
 
@@ -97,7 +114,8 @@ class FiniteField:
             raise ParameterError(f"p = {p} is not an odd prime")
         if m < 1:
             raise ParameterError(f"extension degree m = {m} must be >= 1")
-        cap = DEFAULT_MAX_ORDER if max_order is None else max_order
+        cap = min(_max_order() if max_order is None else max_order,
+                  _TABLE_LIMIT)
         if p ** m > cap:
             raise ParameterError(
                 f"field order {p}^{m} exceeds the configured cap {cap}")
@@ -113,61 +131,50 @@ class FiniteField:
             if len(modulus) != m + 1 or modulus[-1] != 1:
                 raise ParameterError(
                     f"modulus must be monic of degree {m} (got {modulus})")
-            if not _x_order_is_maximal(modulus, p):
+            if not _is_primitive(modulus, p):
                 raise ParameterError(
                     f"supplied modulus {modulus} is not primitive over F_{p}")
         self.modulus = tuple(modulus)
 
         self._build_tables()
-        self._dlog_small = self._dlogs_of_prime_field()
 
     # -- construction ------------------------------------------------------
 
     def _build_tables(self) -> None:
         p, m, n1 = self.p, self.m, self.n1
-        powers = np.zeros(p ** m, dtype=np.int32)  # poly code -> exponent
-        codes = np.zeros(n1, dtype=np.int32)       # exponent -> poly code
-        powers[:] = ZERO
-        cur = [0] * m
-        cur[0] = 1  # g^0 = 1
-        pm = [int(c) for c in self.modulus[:m]]
-        base = [p ** i for i in range(m)]
-        for i in range(n1):
-            code = 0
-            for j in range(m):
-                code += cur[j] * base[j]
-            if powers[code] != ZERO:
-                raise ParameterError("modulus is not primitive (cycle)")
-            powers[code] = i
-            codes[i] = code
-            # multiply by x
-            lead = cur[-1]
-            cur = [0] + cur[:-1]
-            if lead:
-                for j in range(m):
-                    cur[j] = (cur[j] - lead * pm[j]) % p
-        if any(c != 0 for c in cur[1:]) or cur[0] != 1:
-            raise ParameterError("modulus is not primitive (order defect)")
+        C = _companion(self.modulus, p)
+        base = p ** np.arange(m, dtype=np.int64)
+
+        # rows[i] = coefficients of x^i for i < len(rows); step = C^len(rows)
+        rows = np.eye(1, m, dtype=np.int64)
+        step = C
+        while len(rows) < min(n1, _BLOCK):
+            rows = np.concatenate((rows, rows @ step % p))
+            step = step @ step % p
+        codes = np.empty(n1, dtype=np.int32)  # exponent -> poly code
+        shift = np.eye(m, dtype=np.int64)     # C^start
+        for start in range(0, n1, len(rows)):
+            block = rows @ shift % p
+            codes[start:start + len(rows)] = (block @ base)[:n1 - start]
+            shift = shift @ step % p
+
+        powers = np.full(self.order, ZERO, dtype=np.int32)  # code -> exponent
+        powers[codes] = np.arange(n1, dtype=np.int32)
+        if (powers[1:] == ZERO).any():
+            raise InternalInconsistencyError(
+                f"powers of x repeat modulo the primitive {self.modulus}")
+        # The code of a constant t < p is t itself.
+        self._dlog_small = powers[:p].copy()
 
         # Zech table: zech[i] = dlog(1 + g^i), ZERO sentinel when 1+g^i = 0.
         c0 = codes % p
         plus_one = codes - c0 + (c0 + 1) % p
-        self.zech = powers[plus_one].astype(np.int32)
+        self.zech = powers[plus_one]
 
         sentinels = np.flatnonzero(self.zech == ZERO)
         if len(sentinels) != 1 or sentinels[0] != n1 // 2:
-            raise ParameterError(
+            raise InternalInconsistencyError(
                 "Zech table self-check failed: -1 is not g^{(q-1)/2}")
-
-    def _dlogs_of_prime_field(self) -> np.ndarray:
-        """dlog of the elements 1..p-1 of the prime subfield."""
-        out = np.full(self.p, ZERO, dtype=np.int64)
-        e = 0  # dlog(1)
-        out[1] = 0
-        for t in range(2, self.p):
-            e = self.add(e, 0)
-            out[t] = e
-        return out
 
     # -- scalar ops --------------------------------------------------------
 
@@ -273,10 +280,7 @@ class FiniteField:
 
     def dlog_of_int(self, t: int) -> int:
         """dlog of the prime-field element t (t = 0 maps to ZERO)."""
-        t %= self.p
-        if t == 0:
-            return ZERO
-        return int(self._dlog_small[t])
+        return int(self._dlog_small[t % self.p])
 
     def descriptor(self) -> dict:
         return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}

@@ -63,29 +63,21 @@ class FieldAdditiveGroup:
         self.field = field
         self.order = field.order
 
-    def _exps(self, idx):
-        idx = np.asarray(idx, dtype=np.int64)
-        return np.where(idx == 0, ZERO, idx - 1)
-
-    def _indices(self, exps):
-        exps = np.asarray(exps, dtype=np.int64)
-        return np.where(exps == ZERO, 0, exps + 1)
+    # Since ZERO = -1, coefficient index = exponent + 1 in both directions.
 
     def invert_indices(self, idx):
         F = self.field
-        e = self._exps(idx)
-        neg = np.where(e == ZERO, ZERO, (e + F.n1 // 2) % F.n1)
-        return self._indices(neg)
+        e = np.asarray(idx, dtype=np.int64) - 1
+        return np.where(e == ZERO, ZERO, (e + F.n1 // 2) % F.n1) + 1
 
     def power_indices(self, idx, t: int):
         # g^t in an additive group is the scalar multiple t*g
         F = self.field
         t_exp = F.dlog_of_int(t % F.p)
-        e = self._exps(idx)
+        e = np.asarray(idx, dtype=np.int64) - 1
         if t_exp == ZERO:
             return np.zeros_like(e)
-        out = np.where(e == ZERO, ZERO, (e + t_exp) % F.n1)
-        return self._indices(out)
+        return np.where(e == ZERO, ZERO, (e + t_exp) % F.n1) + 1
 
     def op_table_row(self, i: int) -> np.ndarray:
         """Permutation j -> (element_i + element_j) of coefficient indices."""
@@ -93,8 +85,7 @@ class FieldAdditiveGroup:
         all_exps = np.concatenate(([ZERO], np.arange(F.n1, dtype=np.int64)))
         if i == 0:
             return np.arange(self.order, dtype=np.int64)
-        summed = F.add_array(np.int64(i - 1), all_exps)
-        return self._indices(summed)
+        return F.add_array(np.int64(i - 1), all_exps) + 1
 
     def descriptor(self) -> dict:
         return {"kind": "field_additive", "field": self.field.descriptor()}

@@ -13,7 +13,7 @@ from paleyschemes.classify import (Configuration, _clique_counts,
 from paleyschemes.constructions import adp_check, power_set
 from paleyschemes.errors import (BudgetExceededError, ParameterError,
                                  PreconditionError)
-from paleyschemes.fields import FiniteField, get_field
+from paleyschemes.fields import ZERO, FiniteField, get_field
 from paleyschemes.graph6 import decode_graph6, design_to_json, encode_graph6
 from paleyschemes.schemes import (SchemeRecord, build_DX, certify, frobenius,
                                   scale)
@@ -427,6 +427,22 @@ def test_development_profile_invariant_under_affine_images():
     assert development_profile(raw_record(F, shifted)) == base
 
 
+def test_development_profile_follows_the_modulus():
+    rec = scheme_of_power(3, 3, 2)
+    F = rec.field
+    G = FiniteField(3, 3, modulus=(1, 0, 2, 1))
+    # g_F^17 is a root of x^3 + 2x^2 + 1, so g_G^i -> g_F^(17 i) is a field
+    # isomorphism G -> F and the preimage of D is a scheme over G
+    root = F.add(F.add(F.pow(17, 3), F.mul(F.dlog_of_int(2), F.pow(17, 2))), 0)
+    assert root == ZERO
+    inv = pow(17, -1, F.n1)
+    image = certify(raw_record(G, [inv * d % F.n1 for d in rec.D]),
+                    ("additive",))
+    assert development_profile(image) == development_profile(rec)
+    assert development_profile(raw_record(F, image.D)) != \
+        development_profile(rec)
+
+
 def test_development_profile_separates_power_and_inverse_at_343():
     a = scheme_of_power(7, 3, 2)
     b = scheme_of_power(7, 3, -1)
@@ -473,3 +489,6 @@ def test_affine_link_parameter_errors():
         affine_link(paley(13, 1), paley(13, 1))
     with pytest.raises(ParameterError):
         affine_link(paley(7, 1), paley(11, 1))
+    other = FiniteField(3, 3, modulus=(1, 0, 2, 1))
+    with pytest.raises(ParameterError):
+        affine_link(paley(3, 3), paley(3, 3, field=other))

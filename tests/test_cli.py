@@ -224,6 +224,18 @@ def test_search_budget_env_override(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: PALEY_MAX_ORBITS=")
 
 
+def test_field_order_env_must_be_an_integer(tmp_path, monkeypatch, capsys):
+    path = make_paley27(tmp_path)
+    capsys.readouterr()
+    monkeypatch.setenv("PALEY_MAX_FIELD_ORDER", "abc")
+    assert run("verify", path) == 1
+    assert capsys.readouterr().err.startswith("error: PALEY_MAX_FIELD_ORDER=")
+    monkeypatch.setenv("PALEY_MAX_FIELD_ORDER", "26")
+    assert run("verify", path) == 1
+    monkeypatch.setenv("PALEY_MAX_FIELD_ORDER", "27")
+    assert run("verify", path) == 0
+
+
 # -- classify and export -----------------------------------------------------------
 
 

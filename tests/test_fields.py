@@ -7,7 +7,8 @@ defining polynomial, with no Zech tables, so table bugs cannot hide.
 import numpy as np
 import pytest
 
-from paleyschemes.errors import ParameterError
+from paleyschemes import fields
+from paleyschemes.errors import InternalInconsistencyError, ParameterError
 from paleyschemes.fields import ZERO, FiniteField, get_field
 
 
@@ -48,7 +49,7 @@ def naive_is_primitive(modulus, p):
     n1 = p ** m - 1
     pw = poly_powers_of_x(modulus, p, n1 + 1)
     one = [1] + [0] * (m - 1)
-    first = next(i for i in range(1, n1 + 1) if pw[i] == one)
+    first = next((i for i in range(1, n1 + 1) if pw[i] == one), None)
     return first == n1
 
 
@@ -90,6 +91,40 @@ def test_default_modulus_matches_naive_enumeration(p, m):
     assert F.modulus == naive_smallest_primitive(p, m)
 
 
+@pytest.mark.parametrize("p,m,modulus", [
+    (3, 9, (1, 0, 1, 2, 0, 0, 0, 0, 0, 1)),
+    (5, 7, (2, 3, 0, 0, 0, 0, 0, 1)),
+    (3, 11, (1, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1)),
+    (3, 12, (2, 2, 2, 1, 2, 0, 0, 0, 0, 0, 0, 0, 1)),
+])
+def test_default_modulus_pinned(p, m, modulus):
+    assert get_field(p, m).modulus == modulus
+
+
+def monic_polynomials(p, m):
+    for code in range(p ** m):
+        yield [code // p ** j % p for j in range(m)] + [1]
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 2),
+                                 (5, 3), (7, 2), (11, 1)])
+def test_supplied_modulus_accepted_iff_primitive(p, m):
+    """Every monic modulus: accepted iff primitive, then exact tables."""
+    for modulus in monic_polynomials(p, m):
+        if not naive_is_primitive(modulus, p):
+            with pytest.raises(ParameterError):
+                FiniteField(p, m, modulus=modulus)
+            continue
+        F = FiniteField(p, m, modulus=modulus)
+        pw = poly_powers_of_x(modulus, p, F.n1)
+        code = {tuple(v): i for i, v in enumerate(pw)}
+        for i, v in enumerate(pw):
+            one_plus = tuple([(v[0] + 1) % p] + v[1:])
+            assert F.zech[i] == code.get(one_plus, ZERO)
+        for t in range(1, p):
+            assert F.dlog_of_int(t) == code[tuple([t] + [0] * (m - 1))]
+
+
 def test_construction_is_deterministic():
     a = FiniteField(3, 3)
     b = FiniteField(3, 3)
@@ -106,9 +141,13 @@ def test_rejects_bad_characteristic():
         FiniteField(9, 1)
 
 
-def test_rejects_imprimitive_modulus():
+def test_rejects_imprimitive_modulus(monkeypatch):
     # x^2 + 1 is irreducible over F_3 but x has order 4, not 8
     with pytest.raises(ParameterError):
+        FiniteField(3, 2, modulus=[1, 0, 1])
+    # past a wrong primitivity verdict, the table build's own check is a bug
+    monkeypatch.setattr(fields, "_is_primitive", lambda modulus, p: True)
+    with pytest.raises(InternalInconsistencyError):
         FiniteField(3, 2, modulus=[1, 0, 1])
 
 
