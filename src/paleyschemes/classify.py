@@ -44,6 +44,7 @@ class Configuration:
     params: tuple[int, ...]
     _ir: Optional[tuple[bytes, int]] = field(default=None, repr=False)
     _triple: Optional[tuple] = field(default=None, repr=False)
+    _rec: Optional[SchemeRecord] = field(default=None, repr=False)
 
 
 def _difference_matrix(rec: SchemeRecord) -> np.ndarray:
@@ -84,7 +85,7 @@ def make_configuration(rec: SchemeRecord) -> Configuration:
             raise InternalInconsistencyError(
                 f"adjacency is not strongly regular ({order},{k},{lam},{mu})")
         return Configuration(kind="srg_graph", p=rec.p, n=order,
-                             matrix=M, params=(order, k, lam, mu))
+                             matrix=M, params=(order, k, lam, mu), _rec=rec)
     lam = (order - 3) // 4
     A = M.astype(np.int64)
     gram = A @ A.T
@@ -95,7 +96,7 @@ def make_configuration(rec: SchemeRecord) -> Configuration:
     if len({tuple(col) for col in M.T}) != order:
         raise InternalInconsistencyError("design has repeated blocks")
     return Configuration(kind="hadamard_design", p=rec.p, n=order,
-                         matrix=M, params=(order, k, lam))
+                         matrix=M, params=(order, k, lam), _rec=rec)
 
 
 # -- fingerprints ------------------------------------------------------------
@@ -246,8 +247,9 @@ def affine_link(rec1: SchemeRecord, rec2: SchemeRecord) -> Optional[np.ndarray]:
     Searches for L in GL(m, p) and a translate c with L(D1) + c = D2;
     translates of D2 develop to the same blocks, so a hit makes the two
     configurations isomorphic. The return value is the corresponding
-    point permutation in configuration order (usable as a seed), or
-    None when the exhaustive scan proves no affine link exists.
+    point permutation in configuration order, which carries the blocks
+    of the first design onto those of the second, or None when the
+    exhaustive scan proves no affine link exists.
 
     Candidate basis images are bucketed by their triple count row
     (N(Lu, Lw) = N(u, w) holds for every linear L, whatever the
@@ -439,10 +441,11 @@ class _IRSearch:
 
     The certificate is the lexicographically least packed adjacency
     matrix over all leaves of the tree; automorphisms fall out of leaf
-    collisions and prune sibling branches through their orbits. Known
-    automorphisms may be seeded in up front; they only enlarge the
-    orbits used for pruning, so the certificate and the completed group
-    are the same as for an unseeded run, just reached much sooner.
+    collisions and prune sibling branches through their orbits. A
+    configuration built from a scheme seeds in the automorphisms its
+    scheme already has; they only enlarge the orbits used for pruning,
+    so the certificate and the completed group are the same as for an
+    unseeded run, just reached much sooner.
     """
 
     def __init__(self, adj: np.ndarray, cells: list[np.ndarray], budget: int,
@@ -533,7 +536,7 @@ class _IRSearch:
             return
         if (self.adj[np.ix_(g, g)] != self.adj).any():
             raise InternalInconsistencyError(
-                "leaf collision produced a non-automorphism")
+                "a seed or leaf collision is not an automorphism")
         self.gen_keys.add(key)
         self.gens.append(g)
 
@@ -625,37 +628,31 @@ def _ir_inputs(C: Configuration) -> tuple[np.ndarray, list[np.ndarray]]:
     return big, [np.arange(C.n), np.arange(C.n, 2 * C.n)]
 
 
-def _seed_point_maps(C: Configuration,
-                     seed: Optional[Iterable[np.ndarray]]) -> list[np.ndarray]:
-    """Turn caller-supplied point permutations into IR vertex permutations.
+def _seed_point_maps(C: Configuration) -> list[np.ndarray]:
+    """The scheme's seeds as IR vertex permutations; none without a scheme.
 
-    Each entry maps point i to entry[i]. Graphs take them directly; for
+    Each seed maps point i to seed[i]. Graphs take them directly; for
     designs the induced block permutation is recovered by matching
-    permuted incidence columns. Anything that fails to be an
-    automorphism of the configuration is rejected.
+    permuted incidence columns. The search checks every one against the
+    adjacency matrix.
     """
-    if not seed:
+    if C._rec is None:
         return []
+    seeds = scheme_seeds(C._rec)
+    if C.kind == "srg_graph":
+        return seeds
+    M = C.matrix
+    lookup = {M[:, j].tobytes(): j for j in range(C.n)}
     out = []
-    ident = np.arange(C.n, dtype=np.int64)
-    for pi in seed:
-        g = np.asarray(pi, dtype=np.int64)
-        if g.shape != (C.n,) or (np.sort(g) != ident).any():
-            raise ParameterError("seed entries must permute the points")
-        if C.kind == "srg_graph":
-            if (C.matrix[np.ix_(g, g)] != C.matrix).any():
-                raise ParameterError("seed is not a graph automorphism")
-            out.append(g)
-            continue
-        M = C.matrix
-        lookup = {M[:, j].tobytes(): j for j in range(C.n)}
+    for g in seeds:
         shuffled = np.empty_like(M)
         shuffled[g, :] = M
         blocks = np.empty(C.n, dtype=np.int64)
         for j in range(C.n):
             hit = lookup.get(shuffled[:, j].tobytes())
             if hit is None:
-                raise ParameterError("seed is not a design automorphism")
+                raise InternalInconsistencyError(
+                    "scheme seed does not map blocks to blocks")
             blocks[j] = hit
         out.append(np.concatenate((g, C.n + blocks)))
     return out
@@ -668,8 +665,8 @@ def scheme_seeds(rec: SchemeRecord) -> list[np.ndarray]:
     maps x -> c x^(p^k) are scanned: a graph needs c D^(p^k) to equal D
     on the nose, a design only needs it to land on a translate of D
     (translates develop to the same block set). A small generating set
-    of the hits is returned, ready for the ``seed`` argument of
-    aut_order and canonical_certificate.
+    of the hits is returned; the refinement search of the scheme's
+    configuration starts from these.
     """
     F = rec.field
     n1 = F.n1
@@ -704,12 +701,14 @@ def scheme_seeds(rec: SchemeRecord) -> list[np.ndarray]:
     return seeds
 
 
-def _ir_result(C: Configuration, budget: Optional[int],
-               seed: Optional[Iterable[np.ndarray]] = None) -> tuple[bytes, int]:
+def _ir_result(C: Configuration, budget: Optional[int]) -> tuple[bytes, int]:
+    if budget is None:
+        budget = DEFAULT_NODE_BUDGET
+    elif budget < 1:
+        raise ParameterError(f"node budget must be at least 1, not {budget}")
     if C._ir is None:
         adj, cells = _ir_inputs(C)
-        search = _IRSearch(adj, cells, budget or DEFAULT_NODE_BUDGET,
-                           seed=_seed_point_maps(C, seed))
+        search = _IRSearch(adj, cells, budget, seed=_seed_point_maps(C))
         cert, gens = search.run()
         header = f"{C.kind}|{C.params}|".encode()
         C._ir = (header + cert, _perm_group_order(adj.shape[0], gens))
@@ -717,25 +716,19 @@ def _ir_result(C: Configuration, budget: Optional[int],
 
 
 def canonical_certificate(C: Configuration,
-                          budget: Optional[int] = None,
-                          seed: Optional[Iterable[np.ndarray]] = None) -> bytes:
-    return _ir_result(C, budget, seed)[0]
+                          budget: Optional[int] = None) -> bytes:
+    return _ir_result(C, budget)[0]
 
 
-def aut_order(C: Configuration, budget: Optional[int] = None,
-              seed: Optional[Iterable[np.ndarray]] = None) -> int:
+def aut_order(C: Configuration, budget: Optional[int] = None) -> int:
     """Exact automorphism group order.
 
     For designs this is the point-permutation group: blocks are distinct,
     so block images are forced by point images and the color-preserving
-    group of the incidence graph is exactly the design group.
-
-    Configurations built from schemes have large obvious subgroups
-    (translations at least). Passing those point permutations as seeds
-    lets the search prune with them from the start; the answer does not
-    change, it just arrives much sooner on big point-transitive inputs.
+    group of the incidence graph is exactly the design group. A scheme's
+    configuration is searched from its scheme_seeds, which changes no answer.
     """
-    return _ir_result(C, budget, seed)[1]
+    return _ir_result(C, budget)[1]
 
 
 def iso_test(C1: Configuration, C2: Configuration,

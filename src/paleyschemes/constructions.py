@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .errors import (InternalInconsistencyError, ParameterError,
                      PreconditionError)
 from .fields import is_prime
@@ -275,7 +277,7 @@ def cyclotomic_scheme(p: int, e: int, l: int, n: int,
         raise ParameterError(f"X must lie in 0..{n - 1}")
     q = p ** e
     v = (q ** l - 1) // (q - 1)
-    pullback = [i for i in range(v) if i % n in set(X)]
+    pullback = np.flatnonzero(np.isin(np.arange(v) % n, X))
     return _guaranteed(build_DX(p, e, l, pullback, provenance="cyclotomic"),
                        ("quotient", "additive"),
                        f"cyclotomic pullback of X = {X}")

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -11,7 +12,8 @@ from paleyschemes.classify import (Configuration, _clique_counts,
                                    iso_test, make_configuration, scheme_seeds,
                                    semilinear_canonical, triple_profile)
 from paleyschemes.constructions import adp_check, power_set
-from paleyschemes.errors import (BudgetExceededError, ParameterError,
+from paleyschemes.errors import (BudgetExceededError,
+                                 InternalInconsistencyError, ParameterError,
                                  PreconditionError)
 from paleyschemes.fields import ZERO, FiniteField, get_field
 from paleyschemes.graph6 import decode_graph6, design_to_json, encode_graph6
@@ -299,10 +301,14 @@ def test_iso_test_kind_guard():
 
 
 def test_budget_is_enforced():
-    C = make_configuration(paley(13, 1))
+    # the seeded search of the 27-point Paley design visits 8 nodes
+    C = make_configuration(paley(3, 3))
     with pytest.raises(BudgetExceededError) as err:
         aut_order(C, budget=3)
     assert err.value.spent > 3
+    for budget in (0, -1):
+        with pytest.raises(ParameterError):
+            aut_order(C, budget=budget)
 
 
 def test_new_125_scheme_aut_order_and_non_paley():
@@ -364,29 +370,31 @@ def test_triple_profile_rejects_graphs():
 # -- seeded searches -------------------------------------------------------------
 
 
+def without_scheme(C):
+    """The same configuration, built from its matrix alone: no seeds."""
+    return Configuration(kind=C.kind, p=C.p, n=C.n, matrix=C.matrix,
+                         params=C.params)
+
+
 def test_seeds_leave_aut_order_and_certificate_alone():
-    for p, m in [(7, 1), (13, 1)]:
-        rec = paley(p, m)
-        plain, seeded = make_configuration(rec), make_configuration(rec)
-        seeds = scheme_seeds(rec)
-        assert seeds
-        assert aut_order(seeded, seed=seeds) == aut_order(plain)
+    for rec in [paley(7, 1), paley(13, 1), paley(3, 3),
+                scheme_of_power(5, 3, 2)]:
+        assert scheme_seeds(rec)
+        seeded = make_configuration(rec)
+        plain = without_scheme(seeded)
+        assert aut_order(seeded) == aut_order(plain)
         assert canonical_certificate(seeded) == canonical_certificate(plain)
 
 
 def test_non_automorphism_seeds_are_rejected():
-    rec = paley(7, 1)
-    bad = list(range(7))
-    bad[1], bad[2] = bad[2], bad[1]
-    with pytest.raises(ParameterError):
-        aut_order(make_configuration(rec), seed=[bad])
-    graph = paley(13, 1)
-    bad13 = list(range(13))
-    bad13[0], bad13[1] = bad13[1], bad13[0]
-    with pytest.raises(ParameterError):
-        aut_order(make_configuration(graph), seed=[bad13])
-    with pytest.raises(ParameterError):
-        aut_order(make_configuration(rec), seed=[list(range(6))])
+    rng = np.random.default_rng(11)
+    for rec in [paley(13, 1), paley(7, 1)]:
+        C = make_configuration(rec)
+        perm = rng.permutation(C.n)
+        relabeled = dataclasses.replace(C, matrix=C.matrix[np.ix_(perm, perm)])
+        assert aut_order(without_scheme(relabeled)) == aut_order(C)
+        with pytest.raises(InternalInconsistencyError):
+            aut_order(relabeled)
 
 
 # -- development profiles and affine links ----------------------------------------
@@ -472,8 +480,11 @@ def test_affine_link_with_itself_seeds_the_aut_search():
     rec = scheme_of_power(3, 3, 2)
     perm = affine_link(rec, rec)
     assert perm is not None
-    plain, seeded = make_configuration(rec), make_configuration(rec)
-    assert aut_order(seeded, seed=[perm]) == aut_order(plain)
+    M = make_configuration(rec).matrix
+    moved = np.empty_like(M)
+    moved[perm, :] = M
+    blocks = {col.tobytes() for col in M.T}
+    assert {col.tobytes() for col in moved.T} == blocks
 
 
 def test_affine_link_refuses_impossible_pairs():

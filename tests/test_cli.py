@@ -273,10 +273,15 @@ def test_classify_directory_skips_foreign_json(tmp_path):
     assert [e["file"] for e in load(out)["entries"]] == ["f9.json"]
 
 
-def test_classify_budget_exit_code(tmp_path):
-    run("construct", "paley", "--p", 13, "--m", 1, "--out", tmp_path / "f.json")
+def test_classify_budget_exit_code(tmp_path, capsys):
+    # the seeded search of the 27-point Paley design visits 8 nodes
+    run("construct", "paley", "--p", 3, "--m", 3, "--out", tmp_path / "f.json")
     assert run("classify", "--in", tmp_path / "f.json", "--aut",
                "--budget", 3) == 3
+    capsys.readouterr()
+    assert run("classify", "--in", tmp_path / "f.json", "--aut",
+               "--budget", 0) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_export_graph6_round_trip(tmp_path):

@@ -1,4 +1,5 @@
-"""Byte-level pins of the CLI's construct outputs and `verify` reports.
+"""Byte-level pins of the CLI's construct outputs, `verify` reports and
+`classify --aut` report.
 
 The digests were taken from a clean run of the same commands; any change
 to a written record (its exponents, X, stamps or run digest) or to the
@@ -26,7 +27,19 @@ CONSTRUCT = (
     ("gmw-lift", "--p", 3, "--t", 1, "--s", 3, "--X", "0",
      "--out", "gmw.json"),
     ("union", "--in", "cyc.json", "--in", "cyc1.json", "--out", "union.json"),
+    ("paley", "--p", 13, "--m", 1, "--out", "paley13.json"),
+    ("paley", "--p", 5, "--m", 3, "--out", "paley125.json"),
+    ("adp", "--p", 5, "--l", 3, "--r", 1, "--out", "adp125.json"),
 )
+
+# `classify --aut` on the Paley graphs on 13 and 125 points, the 27-point
+# Paley design and a 125-point adp graph; their group orders are 78,
+# 23250, 1053 and 3000
+CLASSIFY = ("classify", "--in", "paley13.json", "--in", "paley.json",
+            "--in", "paley125.json", "--in", "adp125.json", "--aut",
+            "--out", "classify.json")
+CLASSIFY_SHA256 = (
+    "dfd0452341626b22e6c2f5602cea54e5503ade0ca152b32a534b8aa5f78ff890")
 
 SHA256 = {
     "paley.json":
@@ -73,6 +86,13 @@ def built(tmp_path_factory):
 def test_construct_output_bytes(built, name):
     digest = hashlib.sha256((built / name).read_bytes()).hexdigest()
     assert digest == SHA256[name]
+
+
+def test_classify_aut_output_bytes(built, monkeypatch):
+    monkeypatch.chdir(built)
+    assert main(list(CLASSIFY)) == 0
+    digest = hashlib.sha256((built / "classify.json").read_bytes()).hexdigest()
+    assert digest == CLASSIFY_SHA256
 
 
 @pytest.mark.parametrize("name", sorted(VERIFY_STDOUT))
