@@ -158,11 +158,16 @@ class FiniteField:
             codes[start:start + len(rows)] = (block @ base)[:n1 - start]
             shift = shift @ step % p
 
-        powers = np.full(self.order, ZERO, dtype=np.int32)  # code -> exponent
+        # powers[code] = exponent, where code = sum c_i p^i over the
+        # coefficients of the element; kept, because code order is the
+        # coordinate order of (F, +) = (Z_p)^m
+        powers = np.full(self.order, ZERO, dtype=np.int32)
         powers[codes] = np.arange(n1, dtype=np.int32)
         if (powers[1:] == ZERO).any():
             raise InternalInconsistencyError(
                 f"powers of x repeat modulo the primitive {self.modulus}")
+        powers.setflags(write=False)
+        self.powers = powers
         # The code of a constant t < p is t itself.
         self._dlog_small = powers[:p].copy()
 

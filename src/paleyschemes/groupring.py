@@ -2,9 +2,16 @@
 
 Supported groups: cyclic Z_n, and the additive group of a finite field.
 Coefficient vectors are numpy int64, or Python integers for a product
-whose coefficient bound passes 2^62.  Every cyclic product is one exact
-`ntt.convolve_exact` folded mod n, which raises `ParameterError` past the
-range of its primes rather than return a wrong answer.
+whose coefficient bound passes 2^62.  Each group kind has one exact
+product kernel in `ntt`, which raises `ParameterError` past its range
+rather than return a wrong answer:
+
+- a cyclic product is one `ntt.convolve_exact` folded mod n;
+- a product over (F_{p^m}, +) reorders both operands by the code
+  sum c_i p^i of each element's coordinates, where the group is (Z_p)^m,
+  and runs `ntt.convolve_elementary`, a character transform modulo one
+  prime P = 1 (mod p); for m = 1 the group is Z_p and the cyclic kernel
+  runs instead.
 
 Coefficient indexing for field-additive groups is fixed for serialization:
 index 0 is the zero field element and index 1 + i is g^i.
@@ -115,6 +122,20 @@ def _conv_cyclic(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _conv_additive(a: np.ndarray, b: np.ndarray, field: FiniteField) -> np.ndarray:
+    """Product in Z[(F, +)]: in code order the group is (Z_p)^m, and for
+    m = 1 it is Z_p itself."""
+    at = field.powers + 1  # code -> coefficient index
+    a, b = a[at], b[at]
+    if field.m == 1:
+        by_code = _conv_cyclic(a, b, field.p)
+    else:
+        by_code = ntt.convolve_elementary(a, b, field.p)
+    out = np.empty_like(by_code)
+    out[at] = by_code
+    return out
+
+
 class GroupRingElement:
     """Element of Z[G] as a dense integer coefficient vector."""
 
@@ -191,18 +212,7 @@ class GroupRingElement:
         g = self.group
         if g.kind == "cyclic":
             return GroupRingElement(g, _conv_cyclic(self.coeffs, other.coeffs, g.order))
-        # field-additive: accumulate permuted copies over the sparser support
-        a, b = self.coeffs, other.coeffs
-        if np.count_nonzero(a) > np.count_nonzero(b):
-            a, b = b, a
-        bound = int(np.abs(a).sum()) * int(np.abs(b).max(initial=0))
-        dtype = object if bound >= ntt.INT64_SAFE else np.int64
-        out = np.zeros(g.order, dtype=dtype)
-        bb = b if dtype is np.int64 else b.astype(object)
-        for i in np.flatnonzero(a):
-            row = g.op_table_row(int(i))
-            out[row] += int(a[i]) * bb
-        return GroupRingElement(g, out)
+        return GroupRingElement(g, _conv_additive(self.coeffs, other.coeffs, g.field))
 
     def power_map(self, t: int) -> "GroupRingElement":
         """A^{(t)} = sum a_g g^t (accumulating when t is not a unit)."""

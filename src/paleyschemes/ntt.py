@@ -1,11 +1,21 @@
 """Exact integer convolution via number-theoretic transforms.
 
-The package's only cyclic product kernel.  Every output coefficient is at
-most min(|a|_1 |b|_inf, |b|_1 |a|_inf) in size, and the transform runs
-modulo the fewest primes whose product exceeds twice that bound (one for
-every product the package makes); the CRT then recovers each coefficient
-exactly.  Output is int64 below 2^62 and Python integers past it.  A bound
-past three primes (~3.9e25) or a padded length past 2^23 raises
+The package's two product kernels, one per group kind.  Every output
+coefficient is at most min(|a|_1 |b|_inf, |b|_1 |a|_inf) in size.
+
+`convolve_exact` is the linear (hence, folded, the cyclic) product.  It
+runs modulo the fewest primes whose product exceeds twice the bound (one
+for every product the package makes), and the CRT recovers each
+coefficient exactly.  Output is int64 below 2^62 and Python integers past
+it.  A bound past three primes (~3.9e25) or a padded length past 2^23
+raises `ParameterError` before any transform runs.
+
+`convolve_elementary` is the product over (Z_p)^m: the characters of that
+group are x -> w^(j.x) for w of order p, so the transform is the p x p
+matrix w^(jk) applied along each of the m coordinates (Pollard, *The fast
+Fourier transform in a finite field*, Math. Comp. 25, 1971).  It runs
+modulo one prime P = 1 (mod p) above twice the bound, so the centred
+residues are the coefficients; a bound that would need P >= 2^31 raises
 `ParameterError` before any transform runs.
 """
 
@@ -17,6 +27,7 @@ import math
 import numpy as np
 
 from .errors import ParameterError
+from .fields import is_prime
 
 # p = c * 2^k + 1 with generator 3 in every case, largest first
 _PRIMES = (998244353, 469762049, 167772161)
@@ -26,6 +37,9 @@ _GEN = 3
 _MAX_SIZE = 1 << 23
 # int64 output below this, so sums of a few products cannot wrap
 INT64_SAFE = 2 ** 62
+# the elementary kernel's one prime stays below this, so the product of
+# two residues fits int64
+_ELEMENTARY_LIMIT = 2 ** 31
 
 
 def _norms(x: np.ndarray) -> tuple[int, int]:
@@ -105,3 +119,68 @@ def convolve_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"coefficient bound {bound} exceeds the range of the NTT primes")
     lin = _crt([_conv_mod(a, b, p, size)[:out_len] for p in primes], primes)
     return lin.astype(np.int64) if bound < INT64_SAFE else lin
+
+
+@functools.lru_cache(maxsize=16)
+def _characters(p: int, bits: int) -> tuple[int, np.ndarray, np.ndarray, int]:
+    """(P, W, W_inv, chunk) for coefficients below 2^bits in size.
+
+    P is the smallest prime = 1 (mod p) above 2^(bits+1); W[j, k] = w^(jk)
+    and W_inv[j, k] = w^(-jk) mod P for a w of order p; and a sum of
+    `chunk` products of residues cannot wrap int64.
+    """
+    P = (2 ** (bits + 1) // p + 1) * p + 1
+    while P < _ELEMENTARY_LIMIT and not is_prime(P):
+        P += p
+    if P >= _ELEMENTARY_LIMIT:
+        raise ParameterError(
+            f"coefficient bound of {bits} bits needs a prime past 2^31 for "
+            f"the transform over (Z_{p})^m")
+    # any w != 1 with w^p = 1 has order p, as p is prime
+    w = next(w for t in range(2, P) if (w := pow(t, (P - 1) // p, P)) != 1)
+    powers = np.ones(p, dtype=np.int64)  # w^k mod P
+    k = 1
+    while k < p:
+        n = min(k, p - k)
+        powers[k:k + n] = powers[:n] * pow(w, k, P) % P
+        k += n
+    jk = np.outer(np.arange(p), np.arange(p)) % p
+    W, W_inv = powers[jk], powers[-jk % p]
+    W.setflags(write=False)
+    W_inv.setflags(write=False)
+    return P, W, W_inv, (2 ** 63 - 1) // (P - 1) ** 2
+
+
+def _elementary_transform(x: np.ndarray, W: np.ndarray, P: int,
+                          chunk: int) -> np.ndarray:
+    """W applied mod P along every base-p coordinate of each row of x.
+
+    A row of length p^m holds the element sum c_i p^i at that index, so
+    the coordinate c_i is the axis of stride p^i in the (.., p, p^i) view.
+    The axis sum runs in slices of `chunk` rows, reduced between slices.
+    """
+    p = len(W)
+    lead, q = x.shape[:-1], x.shape[-1]
+    stride = q
+    while stride > 1:
+        stride //= p
+        x = x.reshape(*lead, -1, p, stride)
+        y = W[:, :chunk] @ x[..., :chunk, :] % P
+        for s in range(chunk, p, chunk):
+            y += W[:, s:s + chunk] @ x[..., s:s + chunk, :] % P
+        x = y % P
+    return x.reshape(*lead, q)
+
+
+def convolve_elementary(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Exact product in Z[(Z_p)^m] of vectors of length p^m, each indexed
+    by the codes sum c_i p^i of the group elements (possibly negative)."""
+    a, b = np.asarray(a), np.asarray(b)
+    (a1, a_top), (b1, b_top) = _norms(a), _norms(b)
+    P, W, W_inv, chunk = _characters(
+        p, min(a1 * b_top, b1 * a_top).bit_length())
+    x = np.stack((a % P, b % P)).astype(np.int64)
+    fa, fb = _elementary_transform(x, W, P, chunk)
+    y = _elementary_transform(fa * fb % P, W_inv, P, chunk)
+    y = y * pow(len(a), -1, P) % P
+    return np.where(y > P // 2, y - P, y)

@@ -5,8 +5,9 @@ discrete-log exponents.  The defining identity
 
     (1 + 2 D^(-1)) (1 + 2 D)  =  |G| + (|G| - 1) G      in Z[(F_{q^l}, +)]
 
-is checked by direct expansion (`additive`), or through three cheaper
-equivalent routes that exploit the trace structure of the field:
+is checked in the additive group ring itself (`additive`), by one exact
+character transform of (F, +) modulo a prime, or through three equivalent
+routes that exploit the trace structure of the field:
 divisibility of D^(-1) * R by q^((l-1)/2) in the unit group
 (`multiplicative`), the same divisibility for X^(-1) * W down in Z_v
 (`quotient`), and integrality of the dual construction (`dual`).
@@ -193,7 +194,14 @@ def recover_X(rec: SchemeRecord) -> tuple[int, ...]:
 
 
 def verify_additive(rec: SchemeRecord) -> bool:
-    """Expand the defining identity in the additive group ring."""
+    """Check the defining identity in the additive group ring.
+
+    The identity says T(chi) T(chi-bar) = |F| at every nontrivial additive
+    character chi, for T = 1 + 2D.  The product T^(-1) T has coefficients
+    of size at most 2|F|, and it is computed exactly through the character
+    transform of (F, +) = (Z_p)^m modulo one prime P = 1 (mod p) above
+    4|F| (for m = 1, by the cyclic product over Z_p).
+    """
     G = FieldAdditiveGroup(rec.field)
     T = GroupRingElement.identity(G) + 2 * rec.additive_element()
     lhs = T.power_map(-1) * T

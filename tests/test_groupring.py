@@ -5,7 +5,7 @@ import pytest
 
 from paleyschemes import ntt
 from paleyschemes.errors import ParameterError
-from paleyschemes.fields import get_field
+from paleyschemes.fields import FiniteField, get_field
 from paleyschemes.groupring import (CyclicGroup, FieldAdditiveGroup,
                                     GroupRingElement, ds_quotient,
                                     group_from_descriptor, is_difference_set,
@@ -41,9 +41,13 @@ def brute_difference_counts(group, subset):
 # ring axioms and convolution correctness
 # --------------------------------------------------------------------------
 
-@pytest.mark.parametrize("group", [CyclicGroup(12), CyclicGroup(13),
-                                   FieldAdditiveGroup(get_field(3, 2)),
-                                   FieldAdditiveGroup(get_field(5, 1))])
+@pytest.mark.parametrize("group", [CyclicGroup(12), CyclicGroup(13)] + [
+    FieldAdditiveGroup(F) for F in (
+        get_field(3, 2), get_field(5, 1), get_field(3, 1), get_field(43, 1),
+        get_field(59, 1), get_field(5, 2), get_field(7, 2), get_field(11, 2),
+        get_field(3, 3), get_field(5, 3), get_field(7, 3), get_field(3, 5),
+        # code order follows the modulus; this one is not the default
+        FiniteField(3, 3, modulus=(1, 0, 2, 1)))])
 def test_convolution_matches_bruteforce(group):
     rng = np.random.default_rng(group.order)
     for _ in range(20):
@@ -52,6 +56,26 @@ def test_convolution_matches_bruteforce(group):
         A = GroupRingElement(group, a)
         B = GroupRingElement(group, b)
         assert list((A * B).coeffs) == brute_convolve(group, a, b)
+
+
+def test_additive_product_up_to_and_past_its_prime(monkeypatch):
+    group = FieldAdditiveGroup(get_field(59, 2))
+    a = np.zeros(group.order, dtype=np.int64)
+    a[[1, 5]] = 2 ** 14, 2 ** 14 - 1
+    # bound (2^15 - 1) 2^14 < 2^29: the prime lies just past 2^30, so each
+    # 59-term axis sum, which would wrap int64, runs in slices of 7
+    got = (GroupRingElement(group, a) * GroupRingElement(group, a)).coeffs
+    assert got.tolist() == brute_convolve(group, a, a)
+
+    def no_transform(*args):
+        raise AssertionError("transform ran past the bound guard")
+
+    monkeypatch.setattr(ntt, "_elementary_transform", no_transform)
+    a[5] = 2 ** 14  # bound 2^29 needs a prime past 2^31
+    with pytest.raises(ParameterError):
+        GroupRingElement(group, a) * GroupRingElement(group, a)
+    with pytest.raises(ParameterError):
+        ntt.convolve_elementary(a, a, 59)
 
 
 def test_ring_axioms_sampled():

@@ -251,6 +251,19 @@ def test_certify_stamps_and_strictness():
     assert certify(bad, ("additive",), strict=False).verified_by == frozenset()
 
 
+@pytest.mark.parametrize("p, m", [(3, 9), (5, 7)])
+def test_all_four_routes_agree_at_19683_and_78125_points(p, m):
+    v = (p ** m - 1) // (p - 1)
+    paley = certify(build_DX(p, 1, m, range(v)), "all", strict=False)
+    assert paley.verified_by == {"additive", "multiplicative",
+                                 "quotient", "dual"}
+    rng = np.random.default_rng(m)
+    X = rng.choice(v, size=v // 2, replace=False)
+    # certify raises if the applicable routes split, so all four say no
+    assert certify(build_DX(p, 1, m, X), "all",
+                   strict=False).verified_by == frozenset()
+
+
 def test_preconditions_and_errors():
     F = get_field(3, 3)
     not_half = SchemeRecord(field=F, e=1, l=3, D=(0, 1, 2), X=None,
