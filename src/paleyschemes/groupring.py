@@ -170,10 +170,12 @@ class GroupRingElement:
     @classmethod
     def from_indices(cls, group, indices: Iterable[int]):
         c = np.zeros(group.order, dtype=np.int64)
-        idx = np.asarray(sorted(int(i) for i in indices), dtype=np.int64)
+        if not isinstance(indices, (list, tuple, np.ndarray)):
+            indices = list(indices)
+        idx = np.asarray(indices, dtype=np.int64)
         if len(idx) and (idx.min() < 0 or idx.max() >= group.order):
             raise ParameterError("subset index out of range")
-        if len(idx) != len(set(int(i) for i in idx)):
+        if len(np.unique(idx)) != len(idx):
             raise ParameterError("subset indices must be distinct")
         c[idx] = 1
         return cls(group, c)

@@ -165,7 +165,7 @@ def build_DX(p: int, e: int, l: int, X: Iterable[int],
         xind[list(X)] = True
     i = np.arange(n1, dtype=np.int64)
     member = (i % 2 == 0) == xind[i % v]
-    D = tuple(int(t) for t in np.flatnonzero(member))
+    D = tuple(np.flatnonzero(member).tolist())
     return SchemeRecord(field=field, e=e, l=l, D=D, X=X,
                         provenance=provenance, verified_by=frozenset())
 

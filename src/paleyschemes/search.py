@@ -14,9 +14,11 @@ Gray step toggles exactly one orbit, so a step costs a single vector
 add.  Candidates with r = 0 are re-verified through the additive
 identity before being recorded; a disagreement there means the residue
 arithmetic is broken and raises instead of being swallowed.  For speed
-the low few Gray bits are evaluated against a precomputed table whose
-rows follow the same Gray order, so blocks run at numpy speed while
-the visit order stays identical to the plain walk.
+the walk is split in the middle: the low B orbits are indexed once by
+the residue of each of their 2^B patterns, and a block of 2^B positions
+sharing the high orbits vanishes exactly where the low residue equals
+-r_high mod M, so each block costs one exact dictionary probe while
+the hits keep the order of the plain walk.
 
 `search_cyclotomic_unions` is different: it works in the field proper,
 testing every union of power-residue classes with the additive
@@ -261,56 +263,51 @@ def _residue_at(contrib: np.ndarray, M: int, mask: int) -> np.ndarray:
     return r % M
 
 
-def _dtype_for(M: int):
-    for dt in (np.uint8, np.uint16, np.uint32):
-        if 2 * (M - 1) <= np.iinfo(dt).max:
-            return dt
-    return np.int64
+def _low_tables(contrib: np.ndarray, M: int, B: int) -> dict[bytes, list[int]]:
+    """Index of the 2^B low-orbit patterns by their residue vector.
 
-
-def _low_tables(contrib: np.ndarray, M: int, B: int, dtype):
-    """Residues of the 2^B low-orbit patterns, rows in Gray order.
-
-    The second table is the first with orbit B-1 toggled in every row,
-    which is how the low pattern looks whenever the high half of the
-    position is odd.
+    Row z of the Gray-ordered table is the residue of the low pattern
+    gray(z); the index maps the int64 bytes of each row to the ascending
+    offsets z that share it.  When the high half of a position is odd,
+    orbit B-1 is toggled in every low pattern, and since gray(2^B-1-z) =
+    gray(z) xor 2^(B-1) the same index serves with z read as 2^B-1-z.
     """
-    v = contrib.shape[1]
-    L = np.zeros((1, v), dtype=np.int64)
+    L = np.zeros((1, contrib.shape[1]), dtype=np.int64)
     for j in range(B):
         L = np.concatenate([L, (L[::-1] + contrib[j]) % M])
-    if B == 0:
-        return L.astype(dtype), L.astype(dtype)
-    half = 1 << (B - 1)
-    Lodd = np.concatenate([(L[:half] + contrib[B - 1]) % M,
-                           (L[half:] - contrib[B - 1]) % M])
-    return L.astype(dtype), Lodd.astype(dtype)
+    index: dict[bytes, list[int]] = {}
+    for z, row in enumerate(L):
+        index.setdefault(row.tobytes(), []).append(z)
+    return index
 
 
-def _scan_range(contrib: np.ndarray, M: int, tables, B: int,
-                start: int, stop: int) -> list[int]:
-    """Gray positions in [start, stop) whose residue vector vanishes."""
+def _scan_range(contrib: np.ndarray, M: int, index: dict[bytes, list[int]],
+                B: int, start: int, stop: int) -> list[int]:
+    """Gray positions in [start, stop) whose residue vector vanishes.
+
+    A position in the block of high half hi vanishes exactly when its
+    low residue is -r_high mod M, so each block costs one index probe.
+    """
     hits: list[int] = []
     if start >= stop:
         return hits
-    size = 1 << B
-    dtype = tables[0].dtype
+    last = (1 << B) - 1
     hi = start >> B
-    r_high = (_residue_at(contrib, M, (_gray(hi) << B)) % M).astype(dtype)
+    r_high = _residue_at(contrib, M, _gray(hi) << B)
     g0 = start
     while g0 < stop:
         hi = g0 >> B
         base = hi << B
-        g1 = min(stop, base + size)
-        R = tables[hi & 1][g0 - base:g1 - base] + r_high
-        R[R >= M] -= M
-        for z in np.flatnonzero(~R.any(axis=1)):
-            hits.append(g0 + int(z))
-        if g1 < stop and g1 == base + size:
+        g1 = min(stop, base + last + 1)
+        zs = index.get(((-r_high) % M).tobytes(), [])
+        if hi & 1:
+            zs = [last - z for z in reversed(zs)]
+        hits.extend(base + z for z in zs if g0 <= base + z < g1)
+        if g1 < stop:
             diff = _gray(hi) ^ _gray(hi + 1)
             o = B + diff.bit_length() - 1
             step = contrib[o] if _gray(hi + 1) & diff else -contrib[o]
-            r_high = ((r_high.astype(np.int64) + step) % M).astype(dtype)
+            r_high = (r_high + step) % M
         g0 = g1
     return hits
 
@@ -393,8 +390,9 @@ def _validate_checkpoint(recd: dict, shard: Shard, contrib: np.ndarray,
             "file was not written by a run over this space")
 
 
-def _run_shard(sub: SearchSpace, contrib: np.ndarray, M: int, tables,
-               B: int, field, dir_path: Optional[Path],
+def _run_shard(sub: SearchSpace, contrib: np.ndarray, M: int,
+               index: dict[bytes, list[int]], B: int, field,
+               dir_path: Optional[Path],
                flush_every: int) -> list[tuple[int, ...]]:
     shard = sub.shard
     path = dir_path / f"shard-{shard.index:04d}.jsonl" if dir_path else None
@@ -416,7 +414,7 @@ def _run_shard(sub: SearchSpace, contrib: np.ndarray, M: int, tables,
     while pos < shard.stop:
         upto = min(shard.stop, (pos // flush_every + 1) * flush_every)
         new = [_verified_hit(sub, g, field)
-               for g in _scan_range(contrib, M, tables, B, pos, upto)]
+               for g in _scan_range(contrib, M, index, B, pos, upto)]
         found.extend(new)
         pos = upto
         if path is not None:
@@ -453,7 +451,7 @@ def _run_residue_search(space: SearchSpace, *, n_shards: int = 1,
     M = _modulus(space)
     B = _BLOCK_BITS if block_bits is None else block_bits
     B = max(0, min(B, len(space.orbits)))
-    tables = _low_tables(contrib, M, B, _dtype_for(M))
+    index = _low_tables(contrib, M, B)
     field = get_field(space.p, space.e * space.l)
     dir_path = None
     if checkpoint_dir is not None:
@@ -462,7 +460,7 @@ def _run_residue_search(space: SearchSpace, *, n_shards: int = 1,
     shards = shard_plan(space, n_shards)
 
     def work(sub):
-        return _run_shard(sub, contrib, M, tables, B, field, dir_path,
+        return _run_shard(sub, contrib, M, index, B, field, dir_path,
                           flush_every)
 
     if threads > 1 and len(shards) > 1:

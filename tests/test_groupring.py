@@ -99,6 +99,25 @@ def test_identity_and_allones():
     assert G.coeff_sum() == 9
 
 
+def test_from_indices_inputs_and_rejections():
+    g = CyclicGroup(9)
+    expect = [0, 1, 0, 0, 1, 0, 0, 1, 0]
+    for indices in ([7, 1, 4], (4, 1, 7), np.array([1, 4, 7]),
+                    np.array([7, 4, 1], dtype=np.int32), {1, 4, 7},
+                    (i for i in (1, 7, 4)), range(1, 9, 3)):
+        assert GroupRingElement.from_indices(g, indices).coeffs.tolist() == \
+            expect
+    assert GroupRingElement.from_indices(g, []).coeffs.tolist() == [0] * 9
+    assert GroupRingElement.from_indices(g, iter(())).coeff_sum() == 0
+    for bad, message in (([1, -1], "out of range"), ([0, 9], "out of range"),
+                         (np.array([3, 12]), "out of range"),
+                         ([2, 5, 2], "distinct"),
+                         ((i for i in (4, 4)), "distinct"),
+                         (np.array([8, 0, 8]), "distinct")):
+        with pytest.raises(ParameterError, match=message):
+            GroupRingElement.from_indices(g, bad)
+
+
 def test_power_map_examples():
     g = CyclicGroup(6)
     D = GroupRingElement.from_indices(g, [1, 2])

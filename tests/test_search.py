@@ -13,9 +13,11 @@ from paleyschemes.groupring import CyclicGroup, GroupRingElement
 from paleyschemes.schemes import (SchemeRecord, build_DX, certify,
                                   verify_additive)
 from paleyschemes.search import (ENGINE_VERSION, SearchSpace, Shard,
-                                 all_subsets_space, cyclotomic_space,
-                                 galois_space, orbits_under_multiplier,
-                                 search_all_X, search_cyclotomic_unions,
+                                 _contributions, _gray, _low_tables, _modulus,
+                                 _residue_at, _scan_range, all_subsets_space,
+                                 cyclotomic_space, galois_space,
+                                 orbits_under_multiplier, search_all_X,
+                                 search_cyclotomic_unions,
                                  search_galois_invariant, shard_plan)
 from paleyschemes.singer import singer_bundle
 
@@ -141,6 +143,40 @@ def test_blocked_and_stepwise_walks_agree():
         galois_31().found
     assert search_all_X(3, 1, 3, block_bits=3).found == all_13().found
     assert search_all_X(3, 1, 3, block_bits=0).found == all_13().found
+
+
+def test_lookup_scan_matches_every_position():
+    shared = False  # an odd-high block whose hits share one index entry
+    for space in (galois_space(5, 1, 3), all_subsets_space(3, 1, 3)):
+        n = len(space.orbits)
+        assert n in (11, 13)
+        contrib, M = _contributions(space), _modulus(space)
+        total = space.candidates
+        brute = [g for g in range(total)
+                 if not _residue_at(contrib, M, _gray(g)).any()]
+        for B in (0, 1, 3, 6, n):
+            index = _low_tables(contrib, M, B)
+            size = 1 << B
+            ranges = [(0, total), (5, total - 3)]
+            if 0 < B < n:
+                # ranges that begin and end inside odd-high blocks
+                odd = [(3 * size + size // 2, total - size + size // 2),
+                       (size + size // 2, 2 * size - size // 4)]
+                for start, stop in odd:
+                    assert (start >> B) % 2 == 1 and start % size
+                    assert ((stop - 1) >> B) % 2 == 1
+                ranges += odd
+            for start, stop in ranges:
+                assert _scan_range(contrib, M, index, B, start, stop) == \
+                    [g for g in brute if start <= g < stop]
+            for g, h in zip(brute, brute[1:]):
+                if g >> B == h >> B and (g >> B) % 2 == 1:
+                    low_g = _residue_at(contrib, M, _gray(g) % size)
+                    assert np.array_equal(
+                        low_g, _residue_at(contrib, M, _gray(h) % size))
+                    assert len(index[low_g.tobytes()]) >= 2
+                    shared = True
+    assert shared
 
 
 def test_degenerate_tower_has_two_schemes():
