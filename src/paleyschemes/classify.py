@@ -32,6 +32,9 @@ DEFAULT_NODE_BUDGET = 1_000_000
 # refuse to materialize matrices for orders past this point
 MAX_CONFIGURATION_ORDER = 4096
 
+# (edge, vertex) cells per chunk of the 4-clique tally
+_CLIQUE_CHUNK = 1 << 14
+
 
 @dataclass(eq=False)
 class Configuration:
@@ -127,23 +130,44 @@ def _rank_mod_p(matrix: np.ndarray, p: int) -> int:
 
 
 def _clique_counts(adj: np.ndarray) -> tuple[int, tuple[int, ...]]:
-    """Number of 4-cliques, global and per vertex (sorted)."""
+    """Number of 4-cliques, global and per vertex (sorted).
+
+    For each edge u < v with common neighbourhood C of at least two
+    vertices, the edges inside C close 4-cliques through u v: each
+    w in C is credited with its degree into C, and u, v and the total
+    with half their sum. Every 4-clique is met once per base edge, so
+    all tallies are six times the answer.
+
+    The rows are packed into uint64 words. The edges go in chunks of
+    _CLIQUE_CHUNK // n; a chunk computes C = P[u] & P[v] for all its
+    edges, one popcount(P[w] & C) per (edge, w in C) pair, and the
+    per-edge and per-vertex sums by bincount. A chunk has at most
+    _CLIQUE_CHUNK pairs of value at most n, so its float64 sums are
+    exact integers.
+    """
     n = adj.shape[0]
+    words = -(-n // 64)
+    packed = np.zeros((n, 8 * words), dtype=np.uint8)
+    packed[:, :-(-n // 8)] = np.packbits(adj != 0, axis=1)
+    P = packed.view(np.uint64)
     per_vertex = np.zeros(n, dtype=np.int64)
     total = 0
-    rows, colsidx = np.nonzero(np.triu(adj, 1))
-    for u, v in zip(rows, colsidx):
-        common = np.flatnonzero(adj[u] & adj[v])
-        if common.size < 2:
-            continue
-        sub = adj[np.ix_(common, common)]
-        inside = sub.sum(axis=1).astype(np.int64)
-        edges_inside = int(inside.sum()) // 2
-        total += edges_inside
-        per_vertex[u] += edges_inside
-        per_vertex[v] += edges_inside
-        per_vertex[common] += inside
-    # every 4-clique is met once per base edge, i.e. six times
+    us, vs = np.nonzero(np.triu(adj, 1))
+    step = max(1, _CLIQUE_CHUNK // max(n, 1))
+    for lo in range(0, us.size, step):
+        u, v = us[lo:lo + step], vs[lo:lo + step]
+        edge, w = np.nonzero(adj[u] & adj[v])
+        sizes = np.bincount(edge, minlength=u.size)
+        keep = sizes[edge] >= 2
+        edge, w = edge[keep], w[keep]
+        common = P[u] & P[v]
+        inside = np.bitwise_count(P[w] & common[edge]).sum(axis=1)
+        edges_inside = (np.bincount(edge, inside, u.size)
+                        .astype(np.int64) // 2)
+        total += int(edges_inside.sum())
+        per_vertex += (np.bincount(w, inside, n)
+                       + np.bincount(u, edges_inside, n)
+                       + np.bincount(v, edges_inside, n)).astype(np.int64)
     if total % 6 or (per_vertex % 6).any():
         raise InternalInconsistencyError("4-clique tally is not divisible by 6")
     return total // 6, tuple(sorted(int(x) // 6 for x in per_vertex))
@@ -403,30 +427,42 @@ def canonical_hash(rec: SchemeRecord) -> str:
 
 
 def _refine(adj: np.ndarray, cells: list[np.ndarray]) -> list[np.ndarray]:
-    """Equitable refinement: split cells by neighbor counts until stable."""
-    n = adj.shape[0]
+    """Equitable refinement: split cells by neighbor counts until stable.
+
+    The partition is kept as one vertex order with cell boundaries. Each
+    round takes the vertices of the non-singleton cells, counts their
+    neighbours in every cell with one reduceat over their adjacency rows
+    in that order, and sorts them with one lexsort keyed on (cell, count
+    row, vertex). A cell is cut where the count row changes, so its
+    pieces stay in its place, in lexicographic order of their rows, each
+    piece ascending; singleton cells are left as they are. The rounds
+    stop when no cell splits. Counts, vertices and cell indices are at
+    most n, so the keys take the narrowest unsigned type that holds n,
+    which lexsort orders by radix sort.
+    """
+    order = np.concatenate(cells)
+    bounds = np.cumsum(list(map(len, cells)))[:-1]
+    key = np.min_scalar_type(order.size)
     while True:
-        counts = np.empty((n, len(cells)), dtype=np.int64)
-        for i, cell in enumerate(cells):
-            counts[:, i] = adj[:, cell].sum(axis=1)
-        new_cells: list[np.ndarray] = []
-        changed = False
-        for cell in cells:
-            if len(cell) == 1:
-                new_cells.append(cell)
-                continue
-            sub = counts[cell]
-            order = np.lexsort(sub.T[::-1])
-            cell_sorted = cell[order]
-            rows = sub[order]
-            cuts = np.flatnonzero(np.any(rows[1:] != rows[:-1], axis=1)) + 1
-            pieces = np.split(cell_sorted, cuts)
-            if len(pieces) > 1:
-                changed = True
-            new_cells.extend(np.sort(piece) for piece in pieces)
-        cells = new_cells
-        if not changed:
-            return cells
+        starts = np.concatenate(([0], bounds))
+        sizes = np.diff(np.append(starts, order.size))
+        cell_of = np.repeat(np.arange(starts.size, dtype=key), sizes)
+        pos = np.flatnonzero(sizes[cell_of] > 1)
+        if pos.size == 0:
+            break
+        verts = order[pos]
+        counts = np.add.reduceat(adj[verts][:, order], starts, axis=1,
+                                 dtype=key)
+        keys = np.vstack((verts.astype(key), counts.T[::-1], cell_of[pos]))
+        keys = keys[:, np.lexsort(keys)]
+        order[pos] = keys[0]
+        step = keys[:, 1:] != keys[:, :-1]
+        cut = step[1:-1].any(axis=0) & ~step[-1]
+        if not cut.any():
+            break
+        bounds = np.union1d(bounds, pos[1:][cut])
+    edges = [0, *bounds.tolist(), order.size]
+    return [order[a:b] for a, b in zip(edges, edges[1:])]
 
 
 def _target_cell(cells: list[np.ndarray]) -> Optional[int]:
@@ -517,7 +553,7 @@ class _IRSearch:
 
     def _leaf(self, cells: list[np.ndarray]) -> None:
         order = np.concatenate(cells)
-        cert = np.packbits(self.adj[np.ix_(order, order)]).tobytes()
+        cert = np.packbits(self.adj[order][:, order]).tobytes()
         if self.first is None:
             self.first = (cert, order)
             self.best = (cert, order)

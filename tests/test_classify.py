@@ -4,9 +4,11 @@ import itertools
 import numpy as np
 import pytest
 
-from paleyschemes.classify import (Configuration, _clique_counts,
+from paleyschemes.classify import (_CLIQUE_CHUNK, Configuration,
+                                   _clique_counts, _ir_inputs,
                                    _least_rotation, _perm_group_order,
-                                   _rank_mod_p, affine_link, aut_order,
+                                   _rank_mod_p, _refine, affine_link,
+                                   aut_order,
                                    canonical_hash, canonical_certificate,
                                    development_profile, fingerprint,
                                    iso_test, make_configuration, scheme_seeds,
@@ -112,6 +114,42 @@ def test_clique_counts_against_brute_force():
             if rng.random() < 0.55:
                 adj[i, j] = adj[j, i] = 1
         assert _clique_counts(adj) == brute_k4(adj)
+
+
+def k4_by_neighbourhoods(adj):
+    """4-cliques through x are the triangles of the graph on N(x)."""
+    A = adj.astype(np.int64)
+    per = [int(np.trace(np.linalg.matrix_power(A[np.ix_(nb, nb)], 3))) // 6
+           for nb in (np.flatnonzero(row) for row in A)]
+    return sum(per) // 4, tuple(sorted(per))
+
+
+def random_graph(rng, n, density):
+    upper = np.triu(rng.random((n, n)) < density, 1)
+    return (upper | upper.T).astype(np.uint8)
+
+
+def test_clique_counts_at_word_and_chunk_boundaries():
+    rng = np.random.default_rng(64)
+    for n in (63, 64, 65, 130):
+        for density in (0.3, 0.7):
+            adj = random_graph(rng, n, density)
+            assert _clique_counts(adj) == k4_by_neighbourhoods(adj)
+    assert _clique_counts(np.zeros((9, 9), dtype=np.uint8)) == (0, (0,) * 9)
+    k7 = 1 - np.eye(7, dtype=np.uint8)
+    assert _clique_counts(k7) == (35, (20,) * 7)
+    # 3875 edges, far more than one chunk holds at 125 vertices
+    adj = make_configuration(paley(5, 3)).matrix
+    assert np.triu(adj, 1).sum() > _CLIQUE_CHUNK // adj.shape[0]
+    assert _clique_counts(adj) == k4_by_neighbourhoods(adj)
+
+
+def test_clique_count_self_check_catches_asymmetric_input():
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        adj = rng.integers(0, 2, size=(8, 8)).astype(np.uint8)
+        with pytest.raises(InternalInconsistencyError):
+            _clique_counts(adj)
 
 
 def test_fingerprint_stable_under_rebuilt_field():
@@ -309,6 +347,71 @@ def test_budget_is_enforced():
     for budget in (0, -1):
         with pytest.raises(ParameterError):
             aut_order(C, budget=budget)
+
+
+def loop_refine(adj, cells):
+    """The refinement as a loop over cells, one count column per cell."""
+    n = adj.shape[0]
+    while True:
+        counts = np.empty((n, len(cells)), dtype=np.int64)
+        for i, cell in enumerate(cells):
+            counts[:, i] = adj[:, cell].sum(axis=1)
+        new_cells = []
+        changed = False
+        for cell in cells:
+            if len(cell) == 1:
+                new_cells.append(cell)
+                continue
+            sub = counts[cell]
+            order = np.lexsort(sub.T[::-1])
+            cell_sorted = cell[order]
+            rows = sub[order]
+            cuts = np.flatnonzero(np.any(rows[1:] != rows[:-1], axis=1)) + 1
+            pieces = np.split(cell_sorted, cuts)
+            if len(pieces) > 1:
+                changed = True
+            new_cells.extend(np.sort(piece) for piece in pieces)
+        cells = new_cells
+        if not changed:
+            return cells
+
+
+def assert_same_cells(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def test_refine_matches_the_per_cell_loop():
+    rng = np.random.default_rng(405)
+    for n in range(1, 41):
+        for _ in range(5):
+            adj = random_graph(rng, n, rng.random())
+            k = int(rng.integers(1, n + 1))
+            cuts = np.sort(rng.choice(np.arange(1, n), k - 1, replace=False))
+            cells = np.split(rng.permutation(n), cuts)
+            assert_same_cells(_refine(adj, cells), loop_refine(adj, cells))
+    for rec in (paley(13, 1), paley(5, 3)):
+        adj = make_configuration(rec).matrix
+        n = adj.shape[0]
+        for cells in ([np.arange(n)],
+                      [np.array([3]), np.delete(np.arange(n), 3)]):
+            assert_same_cells(_refine(adj, cells), loop_refine(adj, cells))
+    # incidence graphs, individualised as the search does it
+    for p, m in ((3, 3), (43, 1)):
+        adj, cells = _ir_inputs(make_configuration(paley(p, m)))
+        for depth in (1, 2, 3):
+            for _ in range(3):
+                split = loop_refine(adj, cells)
+                for _ in range(depth):
+                    pos = max(range(len(split)), key=lambda i: len(split[i]))
+                    target = split[pos]
+                    x = int(rng.choice(target))
+                    split = (split[:pos] + [np.array([x]), target[target != x]]
+                             + split[pos + 1:])
+                    want = loop_refine(adj, split)
+                    assert_same_cells(_refine(adj, split), want)
+                    split = want
 
 
 def test_new_125_scheme_aut_order_and_non_paley():
