@@ -175,9 +175,9 @@ class GroupRingElement:
         idx = np.asarray(indices, dtype=np.int64)
         if len(idx) and (idx.min() < 0 or idx.max() >= group.order):
             raise ParameterError("subset index out of range")
-        if len(np.unique(idx)) != len(idx):
-            raise ParameterError("subset indices must be distinct")
         c[idx] = 1
+        if c.sum() != len(idx):
+            raise ParameterError("subset indices must be distinct")
         return cls(group, c)
 
     # -- ring structure --------------------------------------------------------

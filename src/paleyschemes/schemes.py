@@ -21,7 +21,9 @@ re-earns each claimed route and refuses the file unless all of them hold.
 from __future__ import annotations
 
 import warnings
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -60,7 +62,7 @@ class SchemeRecord:
         D = np.asarray(self.D, dtype=np.int64)
         if len(D) and (D.min() < 0 or D.max() >= self.n1):
             raise ParameterError("exponent out of range")
-        if len(np.unique(D)) != len(D) or not np.all(np.diff(D) > 0):
+        if not np.all(np.diff(D) > 0):
             raise ParameterError("D must be sorted and duplicate-free")
         if self.X is not None:
             X = np.asarray(self.X, dtype=np.int64)
@@ -135,11 +137,17 @@ class SchemeRecord:
 
 def _bundle(p: int, e: int, l: int,
             field: Optional[FiniteField] = None) -> SingerBundle:
-    """The cached bundle of the default field, or an unverified bundle
-    built over another modulus."""
+    """The cached, verified bundle of the tower over `field` (by default,
+    and for an equal field, the shared default-modulus bundle)."""
     if field is None or field == get_field(p, e * l):
         return singer_bundle(p, e, l)
-    return build_singer_bundle(p, e, l, field=field, verify=False)
+    return _field_bundle(p, e, l, field)
+
+
+@lru_cache(maxsize=None)
+def _field_bundle(p: int, e: int, l: int, field: FiniteField) -> SingerBundle:
+    """One verified bundle per non-default field (fields hash by value)."""
+    return build_singer_bundle(p, e, l, field=field)
 
 
 # -- construction -------------------------------------------------------------
@@ -187,7 +195,9 @@ def recover_X(rec: SchemeRecord) -> tuple[int, ...]:
     if not is_half_point(rec):
         raise PreconditionError("not a half-point set; X is undefined")
     D = np.asarray(rec.D, dtype=np.int64)
-    return tuple(int(t) for t in np.unique(D[D % 2 == 0] % rec.v))
+    inX = np.zeros(rec.v, dtype=bool)
+    inX[D[D % 2 == 0] % rec.v] = True
+    return tuple(np.flatnonzero(inX).tolist())
 
 
 # -- verification routes -------------------------------------------------------
@@ -211,15 +221,46 @@ def verify_additive(rec: SchemeRecord) -> bool:
     return lhs == rhs
 
 
+# While `route_verdicts` runs a route on a record, this holds that record
+# and the run's memo, so the multiplicative and dual routes of one run
+# share one D^(-1) * R.  It is set only around a route call.
+_RUN: ContextVar[Optional[tuple[SchemeRecord, dict]]] = ContextVar(
+    "_RUN", default=None)
+
+
 def _inverse_times_R(rec: SchemeRecord) -> GroupRingElement:
-    """D^(-1) * R in the unit group; defined for half-point sets, odd l."""
+    """D^(-1) * R in the unit group Z_n1; defined for half-point sets, odd l.
+
+    A half-point set meets every class of Z_n1 mod 2v in all or none of
+    its (q - 1)/2 elements, so D is the full preimage of its image D-bar
+    under pi: Z_n1 -> Z_2v, and for every x
+
+        (D^(-1) R)(x) = #{r in R : r - x in D} = (D-bar^(-1) pi_*R)(pi(x)),
+
+    where D-bar = {d in D : d < 2v} holds one representative per class and
+    pi_*R counts R mod 2v.  The product is formed in Z[Z_2v] (for q = 3,
+    2v = n1) and pulled back to Z_n1 by tiling, since 2v divides n1.
+    Inside a `route_verdicts` run it is computed once and shared.
+    """
     if rec.l % 2 == 0:
         raise PreconditionError("route needs odd l")
     if not is_half_point(rec):
         raise PreconditionError("route applies to half-point sets only")
-    bundle = _bundle(rec.p, rec.e, rec.l, rec.field)
-    R = GroupRingElement.from_indices(CyclicGroup(rec.n1), bundle.R)
-    return rec.unit_element().power_map(-1) * R
+    run = _RUN.get()
+    memo = run[1] if run is not None and run[0] is rec else {}
+    if "inverse_times_R" not in memo:
+        bundle = _bundle(rec.p, rec.e, rec.l, rec.field)
+        m = 2 * rec.v
+        G = CyclicGroup(m)
+        D = np.asarray(rec.D, dtype=np.int64)
+        Dbar = GroupRingElement.from_indices(
+            G, D[:np.searchsorted(D, m)])
+        R = GroupRingElement(G, np.bincount(
+            np.asarray(bundle.R, dtype=np.int64) % m, minlength=m))
+        prod = Dbar.power_map(-1) * R
+        memo["inverse_times_R"] = GroupRingElement(
+            CyclicGroup(rec.n1), np.tile(prod.coeffs, rec.n1 // m))
+    return memo["inverse_times_R"]
 
 
 def verify_multiplicative(rec: SchemeRecord) -> bool:
@@ -277,21 +318,36 @@ def route_verdicts(rec: SchemeRecord, methods: Iterable[str]
     The verdict is a bool, or the PreconditionError of a route that does
     not apply to this record.  Applicable routes must agree: a verdict
     that differs from an earlier one raises InternalInconsistencyError.
+    The multiplicative and dual routes of one run share one D^(-1) * R,
+    which is dropped when the run ends.
     """
     first = None
-    for method in methods:
-        try:
-            ok = verify_scheme(rec, method)
-        except PreconditionError as err:
-            yield method, err
-            continue
-        if first is None:
-            first = (method, ok)
-        elif ok != first[1]:
-            raise InternalInconsistencyError(
-                f"routes disagree: {first[0]} says {first[1]}, "
-                f"{method} says {ok}")
-        yield method, ok
+    memo: dict = {}
+    try:
+        for method in methods:
+            ok = _run_route(rec, method, memo)
+            if not isinstance(ok, PreconditionError):
+                if first is None:
+                    first = (method, ok)
+                elif ok != first[1]:
+                    raise InternalInconsistencyError(
+                        f"routes disagree: {first[0]} says {first[1]}, "
+                        f"{method} says {ok}")
+            yield method, ok
+    finally:
+        memo.clear()
+
+
+def _run_route(rec: SchemeRecord, method: str,
+               memo: dict) -> bool | PreconditionError:
+    """One route of a `route_verdicts` run, with the run's memo in reach."""
+    token = _RUN.set((rec, memo))
+    try:
+        return verify_scheme(rec, method)
+    except PreconditionError as err:
+        return err
+    finally:
+        _RUN.reset(token)
 
 
 def certify(rec: SchemeRecord, methods=("additive",),

@@ -1,18 +1,24 @@
 import itertools
+import os
+import time
 
 import numpy as np
 import pytest
 
-from paleyschemes.errors import (ParameterError, PreconditionError,
-                                 VerificationFailedError)
-from paleyschemes.fields import get_field
-from paleyschemes.schemes import (SchemeRecord, build_DX, certify,
+from paleyschemes import ntt, schemes
+from paleyschemes.errors import (InternalInconsistencyError, ParameterError,
+                                 PreconditionError, VerificationFailedError)
+from paleyschemes.fields import FiniteField, get_field
+from paleyschemes.groupring import CyclicGroup, GroupRingElement
+from paleyschemes.schemes import (METHODS, SchemeRecord, build_DX, certify,
                                   complement_units, dual_scheme, frobenius,
-                                  is_half_point, negate, recover_X, scale,
-                                  verify_additive, verify_dual,
-                                  verify_multiplicative, verify_quotient,
-                                  verify_scheme)
-from paleyschemes.singer import singer_bundle
+                                  is_half_point, negate, recover_X,
+                                  route_verdicts, scale, verify_additive,
+                                  verify_dual, verify_multiplicative,
+                                  verify_quotient, verify_scheme)
+from paleyschemes.singer import build_singer_bundle, singer_bundle
+
+STRETCH = bool(os.environ.get("PALEY_STRETCH"))
 
 
 def brute_eq1(rec):
@@ -297,3 +303,118 @@ def test_record_json_round_trip():
     assert back.verified_by == rec.verified_by
     rec2 = certify(build_DX(5, 1, 3, range(31)), "all")
     assert SchemeRecord.from_json(rec2.to_json()).verified_by == rec2.verified_by
+
+
+# -- D^(-1) * R: down in Z_2v, once per run -------------------------------------
+
+
+def _direct_inverse_times_R(rec):
+    """D^(-1) * R formed in Z_n1 itself, the oracle for the Z_2v product."""
+    R = build_singer_bundle(rec.p, rec.e, rec.l, field=rec.field,
+                            verify=False).R
+    return rec.unit_element().power_map(-1) * \
+        GroupRingElement.from_indices(CyclicGroup(rec.n1), R)
+
+
+def _spy_on_cyclic_products(monkeypatch):
+    calls = []
+    real = ntt.convolve_exact
+
+    def spy(a, b):
+        calls.append(len(a) + len(b) - 1)
+        return real(a, b)
+
+    monkeypatch.setattr(ntt, "convolve_exact", spy)
+    return calls
+
+
+@pytest.mark.parametrize("p, e, l, modulus", [
+    (3, 1, 3, None), (3, 1, 5, None), (5, 1, 3, None), (7, 1, 3, None),
+    (5, 1, 5, None), (3, 1, 7, None), (5, 1, 7, None), (3, 2, 3, None),
+    (11, 1, 3, None), (13, 1, 3, None), (3, 1, 3, (1, 0, 2, 1))])
+def test_product_pulled_back_from_Z_2v_matches_the_direct_product(
+        p, e, l, modulus):
+    field = None if modulus is None else FiniteField(p, e * l, modulus)
+    assert field is None or field != get_field(p, e * l)
+    rng = np.random.default_rng(p * 100 + e * 10 + l)
+    v = ((p ** e) ** l - 1) // (p ** e - 1)
+    for _ in range(3):
+        rec = build_DX(p, e, l, np.flatnonzero(rng.random(v) < 0.5),
+                       field=field)
+        assert schemes._inverse_times_R(rec) == \
+            _direct_inverse_times_R(rec)
+
+
+def test_multiplicative_and_dual_share_one_product(monkeypatch):
+    rec = build_DX(5, 1, 3, range(31))
+    singer_bundle(5, 1, 3)  # built and self-checked before counting
+    calls = _spy_on_cyclic_products(monkeypatch)
+    assert certify(rec, ("multiplicative", "dual")).verified_by == \
+        {"multiplicative", "dual"}
+    assert len(calls) == 1
+    # the product is formed in Z_2v = Z_62, not in Z_n1 = Z_124
+    assert calls[0] == 2 * 62 - 1
+    # on their own, each route computes its own
+    assert verify_multiplicative(rec) and verify_dual(rec)
+    assert len(calls) == 3
+
+
+def test_no_product_outlives_its_run():
+    rng = np.random.default_rng(41)
+    valid = build_DX(5, 1, 3, range(31))
+    both = ("multiplicative", "dual")
+    for _ in range(5):
+        other = build_DX(5, 1, 3, np.flatnonzero(rng.random(31) < 0.5))
+        want = frozenset(both) if verify_additive(other) else frozenset()
+        # one run suspended between its routes while another runs
+        run = route_verdicts(valid, both)
+        assert next(run) == ("multiplicative", True)
+        assert certify(other, both, strict=False).verified_by == want
+        assert verify_dual(other) == bool(want)
+        assert next(run) == ("dual", True)
+        assert certify(valid, both).verified_by == frozenset(both)
+    assert schemes._RUN.get() is None
+
+
+def test_a_run_that_raises_leaves_no_product(monkeypatch):
+    rec = build_DX(3, 1, 5, range(121))
+    singer_bundle(3, 1, 5)
+    with monkeypatch.context() as m:
+        m.setattr(schemes, "verify_dual", lambda rec: False)
+        with pytest.raises(InternalInconsistencyError):
+            certify(rec, ("multiplicative", "dual"))
+    assert schemes._RUN.get() is None
+    calls = _spy_on_cyclic_products(monkeypatch)
+    assert certify(rec, ("multiplicative", "dual")).verified_by == \
+        {"multiplicative", "dual"}
+    assert len(calls) == 1
+
+
+def test_one_verified_bundle_per_field(monkeypatch):
+    F = FiniteField(3, 3, modulus=(1, 0, 2, 1))
+    schemes._field_bundle.cache_clear()
+    built = []
+    real = schemes.build_singer_bundle
+
+    def spy(*args, **kwargs):
+        bundle = real(*args, **kwargs)
+        built.append(bundle.verified)
+        return bundle
+
+    monkeypatch.setattr(schemes, "build_singer_bundle", spy)
+    rec = build_DX(3, 1, 3, range(13), field=F, provenance="paley")
+    assert certify(rec, "all").verified_by == set(METHODS)
+    # an equal field read from a file reuses the same bundle
+    again = SchemeRecord.from_json(certify(rec, "all").to_json())
+    assert again.verified_by == set(METHODS)
+    assert built == [True]
+
+
+@pytest.mark.skipif(not STRETCH, reason="enable with PALEY_STRETCH=1")
+def test_stretch_all_four_routes_at_3_13():
+    start = time.perf_counter()
+    v = (3 ** 13 - 1) // 2
+    rec = certify(build_DX(3, 1, 13, range(v), provenance="paley"), "all")
+    assert rec.verified_by == set(METHODS)
+    print(f"certify(all) at 3^13 from a cold start: "
+          f"{time.perf_counter() - start:.1f} s")
