@@ -5,8 +5,10 @@ The package builds subsets D of a finite field's unit group satisfying
     (1 + 2 D^(-1)) (1 + 2 D)  =  |G| + (|G| - 1) G     in Z[(F, +)],
 
 which are strongly regular graphs when |F| = 1 mod 4 and skew Hadamard
-difference sets when |F| = 3 mod 4.  Everything runs on integer numpy
-kernels; no floating point is involved anywhere.
+difference sets when |F| = 3 mod 4.  Every verification path runs on
+exact integer numpy kernels, with no floating point.  Classification
+counts two tallies in float64 (`classify._triple_table` and
+`classify._clique_counts`); both stay far below 2^53, so they are exact.
 """
 
 __version__ = "0.1.0"

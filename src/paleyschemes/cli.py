@@ -212,7 +212,7 @@ def cmd_search(args) -> int:
     if args.engine == "galois":
         result = search_galois_invariant(
             args.p, args.e, args.degree, n_shards=args.shards,
-            checkpoint_dir=args.checkpoint, threads=args.threads,
+            checkpoint_dir=args.checkpoint,
             max_orbits=_budget("max_orbits", args.max_orbits))
     elif args.engine == "all":
         result = search_all_X(args.p, args.e, args.degree,
@@ -414,7 +414,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--e", type=int, default=1)
     sp.add_argument("--degree", type=int, required=True)
     sp.add_argument("--shards", type=int, default=1)
-    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     sp.add_argument("--checkpoint", type=Path, default=None)
     sp.add_argument("--max-orbits", type=int, default=None)
     sp.add_argument("--out", type=Path, default=None)

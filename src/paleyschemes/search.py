@@ -35,7 +35,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -442,7 +441,7 @@ def _coverage_note(space: SearchSpace) -> Optional[str]:
 
 
 def _run_residue_search(space: SearchSpace, *, n_shards: int = 1,
-                        checkpoint_dir=None, threads: int = 1,
+                        checkpoint_dir=None,
                         flush_every: int = DEFAULT_FLUSH_EVERY,
                         block_bits: Optional[int] = None) -> SearchResult:
     if flush_every < 1:
@@ -459,16 +458,9 @@ def _run_residue_search(space: SearchSpace, *, n_shards: int = 1,
         dir_path.mkdir(parents=True, exist_ok=True)
     shards = shard_plan(space, n_shards)
 
-    def work(sub):
-        return _run_shard(sub, contrib, M, index, B, field, dir_path,
-                          flush_every)
-
-    if threads > 1 and len(shards) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_shard = list(pool.map(work, shards))
-    else:
-        per_shard = [work(sub) for sub in shards]
-    found = sorted(X for part in per_shard for X in part)
+    found = sorted(X for sub in shards
+                   for X in _run_shard(sub, contrib, M, index, B, field,
+                                       dir_path, flush_every))
     return SearchResult(space=space, found=tuple(found),
                         note=_coverage_note(space))
 
@@ -484,7 +476,7 @@ def search_all_X(p: int, e: int, l: int, *, max_v: int = DEFAULT_MAX_V,
 
 
 def search_galois_invariant(p: int, e: int, l: int, *, n_shards: int = 1,
-                            checkpoint_dir=None, threads: int = 1,
+                            checkpoint_dir=None,
                             flush_every: int = DEFAULT_FLUSH_EVERY,
                             max_orbits: int = DEFAULT_MAX_ORBITS,
                             block_bits: Optional[int] = None) -> SearchResult:
@@ -496,7 +488,7 @@ def search_galois_invariant(p: int, e: int, l: int, *, n_shards: int = 1,
     """
     space = galois_space(p, e, l, max_orbits=max_orbits)
     return _run_residue_search(space, n_shards=n_shards,
-                               checkpoint_dir=checkpoint_dir, threads=threads,
+                               checkpoint_dir=checkpoint_dir,
                                flush_every=flush_every, block_bits=block_bits)
 
 

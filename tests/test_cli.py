@@ -183,12 +183,12 @@ def test_search_galois_checkpointed_and_deterministic(tmp_path):
     out1 = tmp_path / "a" / "res.json"
     out1.parent.mkdir()
     assert run("search", "galois", "--p", 5, "--degree", 3, "--shards", 4,
-               "--threads", 2, "--checkpoint", tmp_path / "ck",
+               "--checkpoint", tmp_path / "ck",
                "--out", out1) == 0
     out2 = tmp_path / "b" / "res.json"
     out2.parent.mkdir()
     assert run("search", "galois", "--p", 5, "--degree", 3, "--shards", 4,
-               "--threads", 2, "--checkpoint", tmp_path / "ck",
+               "--checkpoint", tmp_path / "ck",
                "--out", out2) == 0
     assert len(load(out1)["found"]) == 96
     assert load(out1)["found"] == load(out2)["found"]

@@ -214,10 +214,10 @@ def test_shard_entry_residues_match_plain_arithmetic():
         assert list(sub.shard.residue) == brute_residue(5, 1, 3, X)
 
 
-def test_sharded_and_threaded_runs_match_the_single_shard():
-    res = search_galois_invariant(5, 1, 3, n_shards=8, threads=4)
+def test_sharded_runs_match_the_single_shard():
+    res = search_galois_invariant(5, 1, 3, n_shards=8)
     assert res.found == galois_31().found
-    lone = search_galois_invariant(5, 1, 3, n_shards=5, threads=1)
+    lone = search_galois_invariant(5, 1, 3, n_shards=5)
     assert lone.found == galois_31().found
 
 

@@ -1,11 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from paleyschemes.errors import ParameterError
-from paleyschemes.fields import get_field
+from paleyschemes.errors import InternalInconsistencyError, ParameterError
+from paleyschemes.fields import ZERO, get_field
 from paleyschemes.groupring import CyclicGroup, GroupRingElement, is_difference_set
-from paleyschemes.singer import (build_singer_bundle, gmw_components,
+from paleyschemes.singer import (_verify_bundle, _weighing_from_R,
+                                 build_singer_bundle, gmw_components,
                                  singer_bundle)
+
+TOWERS = [
+    (3, 1, 2), (3, 1, 3), (3, 1, 4), (3, 1, 5),
+    (5, 1, 2), (5, 1, 3), (7, 1, 3), (3, 2, 2), (3, 2, 3),
+]
 
 
 # Independent oracle: trace-one exponents via raw polynomial arithmetic,
@@ -80,10 +88,7 @@ def test_trace_one_matches_poly_oracle(p, e, l):
     assert list(b.R) == oracle_trace_one(b.field, e)
 
 
-@pytest.mark.parametrize("p,e,l", [
-    (3, 1, 2), (3, 1, 3), (3, 1, 4), (3, 1, 5),
-    (5, 1, 2), (5, 1, 3), (7, 1, 3), (3, 2, 2), (3, 2, 3),
-])
+@pytest.mark.parametrize("p,e,l", TOWERS)
 def test_bundle_shapes(p, e, l):
     b = singer_bundle(p, e, l)
     q = p ** e
@@ -96,6 +101,140 @@ def test_bundle_shapes(p, e, l):
         assert np.count_nonzero(W == 0) == (q ** (l - 1) - 1) // (q - 1)
     else:
         assert b.W is None
+
+
+
+# -- properties the bundle check derives instead of checking -------------------
+# Oracles here count differences in plain numpy, away from the group-ring
+# product that the bundle check itself runs.
+
+
+def difference_counts(D, n):
+    D = np.asarray(D, dtype=np.int64)
+    return np.bincount(((D[:, None] - D[None, :]) % n).ravel(), minlength=n)
+
+
+def is_ds(D, v, k, lam):
+    expect = np.full(v, lam, dtype=np.int64)
+    expect[0] = k
+    return len(D) == k and np.array_equal(difference_counts(D, v), expect)
+
+
+def is_singer_rds(b, R):
+    """R R^(-1) = q^(l-1) + q^(l-2) (G - N) with N the multiples of v."""
+    expect = np.full(b.n1, b.q ** (b.l - 2), dtype=np.int64)
+    expect[::b.v] = 0
+    expect[0] = b.q ** (b.l - 1)
+    return np.array_equal(difference_counts(R, b.n1), expect)
+
+
+@pytest.mark.parametrize("p,e,l", TOWERS)
+def test_derived_bundle_properties(p, e, l):
+    b = singer_bundle(p, e, l)
+    q, v = b.q, b.v
+    assert is_ds(b.S, *b.ds_params())
+    comp = np.setdiff1d(np.arange(v), b.S)
+    assert is_ds(comp, *b.complement_params())
+    trace_zero = np.flatnonzero(b.field.trace_exponents(e) == ZERO)
+    zero_cosets = np.unique(trace_zero % v)
+    assert len(zero_cosets) == (q ** (l - 1) - 1) // (q - 1)
+    assert np.array_equal(zero_cosets, comp)
+    if l % 2 == 1:
+        W = np.array(b.W, dtype=np.int64)
+        corr = np.array([W @ np.roll(W, d) for d in range(v)])
+        expect = np.zeros(v, dtype=np.int64)
+        expect[0] = q ** (l - 1)
+        assert np.array_equal(corr, expect)
+        assert int(W.sum()) ** 2 == q ** (l - 1)
+
+
+# -- mutants of a bundle ------------------------------------------------------
+
+
+def mutant(b, R):
+    """The bundle with R replaced and S, W rebuilt from it as the builder does."""
+    R = np.sort(np.asarray(list(R), dtype=np.int64))
+    W = tuple(_weighing_from_R(R, b.v).tolist()) if b.l % 2 == 1 else None
+    return replace(b, R=tuple(R.tolist()),
+                   S=tuple(np.unique(R % b.v).tolist()), W=W)
+
+
+def orbit(r, p, n):
+    out = [r]
+    while (nxt := out[-1] * p % n) != r:
+        out.append(nxt)
+    return out
+
+
+def is_consistent(b, R):
+    """Oracle for everything the bundle check asks of R."""
+    R = list(R)
+    return (len(R) == b.q ** (b.l - 1)
+            and len({r % b.v for r in R}) == len(R)
+            and {r * b.p % b.n1 for r in R} == set(R)
+            and is_singer_rds(b, R))
+
+
+@pytest.mark.parametrize("p,e,l", TOWERS)
+def test_single_replacements_in_R_are_rejected(p, e, l):
+    b = singer_bundle(p, e, l)
+    R = set(b.R)
+    free_coset = min(set(range(b.v)) - set(b.S))
+    rejected = 0
+    for r in b.R:
+        for x in ((r + b.v) % b.n1, free_coset):
+            mut = mutant(b, R - {r} | {x})
+            if is_consistent(b, mut.R):
+                _verify_bundle(mut)
+            else:
+                with pytest.raises(InternalInconsistencyError):
+                    _verify_bundle(mut)
+                rejected += 1
+    assert rejected >= len(b.R)
+
+
+@pytest.mark.parametrize("p,e,l", TOWERS)
+def test_frobenius_stable_orbit_swaps_meet_the_rds_check(p, e, l):
+    # Moving a whole p-orbit of R into the same cosets keeps |R|, the
+    # distinct cosets, S and Frobenius stability, so only the RDS
+    # identity can tell such a mutant from a Singer bundle.
+    b = singer_bundle(p, e, l)
+    R = set(b.R)
+    rejected = 0
+    for r in b.R:
+        O = orbit(r, p, b.n1)
+        if min(O) != r:
+            continue
+        for j in range(1, b.q - 1):
+            moved = orbit((r + j * b.v) % b.n1, p, b.n1)
+            if len(moved) != len(O):
+                continue
+            mut = mutant(b, R - set(O) | set(moved))
+            assert mut.S == b.S
+            if is_singer_rds(b, mut.R):
+                _verify_bundle(mut)
+            else:
+                with pytest.raises(InternalInconsistencyError,
+                                   match="relative difference set"):
+                    _verify_bundle(mut)
+                rejected += 1
+    assert rejected or b.n1 == 8  # in F_9 both swaps are RDSs again
+
+
+@pytest.mark.parametrize("p,e,l", TOWERS)
+def test_broken_S_W_or_frobenius_is_rejected(p, e, l):
+    b = singer_bundle(p, e, l)
+    with pytest.raises(InternalInconsistencyError, match="projection"):
+        _verify_bundle(replace(b, S=b.S[1:]))
+    if l % 2 == 1:
+        W = list(b.W)
+        W[b.S[0]] = -W[b.S[0]]
+        with pytest.raises(InternalInconsistencyError, match="signed"):
+            _verify_bundle(replace(b, W=tuple(W)))
+    r = next(r for r in b.R if len(orbit(r, p, b.n1)) > 1)
+    mut = mutant(b, set(b.R) - {r} | {(r + b.v) % b.n1})
+    with pytest.raises(InternalInconsistencyError, match="multiplier p"):
+        _verify_bundle(mut)
 
 
 def test_weighing_autocorrelation_oracle():
