@@ -7,8 +7,9 @@ The package builds subsets D of a finite field's unit group satisfying
 which are strongly regular graphs when |F| = 1 mod 4 and skew Hadamard
 difference sets when |F| = 3 mod 4.  Every verification path runs on
 exact integer numpy kernels, with no floating point.  Classification
-counts two tallies in float64 (`classify._triple_table` and
-`classify._clique_counts`); both stay far below 2^53, so they are exact.
+counts two tallies in float64: `classify._triple_table`, whose entries
+are at most the block size, and `classify._clique_counts`, whose chunk
+sums stay far below 2^53.  Both are exact.
 """
 
 __version__ = "0.1.0"
@@ -16,8 +17,7 @@ __version__ = "0.1.0"
 from .classify import (Configuration, affine_link, aut_order,
                        canonical_certificate, canonical_hash,
                        development_profile, fingerprint, iso_test,
-                       make_configuration, scheme_seeds, semilinear_canonical,
-                       triple_profile)
+                       make_configuration, scheme_seeds, semilinear_canonical)
 from .constructions import (AdpRecord, LangevinParams, LangevinResult,
                             adp_check, adp_dual, adp_half_power_family,
                             adp_lift, adp_power_family, class_number,

@@ -6,8 +6,9 @@ layers of comparison are provided, from cheapest to most precise:
 
   1. semilinear canonical forms, exact for equivalence under the maps
      x -> c x^(p^k) (a computable subgroup of all additive automorphisms),
-  2. fingerprints, isomorphism invariants that certify non-isomorphism
-     (designs get a second, deeper tier from triple point counts),
+  2. isomorphism invariants that certify non-isomorphism: fingerprints
+     of any configuration, and for designs of a scheme the development
+     profile, its triple counts read off the record,
   3. canonical certificates from individualization-refinement, which
      decide configuration isomorphism outright and give exact
      automorphism group orders.
@@ -46,34 +47,39 @@ class Configuration:
     matrix: np.ndarray        # adjacency, or point x block incidence
     params: tuple[int, ...]
     _ir: Optional[tuple[bytes, int]] = field(default=None, repr=False)
-    _triple: Optional[tuple] = field(default=None, repr=False)
     _rec: Optional[SchemeRecord] = field(default=None, repr=False)
 
 
-def _difference_matrix(rec: SchemeRecord) -> np.ndarray:
-    """entry[x, y] = 1 iff x - y lands in D, over all field elements.
+def _check_order(F: FiniteField) -> None:
+    if F.n1 + 1 > MAX_CONFIGURATION_ORDER:
+        raise ParameterError(f"order {F.n1 + 1} is past the configuration cap")
 
-    Element order: the zero element first, then g^0, g^1, ...
+
+def _elements(F: FiniteField) -> np.ndarray:
+    """All field elements in point order: ZERO, then g^0, g^1, ..."""
+    return np.concatenate(([ZERO], np.arange(F.n1, dtype=np.int64)))
+
+
+def _difference_matrix(rec: SchemeRecord, blocks: np.ndarray) -> np.ndarray:
+    """entry[x, j] = 1 iff x - blocks[j] lands in D, x over _elements.
+
+    Column j is the incidence of the block D + blocks[j].
     """
     F = rec.field
+    _check_order(F)
     n1 = F.n1
-    elems = np.concatenate(([ZERO], np.arange(n1, dtype=np.int64)))
-    negs = elems.copy()
-    negs[1:] = (negs[1:] + n1 // 2) % n1
-    diff = F.add_array(elems[:, None], negs[None, :])
+    negs = np.where(blocks == ZERO, ZERO, (blocks + n1 // 2) % n1)
     member = np.zeros(n1 + 1, dtype=np.uint8)
     member[np.asarray(rec.D, dtype=np.int64) + 1] = 1  # shift: ZERO -> 0
-    return member[diff + 1]
+    return member[F.add_array(_elements(F)[:, None], negs[None, :]) + 1]
 
 
 def make_configuration(rec: SchemeRecord) -> Configuration:
     """Build the Cayley graph or the development design of a scheme."""
     if not rec.verified_by:
         raise PreconditionError("configuration wants a verified scheme")
-    order = rec.n1 + 1
-    if order > MAX_CONFIGURATION_ORDER:
-        raise ParameterError(f"order {order} is past the configuration cap")
-    M = _difference_matrix(rec)
+    M = _difference_matrix(rec, _elements(rec.field))
+    order = M.shape[0]
     k = (order - 1) // 2
     if order % 4 == 1:
         if (M != M.T).any():
@@ -186,30 +192,6 @@ def fingerprint(C: Configuration) -> tuple:
     return (rank, profile, ())
 
 
-def triple_profile(C: Configuration) -> tuple:
-    """Multiset of block counts over point triples of a design.
-
-    The design axioms pin every pair of points to exactly lambda common
-    blocks, so pair-based invariants cannot tell two designs with the same
-    parameters apart. Triples are not pinned, and how often each triple
-    count occurs is preserved by any isomorphism. Quadratic in points per
-    point, far below a canonical certificate.
-    """
-    if C.kind != "hadamard_design":
-        raise ParameterError("triple profile is defined for designs")
-    if C._triple is None:
-        n = C.n
-        Ni = C.matrix.astype(np.int32)
-        acc = np.zeros(int(C.params[1]) + 1, dtype=np.int64)
-        for x in range(n - 2):
-            sub = Ni[x + 1:, np.flatnonzero(C.matrix[x])]
-            through = sub @ sub.T            # blocks holding x, y, and z
-            rows, cols = np.triu_indices(n - x - 1, 1)
-            acc += np.bincount(through[rows, cols], minlength=acc.size)
-        C._triple = tuple((i, int(c)) for i, c in enumerate(acc.tolist()) if c)
-    return C._triple
-
-
 # -- development designs without the incidence matrix --------------------------
 
 # Keyed on the whole field, modulus included: the table depends on it.
@@ -218,51 +200,55 @@ _ADD_TABLE_CACHE: dict[FiniteField, np.ndarray] = {}
 
 def _add_table(F) -> np.ndarray:
     """Padded addition table: entry [x+1, y+1] is the id of x + y, ZERO at 0."""
+    _check_order(F)
     if F not in _ADD_TABLE_CACHE:
-        elems = np.concatenate(([ZERO], np.arange(F.n1, dtype=np.int64)))
+        elems = _elements(F)
         _ADD_TABLE_CACHE[F] = F.add_array(elems[:, None], elems[None, :]) + 1
     return _ADD_TABLE_CACHE[F]
 
 
-def _triple_table(F, D) -> np.ndarray:
+def _triple_table(rec: SchemeRecord) -> np.ndarray:
     """T[x, y] = #{a in D : a + x in D and a + y in D}, padded element ids.
 
-    One 0/1 matrix product; float64 keeps it exact (entries stay far
-    below 2^53) and runs through BLAS.
+    The k blocks through point 0 are D - a for a in D, and x lies on
+    D - a iff a + x is in D. So T = M_0 M_0^T for the pencil M_0, the
+    difference matrix at those k columns only. The float64 product runs
+    through BLAS and is exact: every entry is at most k.
     """
-    table = _add_table(F)
-    n = table.shape[0]
-    m = np.zeros(n, dtype=np.float64)
-    m[np.asarray(D, dtype=np.int64) + 1] = 1.0
-    S = m[table]
-    masked = S * m[:, None]
-    return np.rint(masked.T @ S).astype(np.int32)
+    minus_D = (np.asarray(rec.D, dtype=np.int64) + rec.n1 // 2) % rec.n1
+    pencil = _difference_matrix(rec, minus_D).astype(np.float64)
+    return (pencil @ pencil.T).astype(np.int32)
 
 
 def _profile_rows(T: np.ndarray) -> np.ndarray:
+    """Sorted histograms of T[u, w] over w not in {0, u}, one per u >= 1,
+    all from one bincount with row u - 1 offset by (u - 1) n."""
     n = T.shape[0]
-    rows = np.zeros((n - 1, n), dtype=np.int64)
-    for u in range(1, n):
-        h = np.bincount(T[u], minlength=n)
-        h[T[u, 0]] -= 1
-        h[T[u, u]] -= 1
-        rows[u - 1] = h
+    u = np.arange(1, n)
+    rows = np.bincount((T[1:] + (u - 1)[:, None] * n).ravel(),
+                       minlength=(n - 1) * n).reshape(n - 1, n)
+    rows[u - 1, T[u, 0]] -= 1
+    rows[u - 1, T[u, u]] -= 1
     return rows[np.lexsort(rows.T[::-1])]
 
 
 def development_profile(rec: SchemeRecord) -> bytes:
     """Sorted per-difference triple count histograms of the development.
 
-    For a nonzero u, row u is the histogram over w of the number of
-    blocks of dev(D) containing {0, u, w}. Translating D leaves every
-    count alone and any affine equivalence permutes the rows, so the
-    sorted list is an isomorphism invariant of the design. It refines
-    triple_profile (the sum of all rows) at the same one-matrix-product
-    cost, with no incidence matrix in sight.
+    For a nonzero u, row u is the histogram over w of the number
+    N(0, u, w) of blocks of dev(D) containing {0, u, w}. In any design,
+    the histogram over z of N(x, y, z), taken over all ordered pairs of
+    distinct points, is a multiset preserved by isomorphism. In a
+    development, translating by -x gives N(x, y, z) = N(0, y - x, z - x),
+    so the histogram of the pair (x, y) is row y - x, and the multiset is
+    n copies of the rows. The sorted rows therefore are an isomorphism
+    invariant of the design, under every relabeling and not just affine
+    maps. They come from one k-column matrix product, with no incidence
+    matrix of the whole design, and summed they give the triple counts.
     """
     if (rec.field.n1 + 1) % 4 != 3:
         raise ParameterError("development profile is defined for designs")
-    return _profile_rows(_triple_table(rec.field, rec.D)).tobytes()
+    return _profile_rows(_triple_table(rec)).tobytes()
 
 
 def affine_link(rec1: SchemeRecord, rec2: SchemeRecord) -> Optional[np.ndarray]:
@@ -290,8 +276,8 @@ def affine_link(rec1: SchemeRecord, rec2: SchemeRecord) -> Optional[np.ndarray]:
         return None
     table = _add_table(F)
     n = table.shape[0]
-    T1 = _triple_table(F, rec1.D)
-    T2 = _triple_table(F, rec2.D)
+    T1 = _triple_table(rec1)
+    T2 = _triple_table(rec2)
     if _profile_rows(T1).tobytes() != _profile_rows(T2).tobytes():
         return None
 
@@ -706,7 +692,7 @@ def scheme_seeds(rec: SchemeRecord) -> list[np.ndarray]:
     """
     F = rec.field
     n1 = F.n1
-    elems = np.concatenate(([ZERO], np.arange(n1, dtype=np.int64)))
+    elems = _elements(F)
     seeds = [np.asarray(F.add_array(elems, t), dtype=np.int64) + 1
              for t in range(F.m)]
     D = np.asarray(sorted(rec.D), dtype=np.int64)
@@ -769,12 +755,16 @@ def aut_order(C: Configuration, budget: Optional[int] = None) -> int:
 
 def iso_test(C1: Configuration, C2: Configuration,
              budget: Optional[int] = None) -> bool:
+    """Invariants first, then the certificate. Designs that both carry
+    their scheme also compare development profiles."""
     if C1.kind != C2.kind:
         raise ParameterError(f"kind mismatch: {C1.kind} vs {C2.kind}")
     if C1.params != C2.params:
         return False
     if fingerprint(C1) != fingerprint(C2):
         return False
-    if C1.kind == "hadamard_design" and triple_profile(C1) != triple_profile(C2):
+    recs = (C1._rec, C2._rec)
+    if (C1.kind == "hadamard_design" and None not in recs
+            and development_profile(recs[0]) != development_profile(recs[1])):
         return False
     return canonical_certificate(C1, budget) == canonical_certificate(C2, budget)

@@ -52,6 +52,9 @@ class SchemeRecord:
     verified_by: frozenset[str]
 
     def __post_init__(self):
+        if self.e < 1 or self.l < 1:
+            raise ParameterError(
+                f"tower needs e, l >= 1, not e = {self.e}, l = {self.l}")
         if self.field.m != self.e * self.l:
             raise ParameterError("field degree does not factor as e * l")
         if self.provenance not in PROVENANCES:
@@ -115,13 +118,16 @@ class SchemeRecord:
 
     @classmethod
     def from_json(cls, data: dict) -> "SchemeRecord":
-        """Load a record, re-earning every route its file claims."""
+        """Load a record, re-earning every route its file claims, then
+        checking that a stored X gives D by the parity rule."""
         fd = data["field"]
+        entries = [fd["p"], fd["e"], fd["l"], *data["D"], *data.get("X", ())]
+        if not all(type(x) is int for x in entries):
+            raise ParameterError("field, D and X entries must be integers")
         field = FiniteField(fd["p"], fd["e"] * fd["l"],
                             modulus=tuple(fd["modulus"]))
-        rec = cls(field=field, e=fd["e"], l=fd["l"],
-                  D=tuple(int(x) for x in data["D"]),
-                  X=tuple(int(x) for x in data["X"]) if "X" in data else None,
+        rec = cls(field=field, e=fd["e"], l=fd["l"], D=tuple(data["D"]),
+                  X=tuple(data["X"]) if "X" in data else None,
                   provenance=data["provenance"],
                   verified_by=frozenset(data["verified_by"]))
         if rec.verified_by:
@@ -132,6 +138,9 @@ class SchemeRecord:
                 raise VerificationFailedError(
                     f"record claims {claimed} but only "
                     f"{sorted(earned)} verify")
+        if rec.X is not None and not np.array_equal(
+                _parity_rule(rec.n1, rec.v, rec.X), rec.D):
+            raise ParameterError("stored X does not give D by the parity rule")
         return rec
 
 
@@ -168,14 +177,17 @@ def build_DX(p: int, e: int, l: int, X: Iterable[int],
     if l % 2 == 0:
         warnings.warn("even l: the half-size guarantee does not apply",
                       stacklevel=2)
-    xind = np.zeros(v, dtype=bool)
-    if X:
-        xind[list(X)] = True
-    i = np.arange(n1, dtype=np.int64)
-    member = (i % 2 == 0) == xind[i % v]
-    D = tuple(np.flatnonzero(member).tolist())
+    D = tuple(_parity_rule(n1, v, X).tolist())
     return SchemeRecord(field=field, e=e, l=l, D=D, X=X,
                         provenance=provenance, verified_by=frozenset())
+
+
+def _parity_rule(n1: int, v: int, X: Iterable[int]) -> np.ndarray:
+    """The exponents i in 0..n1-1 with (i even) == (i mod v in X)."""
+    xind = np.zeros(v, dtype=bool)
+    xind[np.asarray(X, dtype=np.int64)] = True
+    i = np.arange(n1, dtype=np.int64)
+    return np.flatnonzero((i % 2 == 0) == xind[i % v])
 
 
 def is_half_point(rec: SchemeRecord) -> bool:

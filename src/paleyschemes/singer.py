@@ -198,17 +198,12 @@ class GmwComponents:
                 q ** (s * t - t), q ** (s * t - 2 * t) * (q - 1))
 
 
-def gmw_components(p: int, e: int, t: int, s: int,
-                   field: Optional[FiniteField] = None,
-                   verify: bool = True) -> GmwComponents:
+def gmw_components(p: int, e: int, t: int, s: int) -> GmwComponents:
+    """The verified layers of the tower over the default field F_{q^(st)}."""
     if s < 2:
         raise ParameterError(f"need at least two layers, got s = {s}")
     q = p ** e
-    m_big = e * s * t
-    if field is None:
-        field = get_field(p, m_big)
-    elif field.p != p or field.m != m_big:
-        raise ParameterError("field does not match the requested tower")
+    field = get_field(p, e * s * t)
     n1 = field.n1
     v_st = (q ** (s * t) - 1) // (q - 1)
     v_t = (q ** t - 1) // (q - 1)
@@ -241,8 +236,7 @@ def gmw_components(p: int, e: int, t: int, s: int,
                           s_sub=tuple(int(x) for x in s_sub),
                           w_sub=tuple(int(x) for x in w_sub),
                           s_big=tuple(int(x) for x in S_big))
-    if verify:
-        _verify_gmw(comps)
+    _verify_gmw(comps)
     return comps
 
 

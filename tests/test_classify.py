@@ -4,15 +4,17 @@ import itertools
 import numpy as np
 import pytest
 
+from paleyschemes import classify
 from paleyschemes.classify import (_CLIQUE_CHUNK, Configuration,
                                    _clique_counts, _ir_inputs,
                                    _least_rotation, _perm_group_order,
-                                   _rank_mod_p, _refine, affine_link,
+                                   _profile_rows, _rank_mod_p, _refine,
+                                   _triple_table, affine_link,
                                    aut_order,
                                    canonical_hash, canonical_certificate,
                                    development_profile, fingerprint,
                                    iso_test, make_configuration, scheme_seeds,
-                                   semilinear_canonical, triple_profile)
+                                   semilinear_canonical)
 from paleyschemes.constructions import adp_check, power_set
 from paleyschemes.errors import (BudgetExceededError,
                                  InternalInconsistencyError, ParameterError,
@@ -20,7 +22,7 @@ from paleyschemes.errors import (BudgetExceededError,
 from paleyschemes.fields import ZERO, FiniteField, get_field
 from paleyschemes.graph6 import decode_graph6, design_to_json, encode_graph6
 from paleyschemes.schemes import (SchemeRecord, build_DX, certify, frobenius,
-                                  scale)
+                                  negate, scale)
 from paleyschemes.singer import singer_bundle
 
 
@@ -430,7 +432,7 @@ def test_dual_pair_in_125_matches_its_source():
     assert other.params == new.params
 
 
-# -- triple profiles --------------------------------------------------------------
+# -- triple counts ----------------------------------------------------------------
 
 
 def brute_triples(matrix):
@@ -442,32 +444,31 @@ def brute_triples(matrix):
     return tuple(sorted(hist.items()))
 
 
-def test_triple_profile_fano_exact():
-    C = make_configuration(paley(7, 1))
-    assert triple_profile(C) == ((0, 28), (1, 7))
-    assert triple_profile(C) == brute_triples(C.matrix)
+def summed_development_rows(rec):
+    """Triple counts of the development, read off its profile.
+
+    n copies of the rows cover every ordered pair of distinct points, so
+    they count each unordered triple six times.
+    """
+    n = rec.n1 + 1
+    rows = np.frombuffer(development_profile(rec),
+                         dtype=np.int64).reshape(rec.n1, n)
+    total = rows.sum(axis=0) * n
+    assert not (total % 6).any()
+    return tuple((t, c // 6) for t, c in enumerate(total.tolist()) if c)
 
 
-def test_triple_profile_matches_brute_force_on_eleven():
-    C = make_configuration(paley(11, 1))
-    assert triple_profile(C) == brute_triples(C.matrix)
+def test_development_rows_fano_exact():
+    rec = paley(7, 1)
+    assert summed_development_rows(rec) == ((0, 28), (1, 7))
+    assert summed_development_rows(rec) == \
+        brute_triples(make_configuration(rec).matrix)
 
 
-def test_triple_profile_invariant_under_relabeling():
-    C = make_configuration(paley(19, 1))
-    rng = np.random.default_rng(5)
-    pperm, bperm = rng.permutation(C.n), rng.permutation(C.n)
-    relabeled = Configuration(kind=C.kind, p=C.p, n=C.n,
-                              matrix=C.matrix[np.ix_(pperm, bperm)],
-                              params=C.params)
-    assert triple_profile(C) == triple_profile(relabeled)
-    total = sum(c for _, c in triple_profile(C))
-    assert total == 19 * 18 * 17 // 6
-
-
-def test_triple_profile_rejects_graphs():
-    with pytest.raises(ParameterError):
-        triple_profile(make_configuration(paley(5, 1)))
+def test_development_rows_match_brute_force_on_eleven():
+    rec = paley(11, 1)
+    assert summed_development_rows(rec) == \
+        brute_triples(make_configuration(rec).matrix)
 
 
 # -- seeded searches -------------------------------------------------------------
@@ -508,17 +509,35 @@ def raw_record(F, D):
                         provenance="manual", verified_by=frozenset())
 
 
+def loop_triple_table(rec):
+    F = rec.field
+    elems = [ZERO, *range(F.n1)]
+    D = set(rec.D)
+    return np.array([[sum(F.add(a, x) in D and F.add(a, y) in D for a in D)
+                      for y in elems] for x in elems])
+
+
+def loop_profile_rows(T):
+    rows = []
+    for u in range(1, T.shape[0]):
+        h = np.bincount(T[u], minlength=T.shape[0])
+        h[T[u, 0]] -= 1
+        h[T[u, u]] -= 1
+        rows.append(tuple(h.tolist()))
+    return np.array(sorted(rows))
+
+
+def test_triple_table_and_profile_rows_match_their_loops():
+    for rec in (paley(19, 1), paley(3, 3), scheme_of_power(3, 3, 2)):
+        T = _triple_table(rec)
+        assert np.array_equal(T, loop_triple_table(rec))
+        assert np.array_equal(_profile_rows(T), loop_profile_rows(T))
+
+
 def test_development_profile_sums_to_triple_profile():
     rec = paley(3, 3)
-    n = rec.n1 + 1
-    rows = np.frombuffer(development_profile(rec),
-                         dtype=np.int64).reshape(rec.n1, n)
-    total = rows.sum(axis=0)
-    expect = dict(triple_profile(make_configuration(rec)))
-    # each unordered triple of the development shows up n/6 times per
-    # ordered difference pair
-    for t, count in enumerate(total.tolist()):
-        assert expect.get(t, 0) * 6 == count * n
+    assert summed_development_rows(rec) == \
+        brute_triples(make_configuration(rec).matrix)
 
 
 def shift_avoiding_zero(F, D):
@@ -606,3 +625,86 @@ def test_affine_link_parameter_errors():
     other = FiniteField(3, 3, modulus=(1, 0, 2, 1))
     with pytest.raises(ParameterError):
         affine_link(paley(3, 3), paley(3, 3, field=other))
+
+
+def test_design_helpers_refuse_orders_past_the_cap(monkeypatch):
+    rec = paley(7, 3)
+    monkeypatch.setattr(classify, "MAX_CONFIGURATION_ORDER", 342)
+    with pytest.raises(ParameterError, match="configuration cap"):
+        development_profile(rec)
+    with pytest.raises(ParameterError, match="configuration cap"):
+        affine_link(rec, rec)
+    with pytest.raises(ParameterError, match="configuration cap"):
+        make_configuration(rec)
+
+
+# -- iso_test on designs ------------------------------------------------------------
+
+
+def jacobsthal(p, m):
+    """Q[x, y] = chi(x - y), from the Paley configuration of F_(p^m)."""
+    M = make_configuration(paley(p, m)).matrix.astype(np.int64)
+    return 2 * M - 1 + np.eye(M.shape[0], dtype=np.int64)
+
+
+def paley_two_hadamard(p, m):
+    """Paley's second Hadamard matrix, of order 2(q + 1), q = 1 mod 4."""
+    Q = jacobsthal(p, m)
+    q = Q.shape[0]
+    C = np.zeros((q + 1, q + 1), dtype=np.int64)
+    C[0, 1:] = C[1:, 0] = 1
+    C[1:, 1:] = Q
+    return (np.kron(C, [[1, 1], [1, -1]])
+            + np.kron(np.eye(q + 1, dtype=np.int64), [[1, -1], [-1, -1]]))
+
+
+def paley_one_hadamard(p):
+    """Paley's first Hadamard matrix, of order p + 1, p = 3 mod 4."""
+    Q = jacobsthal(p, 1)
+    S = np.zeros((p + 1, p + 1), dtype=np.int64)
+    S[0, 1:] = 1
+    S[1:, 0] = -1
+    S[1:, 1:] = Q
+    return S + np.eye(p + 1, dtype=np.int64)
+
+
+def derived_design(H, p, row, col):
+    """The Hadamard 2-design of H normalised at (row, col); no scheme."""
+    n = H.shape[0]
+    assert (H @ H.T == n * np.eye(n, dtype=np.int64)).all()
+    H = H * H[:, [col]] * H[[row], :] * H[row, col]
+    M = (np.delete(np.delete(H, row, 0), col, 1) == 1).astype(np.uint8)
+    v = n - 1
+    return Configuration(kind="hadamard_design", p=p, n=v, matrix=M,
+                         params=(v, v // 2, (v - 3) // 4))
+
+
+def relabeled_without_scheme(C, rng):
+    pperm, bperm = rng.permutation(C.n), rng.permutation(C.n)
+    return Configuration(kind=C.kind, p=C.p, n=C.n,
+                         matrix=C.matrix[np.ix_(pperm, bperm)],
+                         params=C.params)
+
+
+def test_iso_test_agrees_with_certificates_on_designs():
+    rng = np.random.default_rng(12)
+    other27 = FiniteField(3, 3, modulus=(1, 0, 2, 1))
+    with_scheme = [make_configuration(rec) for rec in (
+        paley(7, 1), paley(11, 1), paley(19, 1),
+        certify(negate(paley(19, 1)), ("additive",)), paley(23, 1),
+        paley(3, 3), paley(3, 3, field=other27), scheme_of_power(3, 3, 2),
+        paley(43, 1))]
+    non_paley = [derived_design(paley_two_hadamard(3, 2), 19, 0, 0),
+                 derived_design(np.kron([[1, 1], [1, -1]],
+                                        paley_one_hadamard(11)), 23, 0, 0),
+                 derived_design(paley_two_hadamard(13, 1), 3, 0, 0)]
+    pool = (with_scheme + non_paley
+            + [relabeled_without_scheme(C, rng)
+               for C in with_scheme + non_paley[:1]])
+    verdicts = set()
+    for C1, C2 in itertools.combinations(pool, 2):
+        same = canonical_certificate(C1) == canonical_certificate(C2)
+        assert iso_test(C1, C2) == same
+        if C1.params == C2.params:
+            verdicts.add(same)
+    assert verdicts == {True, False}

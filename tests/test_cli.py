@@ -153,6 +153,28 @@ def test_stamps_on_disk_are_re_earned(tmp_path, claim):
     assert run("classify", "--in", bad) == 2
 
 
+def test_verify_refuses_bad_tower_fields(tmp_path, capsys):
+    data = load(make_paley27(tmp_path))
+    del data["X"]
+    bad = tmp_path / "bad.json"
+    for field, D in (({"e": -1, "l": -3}, data["D"]),
+                     ({}, [0.5] + data["D"][1:])):
+        bad.write_text(json.dumps(
+            dict(data, field=dict(data["field"], **field), D=D)))
+        assert run("verify", bad, "--method", "additive") == 1
+        assert "error:" in capsys.readouterr().err
+
+
+def test_stored_X_that_D_does_not_give_is_refused(tmp_path, capsys):
+    data = load(make_paley27(tmp_path))
+    data["X"] = [0, 1]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert run("verify", bad, "--method", "all") == 1
+    assert run("classify", "--in", bad) == 1
+    assert "parity rule" in capsys.readouterr().err
+
+
 def test_verify_inapplicable_method(tmp_path, capsys):
     out = tmp_path / "f9.json"
     run("construct", "paley", "--p", 3, "--m", 2, "--out", out)

@@ -305,6 +305,30 @@ def test_record_json_round_trip():
     assert SchemeRecord.from_json(rec2.to_json()).verified_by == rec2.verified_by
 
 
+def test_record_refuses_bad_tower_fields_and_entries():
+    F = get_field(3, 3)
+    with pytest.raises(ParameterError, match="tower"):
+        SchemeRecord(field=F, e=-1, l=-3, D=(0, 2), X=None,
+                     provenance="manual", verified_by=frozenset())
+    good = build_DX(3, 1, 3, range(13)).to_json()
+    bad_tower = dict(good, field=dict(good["field"], e=-1, l=-3))
+    del bad_tower["X"]
+    with pytest.raises(ParameterError, match="tower"):
+        SchemeRecord.from_json(bad_tower)
+    for key in ("D", "X"):
+        fractional = dict(good, **{key: [0.5] + good[key][1:]})
+        with pytest.raises(ParameterError, match="integers"):
+            SchemeRecord.from_json(fractional)
+
+
+def test_from_json_refuses_a_stored_X_that_D_does_not_give():
+    data = certify(build_DX(3, 1, 3, range(13)), "all").to_json()
+    assert SchemeRecord.from_json(data).X == tuple(range(13))
+    data["X"] = [0, 1]
+    with pytest.raises(ParameterError, match="parity rule"):
+        SchemeRecord.from_json(data)
+
+
 # -- D^(-1) * R: down in Z_2v, once per run -------------------------------------
 
 
