@@ -6,9 +6,11 @@ layers of comparison are provided, from cheapest to most precise:
 
   1. semilinear canonical forms, exact for equivalence under the maps
      x -> c x^(p^k) (a computable subgroup of all additive automorphisms),
-  2. isomorphism invariants that certify non-isomorphism: fingerprints
-     of any configuration, and for designs of a scheme the development
-     profile, its triple counts read off the record,
+  2. isomorphism invariants that certify non-isomorphism: fingerprints,
+     computed from the matrix of a bare configuration and read off the
+     scheme (full p-rank, 4-cliques from one vertex) when it has one,
+     and for designs of a scheme the development profile, its triple
+     counts read off the record,
   3. canonical certificates from individualization-refinement, which
      decide configuration isomorphism outright and give exact
      automorphism group orders.
@@ -16,6 +18,7 @@ layers of comparison are provided, from cheapest to most precise:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -112,6 +115,11 @@ def make_configuration(rec: SchemeRecord) -> Configuration:
 
 
 def _rank_mod_p(matrix: np.ndarray, p: int) -> int:
+    """Rank over F_p by row echelon form.
+
+    Each pivot clears only the rows below it, over the columns from the
+    pivot on: the columns to its left are already zero in those rows.
+    """
     m = (matrix.astype(np.int64)) % p
     rows, cols = m.shape
     rank = 0
@@ -123,11 +131,11 @@ def _rank_mod_p(matrix: np.ndarray, p: int) -> int:
         piv = row + int(pivots[0])
         if piv != row:
             m[[row, piv]] = m[[piv, row]]
-        m[row] = m[row] * pow(int(m[row, col]), -1, p) % p
-        hits = np.flatnonzero(m[:, col])
-        hits = hits[hits != row]
-        if hits.size:
-            m[hits] = (m[hits] - np.outer(m[hits, col], m[row])) % p
+        pivot_row = m[row, col:] * pow(int(m[row, col]), -1, p) % p
+        below = row + 1 + np.flatnonzero(m[row + 1:, col])
+        if below.size:
+            m[below, col:] = (m[below, col:]
+                              - np.outer(m[below, col], pivot_row)) % p
         rank += 1
         row += 1
         if row == rows:
@@ -180,11 +188,41 @@ def _clique_counts(adj: np.ndarray) -> tuple[int, tuple[int, ...]]:
 
 
 def fingerprint(C: Configuration) -> tuple:
-    """Cheap isomorphism invariant; unequal values certify non-isomorphism."""
-    rank = _rank_mod_p(C.matrix, C.p)
+    """Cheap isomorphism invariant; unequal values certify non-isomorphism.
+
+    A graph gives (p-rank, number of 4-cliques, sorted 4-cliques per
+    vertex), a design (p-rank, sorted histogram of the off-diagonal
+    block intersection sizes, ()). A configuration built from a bare
+    matrix computes each part from the n x n matrix. One that carries
+    its scheme reads the p-rank and the 4-clique tally off the scheme,
+    with the same values:
+
+    - The p-rank is n, for graphs and designs alike. Entry [x, y] is 1
+      iff x - y lies in D, so the matrix is the regular representation
+      of D in F_p[(F, +)]: column y is D + y. (F, +) is a p-group, so
+      F_p[(F, +)] is a local ring whose maximal ideal is the
+      augmentation ideal, and an element outside it is a unit. The
+      augmentation of D is |D| = (q - 1)/2 = -1/2 mod p, not 0, so D
+      is a unit and the matrix is invertible over F_p.
+    - The translations x -> x + t are automorphisms of the Cayley graph,
+      so every vertex lies on the same number c of 4-cliques: the
+      triangles of the graph induced on the neighbourhood of vertex 0,
+      c = sum((B B) o B) / 6 for that k x k block B. The total is n c / 4.
+      The float64 product is exact: the sum is at most k^3 < 2^53.
+    """
+    rank = C.n if C._rec is not None else _rank_mod_p(C.matrix, C.p)
     if C.kind == "srg_graph":
-        total, spectrum = _clique_counts(C.matrix)
-        return (rank, total, spectrum)
+        if C._rec is None:
+            return (rank, *_clique_counts(C.matrix))
+        nb = np.flatnonzero(C.matrix[0])
+        B = C.matrix[np.ix_(nb, nb)].astype(np.float64)
+        six_c = int(((B @ B) * B).sum())
+        if six_c % 6 or C.n * (six_c // 6) % 4:
+            raise InternalInconsistencyError(
+                "4-clique tally of a vertex-transitive graph is not "
+                "divisible by 6, or n c by 4")
+        c = six_c // 6
+        return (rank, C.n * c // 4, (c,) * C.n)
     gram = C.matrix.T.astype(np.int64) @ C.matrix
     off = gram[~np.eye(C.n, dtype=bool)]
     sizes, counts = np.unique(off, return_counts=True)
@@ -194,17 +232,20 @@ def fingerprint(C: Configuration) -> tuple:
 
 # -- development designs without the incidence matrix --------------------------
 
-# Keyed on the whole field, modulus included: the table depends on it.
-_ADD_TABLE_CACHE: dict[FiniteField, np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=1)
 def _add_table(F) -> np.ndarray:
-    """Padded addition table: entry [x+1, y+1] is the id of x + y, ZERO at 0."""
+    """Padded addition table: entry [x+1, y+1] is the id of x + y, ZERO at 0.
+
+    Only the last field's table is held: it has q^2 int64 entries for a
+    field of order q, 134 MB at the configuration cap. Fields hash by p,
+    m and modulus, and the table depends on all three. It is shared, so
+    read-only.
+    """
     _check_order(F)
-    if F not in _ADD_TABLE_CACHE:
-        elems = _elements(F)
-        _ADD_TABLE_CACHE[F] = F.add_array(elems[:, None], elems[None, :]) + 1
-    return _ADD_TABLE_CACHE[F]
+    elems = _elements(F)
+    table = F.add_array(elems[:, None], elems[None, :]) + 1
+    table.flags.writeable = False
+    return table
 
 
 def _triple_table(rec: SchemeRecord) -> np.ndarray:

@@ -345,13 +345,18 @@ def shard_plan(space: SearchSpace, n_shards: int) -> list[SearchSpace]:
     the blocks cover the range exactly once; shard k of a larger plan
     may come out empty when there are more shards than candidates.
     """
-    if n_shards < 1:
-        raise ParameterError("need at least one shard")
     if space.shard is not None:
         raise ParameterError("the space is already a single shard")
     if space.kind == "cyclotomic_unions":
         raise ParameterError("class-union sweeps are small and not sharded")
-    contrib = _contributions(space)
+    return _shards(space, n_shards, _contributions(space))
+
+
+def _shards(space: SearchSpace, n_shards: int,
+            contrib: np.ndarray) -> list[SearchSpace]:
+    """shard_plan of an unsharded residue space, given its _contributions."""
+    if n_shards < 1:
+        raise ParameterError("need at least one shard")
     M = _modulus(space)
     total = space.candidates
     out = []
@@ -456,7 +461,7 @@ def _run_residue_search(space: SearchSpace, *, n_shards: int = 1,
     if checkpoint_dir is not None:
         dir_path = Path(checkpoint_dir)
         dir_path.mkdir(parents=True, exist_ok=True)
-    shards = shard_plan(space, n_shards)
+    shards = _shards(space, n_shards, contrib)
 
     found = sorted(X for sub in shards
                    for X in _run_shard(sub, contrib, M, index, B, field,

@@ -23,6 +23,7 @@ from paleyschemes.fields import ZERO, FiniteField, get_field
 from paleyschemes.graph6 import decode_graph6, design_to_json, encode_graph6
 from paleyschemes.schemes import (SchemeRecord, build_DX, certify, frobenius,
                                   negate, scale)
+from paleyschemes.search import search_galois_invariant
 from paleyschemes.singer import singer_bundle
 
 
@@ -162,6 +163,54 @@ def test_fingerprint_stable_under_rebuilt_field():
     C1, C2 = make_configuration(default), make_configuration(rebuilt)
     assert fingerprint(C1) == fingerprint(C2)
     assert iso_test(C1, C2)
+
+
+def without_scheme(C):
+    """The same configuration, built from its matrix alone: no seeds."""
+    return Configuration(kind=C.kind, p=C.p, n=C.n, matrix=C.matrix,
+                         params=C.params)
+
+
+def scheme_configurations():
+    """Paley graphs and designs over prime and non-prime fields, with two
+    moduli at 27, and a seeded sample of the Galois-invariant hits at 5^3."""
+    other27 = FiniteField(3, 3, modulus=(1, 0, 2, 1))
+    recs = [paley(p, m) for p, m in ((5, 1), (13, 1), (17, 1), (29, 1),
+                                     (7, 1), (11, 1), (19, 1), (23, 1),
+                                     (3, 2), (5, 2), (3, 3), (3, 4))]
+    recs.append(paley(3, 3, field=other27))
+    hits = search_galois_invariant(5, 1, 3).found
+    rng = np.random.default_rng(13)
+    recs += [certify(build_DX(5, 1, 3, hits[i]), ("additive",))
+             for i in rng.choice(len(hits), size=6, replace=False)]
+    return [make_configuration(rec) for rec in recs]
+
+
+def test_fingerprint_read_off_the_scheme_matches_the_matrix():
+    pool = scheme_configurations()
+    assert {C.kind for C in pool} == {"srg_graph", "hadamard_design"}
+    assert {C.n for C in pool} >= {9, 25, 27, 81, 125}
+    spectra = set()
+    for C in pool:
+        got = fingerprint(C)
+        assert got == fingerprint(without_scheme(C))
+        assert got[0] == C.n
+        if C.kind == "srg_graph":
+            spectra.add(got[1:])
+    assert len(spectra) > len({C.n for C in pool if C.kind == "srg_graph"})
+
+
+def test_fingerprint_of_a_scheme_skips_the_matrix_passes(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("matrix pass run for a scheme configuration")
+
+    monkeypatch.setattr(classify, "_rank_mod_p", refuse)
+    monkeypatch.setattr(classify, "_clique_counts", refuse)
+    for rec in (paley(13, 1), paley(3, 3), paley(5, 2)):
+        C = make_configuration(rec)
+        fingerprint(C)
+        with pytest.raises(AssertionError):
+            fingerprint(without_scheme(C))
 
 
 def test_fingerprint_stable_under_relabeling():
@@ -474,12 +523,6 @@ def test_development_rows_match_brute_force_on_eleven():
 # -- seeded searches -------------------------------------------------------------
 
 
-def without_scheme(C):
-    """The same configuration, built from its matrix alone: no seeds."""
-    return Configuration(kind=C.kind, p=C.p, n=C.n, matrix=C.matrix,
-                         params=C.params)
-
-
 def test_seeds_leave_aut_order_and_certificate_alone():
     for rec in [paley(7, 1), paley(13, 1), paley(3, 3),
                 scheme_of_power(5, 3, 2)]:
@@ -625,6 +668,14 @@ def test_affine_link_parameter_errors():
     other = FiniteField(3, 3, modulus=(1, 0, 2, 1))
     with pytest.raises(ParameterError):
         affine_link(paley(3, 3), paley(3, 3, field=other))
+
+
+def test_add_table_holds_one_field():
+    for rec in (paley(7, 1), paley(11, 1), paley(7, 1)):
+        perm = affine_link(rec, rec)
+        assert perm is not None and sorted(perm.tolist()) == list(range(
+            rec.n1 + 1))
+    assert classify._add_table.cache_info().currsize == 1
 
 
 def test_design_helpers_refuse_orders_past_the_cap(monkeypatch):

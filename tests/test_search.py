@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from paleyschemes import search
 from paleyschemes.classify import make_configuration, iso_test
 from paleyschemes.errors import (BudgetExceededError,
                                  InternalInconsistencyError, ParameterError,
@@ -219,6 +220,22 @@ def test_sharded_runs_match_the_single_shard():
     assert res.found == galois_31().found
     lone = search_galois_invariant(5, 1, 3, n_shards=5)
     assert lone.found == galois_31().found
+
+
+def test_one_contributions_call_per_search(monkeypatch, tmp_path):
+    want = galois_31().found
+    calls = []
+
+    def spy(space):
+        calls.append(space)
+        return _contributions(space)
+
+    monkeypatch.setattr(search, "_contributions", spy)
+    for kwargs in ({}, {"n_shards": 8},
+                   {"n_shards": 3, "checkpoint_dir": tmp_path}):
+        calls.clear()
+        assert search_galois_invariant(5, 1, 3, **kwargs).found == want
+        assert len(calls) == 1
 
 
 def test_shard_plan_rejections():
