@@ -38,9 +38,9 @@ from .schemes import (METHODS, SchemeRecord, build_DX, certify,
                       is_half_point, negate, recover_X, scale,
                       verify_additive, verify_dual, verify_multiplicative,
                       verify_quotient, verify_scheme)
-from .search import (SearchResult, SearchSpace, Shard, all_subsets_space,
+from .search import (SearchResult, SearchSpace, all_subsets_space,
                      cyclotomic_space, galois_space, orbits_under_multiplier,
                      search_all_X, search_cyclotomic_unions,
-                     search_galois_invariant, shard_plan)
+                     search_galois_invariant)
 from .singer import (SingerBundle, build_singer_bundle, gmw_components,
                      singer_bundle)

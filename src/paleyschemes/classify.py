@@ -194,8 +194,7 @@ def fingerprint(C: Configuration) -> tuple:
     vertex), a design (p-rank, sorted histogram of the off-diagonal
     block intersection sizes, ()). A configuration built from a bare
     matrix computes each part from the n x n matrix. One that carries
-    its scheme reads the p-rank and the 4-clique tally off the scheme,
-    with the same values:
+    its scheme reads every part off the scheme, with the same values:
 
     - The p-rank is n, for graphs and designs alike. Entry [x, y] is 1
       iff x - y lies in D, so the matrix is the regular representation
@@ -209,6 +208,14 @@ def fingerprint(C: Configuration) -> tuple:
       triangles of the graph induced on the neighbourhood of vertex 0,
       c = sum((B B) o B) / 6 for that k x k block B. The total is n c / 4.
       The float64 product is exact: the sum is at most k^3 < 2^53.
+    - Every pair of blocks of a design meets in lambda points, so the
+      profile is ((lambda, n(n - 1)),). `make_configuration` checked
+      M M^T = (k - lambda) I + lambda J and column sums k, so JM = kJ
+      and M^T J = kJ. Then k MJ = M M^T J = (k - lambda + lambda n) J
+      = k^2 J, as lambda (n - 1) = k (k - 1), so MJ = kJ. M is
+      invertible because k > lambda, and M^(-1) J = J / k. So
+      M^T M = M^(-1) (M M^T) M = (k - lambda) I + lambda M^(-1) J M
+      = (k - lambda) I + lambda J.
     """
     rank = C.n if C._rec is not None else _rank_mod_p(C.matrix, C.p)
     if C.kind == "srg_graph":
@@ -223,6 +230,8 @@ def fingerprint(C: Configuration) -> tuple:
                 "divisible by 6, or n c by 4")
         c = six_c // 6
         return (rank, C.n * c // 4, (c,) * C.n)
+    if C._rec is not None:
+        return (rank, ((C.params[2], C.n * (C.n - 1)),), ())
     gram = C.matrix.T.astype(np.int64) @ C.matrix
     off = gram[~np.eye(C.n, dtype=bool)]
     sizes, counts = np.unique(off, return_counts=True)

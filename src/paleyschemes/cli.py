@@ -108,8 +108,16 @@ def _write_manifest(argv: Sequence[str], run: str, fields: list[dict],
     _write_json(path, manifest)
 
 
+def _read_scheme(path: Path) -> dict:
+    data = json.loads(path.read_text())
+    if not (isinstance(data, dict) and "field" in data and "D" in data):
+        raise ParameterError(
+            f"{path} is not a scheme file (it has no 'field' and 'D')")
+    return data
+
+
 def _load_record(path: Path) -> SchemeRecord:
-    return SchemeRecord.from_json(json.loads(path.read_text()))
+    return SchemeRecord.from_json(_read_scheme(path))
 
 
 def _field_descriptor(rec: SchemeRecord) -> dict:
@@ -187,7 +195,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    data = json.loads(Path(args.scheme).read_text())
+    data = _read_scheme(Path(args.scheme))
     data["verified_by"] = []  # every route runs below; skip the re-earning
     rec = SchemeRecord.from_json(data)
     methods = METHODS if args.method == "all" else (args.method,)
@@ -211,8 +219,7 @@ def cmd_search(args) -> int:
     t0 = time.monotonic()
     if args.engine == "galois":
         result = search_galois_invariant(
-            args.p, args.e, args.degree, n_shards=args.shards,
-            checkpoint_dir=args.checkpoint,
+            args.p, args.e, args.degree, checkpoint_dir=args.checkpoint,
             max_orbits=_budget("max_orbits", args.max_orbits))
     elif args.engine == "all":
         result = search_all_X(args.p, args.e, args.degree,
@@ -237,10 +244,10 @@ def cmd_search(args) -> int:
 
 def _is_scheme_file(path: Path) -> bool:
     try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
+        _read_scheme(path)
+    except (OSError, json.JSONDecodeError, ParameterError):
         return False
-    return isinstance(data, dict) and "field" in data and "D" in data
+    return True
 
 
 def _gather_inputs(paths: Sequence[str]) -> list[Path]:
@@ -413,7 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--e", type=int, default=1)
     sp.add_argument("--degree", type=int, required=True)
-    sp.add_argument("--shards", type=int, default=1)
     sp.add_argument("--checkpoint", type=Path, default=None)
     sp.add_argument("--max-orbits", type=int, default=None)
     sp.add_argument("--out", type=Path, default=None)

@@ -108,14 +108,12 @@ def _default_modulus(p: int, m: int) -> tuple[int, ...]:
 class FiniteField:
     """Immutable F_{p^m} with Zech-logarithm addition tables."""
 
-    def __init__(self, p: int, m: int, modulus: Optional[Sequence[int]] = None,
-                 max_order: Optional[int] = None):
+    def __init__(self, p: int, m: int, modulus: Optional[Sequence[int]] = None):
         if not is_prime(p) or p == 2:
             raise ParameterError(f"p = {p} is not an odd prime")
         if m < 1:
             raise ParameterError(f"extension degree m = {m} must be >= 1")
-        cap = min(_max_order() if max_order is None else max_order,
-                  _TABLE_LIMIT)
+        cap = min(_max_order(), _TABLE_LIMIT)
         if p ** m > cap:
             raise ParameterError(
                 f"field order {p}^{m} exceeds the configured cap {cap}")
@@ -287,9 +285,6 @@ class FiniteField:
         """dlog of the prime-field element t (t = 0 maps to ZERO)."""
         return int(self._dlog_small[t % self.p])
 
-    def descriptor(self) -> dict:
-        return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, FiniteField)
                 and self.p == other.p and self.m == other.m
@@ -306,7 +301,3 @@ class FiniteField:
 def get_field(p: int, m: int) -> FiniteField:
     """Shared default-modulus field instance (immutable, safe to cache)."""
     return FiniteField(p, m)
-
-
-def field_from_descriptor(desc: dict) -> FiniteField:
-    return FiniteField(int(desc["p"]), int(desc["m"]), desc.get("modulus"))

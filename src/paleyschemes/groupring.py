@@ -13,19 +13,19 @@ rather than return a wrong answer:
   prime P = 1 (mod p); for m = 1 the group is Z_p and the cyclic kernel
   runs instead.
 
-Coefficient indexing for field-additive groups is fixed for serialization:
+Coefficient indexing for field-additive groups is fixed:
 index 0 is the zero field element and index 1 + i is g^i.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
 from . import ntt
-from .errors import InternalInconsistencyError, ParameterError
-from .fields import ZERO, FiniteField, field_from_descriptor
+from .errors import ParameterError
+from .fields import ZERO, FiniteField
 
 
 class CyclicGroup:
@@ -47,9 +47,6 @@ class CyclicGroup:
     def op_table_row(self, i: int) -> np.ndarray:
         """Permutation j -> i + j of coefficient indices."""
         return (np.arange(self.order, dtype=np.int64) + i) % self.order
-
-    def descriptor(self) -> dict:
-        return {"kind": "cyclic", "n": self.order}
 
     def __eq__(self, other):
         return isinstance(other, CyclicGroup) and other.order == self.order
@@ -94,9 +91,6 @@ class FieldAdditiveGroup:
             return np.arange(self.order, dtype=np.int64)
         return F.add_array(np.int64(i - 1), all_exps) + 1
 
-    def descriptor(self) -> dict:
-        return {"kind": "field_additive", "field": self.field.descriptor()}
-
     def __eq__(self, other):
         return isinstance(other, FieldAdditiveGroup) and other.field == self.field
 
@@ -105,14 +99,6 @@ class FieldAdditiveGroup:
 
     def __repr__(self):
         return f"FieldAdditiveGroup({self.field!r})"
-
-
-def group_from_descriptor(desc: dict):
-    if desc["kind"] == "cyclic":
-        return CyclicGroup(int(desc["n"]))
-    if desc["kind"] == "field_additive":
-        return FieldAdditiveGroup(field_from_descriptor(desc["field"]))
-    raise ParameterError(f"unknown group kind {desc.get('kind')!r}")
 
 
 def _conv_cyclic(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -265,32 +251,8 @@ class GroupRingElement:
         nz = np.count_nonzero(self.coeffs)
         return f"GroupRingElement({self.group!r}, support={nz})"
 
-    # -- serialization -----------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {"group": self.group.descriptor(),
-                "coeffs": [int(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "GroupRingElement":
-        return cls(group_from_descriptor(data["group"]), data["coeffs"])
-
 
 # -- difference set machinery ----------------------------------------------------
-
-
-def _check_subgroup(group, indices: Sequence[int]) -> None:
-    idx = sorted(int(i) for i in indices)
-    if 0 not in idx:
-        raise ParameterError("subgroup must contain the identity")
-    members = set(idx)
-    inv = group.invert_indices(np.array(idx))
-    if not set(int(i) for i in inv) == members:
-        raise ParameterError("subgroup candidate not closed under inverses")
-    for i in idx:
-        row = group.op_table_row(i)
-        if not set(int(row[j]) for j in idx) <= members:
-            raise ParameterError("subgroup candidate not closed under the operation")
 
 
 def is_difference_set(D: GroupRingElement, v: int, k: int, lam: int) -> bool:
@@ -310,24 +272,28 @@ def is_difference_set(D: GroupRingElement, v: int, k: int, lam: int) -> bool:
     return bool(np.all(prod.coeffs == expect))
 
 
-def is_relative_difference_set(D: GroupRingElement, subgroup: Sequence[int],
-                               m: int, n: int, k: int, lam: int) -> bool:
-    """D D^{(-1)} = k + lam (G - N) relative to the subgroup N."""
+def is_relative_difference_set(D: GroupRingElement, m: int, n: int, k: int,
+                               lam: int) -> bool:
+    """D D^{(-1)} = k + lam (G - N) in G = Z_mn, relative to N = <m>.
+
+    The cyclic group Z_mn has exactly one subgroup of order n,
+    N = {0, m, ..., (n - 1) m}, so the parameters fix the forbidden
+    subgroup.
+    """
     g = D.group
+    if not isinstance(g, CyclicGroup):
+        raise ParameterError("relative difference sets are checked in Z_mn")
     if m * n != g.order:
         raise ParameterError(f"m*n = {m*n} != group order {g.order}")
     if m < 2:
         raise ParameterError("relative parameters degenerate: m must be >= 2")
-    if len(set(int(i) for i in subgroup)) != n:
-        raise ParameterError(f"forbidden subgroup has size {len(subgroup)} != n = {n}")
-    _check_subgroup(g, subgroup)
     if not D.is_zero_one():
         raise ParameterError("candidate must be a 0/1 subset")
     if D.coeff_sum() != k:
         return False
     prod = D.convolve(D.power_map(-1))
     expect = np.full(g.order, lam, dtype=np.int64)
-    expect[np.asarray(sorted(subgroup), dtype=np.int64)] = 0
+    expect[::m] = 0
     expect[0] = k
     return bool(np.all(prod.coeffs == expect))
 

@@ -1,4 +1,4 @@
-"""Sweeps over candidate X subsets, shardable and checkpointable.
+"""Sweeps over candidate X subsets, checkpointable.
 
 Three searches are provided.  `search_all_X` tries every subset of Z_v
 and is only for tiny v.  `search_galois_invariant` tries the subsets
@@ -24,10 +24,12 @@ the hits keep the order of the plain walk.
 testing every union of power-residue classes with the additive
 identity directly, so it also covers even extension degrees.
 
-Long runs split into shards, contiguous Gray ranges with the entry
-residue vector precomputed.  A shard flushes progress to a JSON-lines
-checkpoint file through a temp-file-and-rename write, and resuming
-from whatever survived a kill reproduces the uninterrupted output.
+A residue search is one walk over the Gray range [0, 2^orbits).  Every
+`flush_every` positions it flushes its progress, with the residue
+snapshot at that position, to one JSON-lines checkpoint file
+`<checkpoint_dir>/search.jsonl` through a temp-file-and-rename write,
+and resuming from whatever survived a kill reproduces the uninterrupted
+output.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -48,7 +50,7 @@ from .groupring import CyclicGroup, GroupRingElement
 from .schemes import SchemeRecord, build_DX, verify_additive
 from .singer import singer_bundle
 
-ENGINE_VERSION = "gray-block/1"
+ENGINE_VERSION = "gray-block/2"
 DEFAULT_MAX_V = 16
 DEFAULT_MAX_ORBITS = 26
 DEFAULT_MAX_CLASSES = 16
@@ -56,17 +58,6 @@ DEFAULT_FLUSH_EVERY = 1 << 20
 _BLOCK_BITS = 12
 
 KINDS = ("all_X", "galois_orbits", "cyclotomic_unions")
-
-
-@dataclass(frozen=True)
-class Shard:
-    """One contiguous block of Gray positions out of a plan of `of`."""
-
-    index: int
-    of: int
-    start: int
-    stop: int
-    residue: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -83,7 +74,6 @@ class SearchSpace:
     e: int
     l: int
     orbits: tuple[tuple[int, ...], ...]
-    shard: Optional[Shard] = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -92,10 +82,6 @@ class SearchSpace:
         span = self.v if self.kind != "cyclotomic_unions" else self.n1
         if flat != list(range(span)):
             raise ParameterError("orbits do not partition the index range")
-        if self.shard is not None:
-            s = self.shard
-            if not 0 <= s.start <= s.stop <= self.candidates:
-                raise ParameterError("shard range outside the Gray range")
 
     @property
     def q(self) -> int:
@@ -335,39 +321,7 @@ def _verified_hit(space: SearchSpace, position: int, field) -> tuple[int, ...]:
     return X
 
 
-# -- shards and checkpoints -----------------------------------------------------
-
-
-def shard_plan(space: SearchSpace, n_shards: int) -> list[SearchSpace]:
-    """Split the Gray range into n contiguous blocks with entry residues.
-
-    Boundaries sit at positions k * 2^orbits / n (integer division), so
-    the blocks cover the range exactly once; shard k of a larger plan
-    may come out empty when there are more shards than candidates.
-    """
-    if space.shard is not None:
-        raise ParameterError("the space is already a single shard")
-    if space.kind == "cyclotomic_unions":
-        raise ParameterError("class-union sweeps are small and not sharded")
-    return _shards(space, n_shards, _contributions(space))
-
-
-def _shards(space: SearchSpace, n_shards: int,
-            contrib: np.ndarray) -> list[SearchSpace]:
-    """shard_plan of an unsharded residue space, given its _contributions."""
-    if n_shards < 1:
-        raise ParameterError("need at least one shard")
-    M = _modulus(space)
-    total = space.candidates
-    out = []
-    for k in range(n_shards):
-        lo = k * total // n_shards
-        hi = (k + 1) * total // n_shards
-        residue = ()
-        if lo < hi:
-            residue = tuple(int(x) for x in _residue_at(contrib, M, _gray(lo)))
-        out.append(replace(space, shard=Shard(k, n_shards, lo, hi, residue)))
-    return out
+# -- checkpoints -----------------------------------------------------------------
 
 
 def _atomic_write(path: Path, records: list[dict]) -> None:
@@ -376,62 +330,20 @@ def _atomic_write(path: Path, records: list[dict]) -> None:
     os.replace(tmp, path)
 
 
-def _validate_checkpoint(recd: dict, shard: Shard, contrib: np.ndarray,
+def _validate_checkpoint(recd: dict, total: int, contrib: np.ndarray,
                          M: int) -> None:
     if recd.get("engine") != ENGINE_VERSION:
         raise ParameterError(
             f"checkpoint from engine {recd.get('engine')!r} cannot drive "
             f"engine {ENGINE_VERSION!r}")
-    if recd.get("shard") != shard.index:
-        raise ParameterError("checkpoint shard id does not match the plan")
     pos = recd.get("gray_pos")
-    if not isinstance(pos, int) or not shard.start < pos <= shard.stop:
-        raise ParameterError("checkpoint position lies outside the shard")
+    if not isinstance(pos, int) or not 0 < pos <= total:
+        raise ParameterError("checkpoint position lies outside the Gray range")
     expect = _residue_at(contrib, M, _gray(pos - 1))
     if [int(x) for x in expect] != list(recd.get("residue", [])):
         raise InternalInconsistencyError(
             "checkpoint residue snapshot does not match its position; the "
             "file was not written by a run over this space")
-
-
-def _run_shard(sub: SearchSpace, contrib: np.ndarray, M: int,
-               index: dict[bytes, list[int]], B: int, field,
-               dir_path: Optional[Path],
-               flush_every: int) -> list[tuple[int, ...]]:
-    shard = sub.shard
-    path = dir_path / f"shard-{shard.index:04d}.jsonl" if dir_path else None
-    records: list[dict] = []
-    found: list[tuple[int, ...]] = []
-    pos = shard.start
-    if path is not None and path.exists():
-        lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-        records = [json.loads(ln) for ln in lines]
-        for recd in records:
-            _validate_checkpoint(recd, shard, contrib, M)
-            found.extend(tuple(int(x) for x in X) for X in recd["found"])
-            pos = recd["gray_pos"]
-    elif shard.residue and pos < shard.stop:
-        entry = _residue_at(contrib, M, _gray(pos))
-        if tuple(int(x) for x in entry) != shard.residue:
-            raise InternalInconsistencyError(
-                "shard entry residue does not match the plan")
-    while pos < shard.stop:
-        upto = min(shard.stop, (pos // flush_every + 1) * flush_every)
-        new = [_verified_hit(sub, g, field)
-               for g in _scan_range(contrib, M, index, B, pos, upto)]
-        found.extend(new)
-        pos = upto
-        if path is not None:
-            records.append({
-                "shard": shard.index,
-                "gray_pos": pos,
-                "found": [list(x) for x in new],
-                "engine": ENGINE_VERSION,
-                "residue": [int(x) for x in _residue_at(contrib, M,
-                                                        _gray(pos - 1))],
-            })
-            _atomic_write(path, records)
-    return found
 
 
 def _coverage_note(space: SearchSpace) -> Optional[str]:
@@ -445,56 +357,72 @@ def _coverage_note(space: SearchSpace) -> Optional[str]:
     return None
 
 
-def _run_residue_search(space: SearchSpace, *, n_shards: int = 1,
-                        checkpoint_dir=None,
-                        flush_every: int = DEFAULT_FLUSH_EVERY,
-                        block_bits: Optional[int] = None) -> SearchResult:
+def _run_residue_search(space: SearchSpace, *, checkpoint_dir=None,
+                        flush_every: int = DEFAULT_FLUSH_EVERY) -> SearchResult:
     if flush_every < 1:
         raise ParameterError("flush interval must be positive")
     contrib = _contributions(space)
     M = _modulus(space)
-    B = _BLOCK_BITS if block_bits is None else block_bits
-    B = max(0, min(B, len(space.orbits)))
+    B = min(_BLOCK_BITS, len(space.orbits))
     index = _low_tables(contrib, M, B)
     field = get_field(space.p, space.e * space.l)
-    dir_path = None
+    total = space.candidates
+    path = None
+    records: list[dict] = []
+    found: list[tuple[int, ...]] = []
+    pos = 0
     if checkpoint_dir is not None:
-        dir_path = Path(checkpoint_dir)
-        dir_path.mkdir(parents=True, exist_ok=True)
-    shards = _shards(space, n_shards, contrib)
-
-    found = sorted(X for sub in shards
-                   for X in _run_shard(sub, contrib, M, index, B, field,
-                                       dir_path, flush_every))
-    return SearchResult(space=space, found=tuple(found),
+        path = Path(checkpoint_dir) / "search.jsonl"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if path.exists():
+            lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+            records = [json.loads(ln) for ln in lines]
+            for recd in records:
+                _validate_checkpoint(recd, total, contrib, M)
+                found.extend(tuple(int(x) for x in X) for X in recd["found"])
+                pos = recd["gray_pos"]
+    while pos < total:
+        upto = min(total, (pos // flush_every + 1) * flush_every)
+        new = [_verified_hit(space, g, field)
+               for g in _scan_range(contrib, M, index, B, pos, upto)]
+        found.extend(new)
+        pos = upto
+        if path is not None:
+            records.append({
+                "gray_pos": pos,
+                "found": [list(x) for x in new],
+                "engine": ENGINE_VERSION,
+                "residue": [int(x) for x in _residue_at(contrib, M,
+                                                        _gray(pos - 1))],
+            })
+            _atomic_write(path, records)
+    return SearchResult(space=space, found=tuple(sorted(found)),
                         note=_coverage_note(space))
 
 
 # -- public sweeps --------------------------------------------------------------
 
 
-def search_all_X(p: int, e: int, l: int, *, max_v: int = DEFAULT_MAX_V,
-                 block_bits: Optional[int] = None) -> SearchResult:
+def search_all_X(p: int, e: int, l: int, *,
+                 max_v: int = DEFAULT_MAX_V) -> SearchResult:
     """Complete sweep of every X in Z_v; sorted list of the valid ones."""
-    space = all_subsets_space(p, e, l, max_v=max_v)
-    return _run_residue_search(space, block_bits=block_bits)
+    return _run_residue_search(all_subsets_space(p, e, l, max_v=max_v))
 
 
-def search_galois_invariant(p: int, e: int, l: int, *, n_shards: int = 1,
-                            checkpoint_dir=None,
+def search_galois_invariant(p: int, e: int, l: int, *, checkpoint_dir=None,
                             flush_every: int = DEFAULT_FLUSH_EVERY,
-                            max_orbits: int = DEFAULT_MAX_ORBITS,
-                            block_bits: Optional[int] = None) -> SearchResult:
-    """Complete sweep of the X fixed by i -> p*i, shardable and resumable.
+                            max_orbits: int = DEFAULT_MAX_ORBITS
+                            ) -> SearchResult:
+    """Complete sweep of the X fixed by i -> p*i, resumable.
 
     With a checkpoint directory the run can be killed and restarted; a
-    restart picks up each shard at its last flushed position and the
-    final output is identical to an uninterrupted run.
+    restart picks up the walk at its last flushed position in
+    `<checkpoint_dir>/search.jsonl` and the final output is identical
+    to an uninterrupted run.
     """
     space = galois_space(p, e, l, max_orbits=max_orbits)
-    return _run_residue_search(space, n_shards=n_shards,
-                               checkpoint_dir=checkpoint_dir,
-                               flush_every=flush_every, block_bits=block_bits)
+    return _run_residue_search(space, checkpoint_dir=checkpoint_dir,
+                               flush_every=flush_every)
 
 
 def search_cyclotomic_unions(p: int, m: int, n_classes: int, *,

@@ -7,7 +7,7 @@ small fields, because the discrete-log presentations would not match.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -117,8 +117,7 @@ def _verify_bundle(b: SingerBundle) -> None:
 
     if l >= 2:
         Rel = GroupRingElement.from_indices(CyclicGroup(n1), R)
-        subgroup = [i * v for i in range(q - 1)]
-        if not is_relative_difference_set(Rel, subgroup, *b.rds_params()):
+        if not is_relative_difference_set(Rel, *b.rds_params()):
             raise InternalInconsistencyError(
                 "trace-one set is not a relative difference set")
 
@@ -248,8 +247,7 @@ def _verify_gmw(c: GmwComponents) -> None:
     if Rt * Semb != Sbig:
         raise InternalInconsistencyError("layer composition identity failed")
     m, n, k, lam = c.rtilde_rds_params()
-    subgroup = [i * c.embed_step for i in range(n)]
-    if not is_relative_difference_set(Rt, subgroup, m, n, k, lam):
+    if not is_relative_difference_set(Rt, m, n, k, lam):
         raise InternalInconsistencyError(
             "top-layer projection is not a relative difference set")
     # trace composition: tr_{q^{st}/q} = tr_{q^t/q} after tr_{q^{st}/q^t}

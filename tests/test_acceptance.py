@@ -138,8 +138,7 @@ def test_02_trace_sets_have_their_stated_parameters(capsys):
             q, v = b.q, b.v
             R = GroupRingElement.from_indices(CyclicGroup(b.n1), b.R)
             mm, nn, kk, ll = b.rds_params()
-            assert is_relative_difference_set(
-                R, range(0, b.n1, v), mm, nn, kk, ll)
+            assert is_relative_difference_set(R, mm, nn, kk, ll)
             Gv = CyclicGroup(v)
             S = GroupRingElement.from_indices(Gv, b.S)
             assert is_difference_set(S, *b.ds_params())

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,18 +206,20 @@ def test_search_all_via_cli(tmp_path):
 def test_search_galois_checkpointed_and_deterministic(tmp_path):
     out1 = tmp_path / "a" / "res.json"
     out1.parent.mkdir()
-    assert run("search", "galois", "--p", 5, "--degree", 3, "--shards", 4,
+    assert run("search", "galois", "--p", 5, "--degree", 3,
                "--checkpoint", tmp_path / "ck",
                "--out", out1) == 0
     out2 = tmp_path / "b" / "res.json"
     out2.parent.mkdir()
-    assert run("search", "galois", "--p", 5, "--degree", 3, "--shards", 4,
+    assert run("search", "galois", "--p", 5, "--degree", 3,
                "--checkpoint", tmp_path / "ck",
                "--out", out2) == 0
     assert len(load(out1)["found"]) == 96
     assert load(out1)["found"] == load(out2)["found"]
     assert sorted(p.name for p in (tmp_path / "ck").glob("*.jsonl")) == \
-        [f"shard-{k:04d}.jsonl" for k in range(4)]
+        ["search.jsonl"]
+    assert run("search", "galois", "--p", 5, "--degree", 3,
+               "--shards", 2) == 1
 
 
 def test_search_cyclotomic_via_cli(tmp_path):
@@ -295,6 +299,18 @@ def test_classify_directory_skips_foreign_json(tmp_path):
     assert [e["file"] for e in load(out)["entries"]] == ["f9.json"]
 
 
+def test_non_scheme_files_are_refused_by_name(tmp_path, capsys):
+    hits = tmp_path / "hits.json"
+    run("search", "galois", "--p", 5, "--degree", 3, "--out", hits)
+    for argv in (("classify", "--in", hits, "--aut"), ("verify", hits),
+                 ("export", "--graph6", hits)):
+        capsys.readouterr()
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert "hits.json is not a scheme file" in err
+        assert "KeyError" not in err
+
+
 def test_classify_budget_exit_code(tmp_path, capsys):
     # the seeded search of the 27-point Paley design visits 8 nodes
     run("construct", "paley", "--p", 3, "--m", 3, "--out", tmp_path / "f.json")
@@ -361,6 +377,21 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     first_manifest.pop("wall_time_s")
     second_manifest.pop("wall_time_s")
     assert first_manifest == second_manifest
+
+
+def readme_cli_lines():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Quick start, command line", 1)[1]
+    block = block.split("```", 2)[1]
+    return [ln for ln in block.splitlines() if ln.startswith("paley ")]
+
+
+def test_readme_cli_quick_start_runs(tmp_path, monkeypatch):
+    lines = readme_cli_lines()
+    assert len(lines) >= 5
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
 
 
 def test_version_and_usage():

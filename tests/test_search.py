@@ -13,13 +13,13 @@ from paleyschemes.fields import get_field
 from paleyschemes.groupring import CyclicGroup, GroupRingElement
 from paleyschemes.schemes import (SchemeRecord, build_DX, certify,
                                   verify_additive)
-from paleyschemes.search import (ENGINE_VERSION, SearchSpace, Shard,
-                                 _contributions, _gray, _low_tables, _modulus,
-                                 _residue_at, _scan_range, all_subsets_space,
+from paleyschemes.search import (ENGINE_VERSION, SearchSpace, _contributions,
+                                 _gray, _low_tables, _modulus, _residue_at,
+                                 _scan_range, all_subsets_space,
                                  cyclotomic_space, galois_space,
                                  orbits_under_multiplier, search_all_X,
                                  search_cyclotomic_unions,
-                                 search_galois_invariant, shard_plan)
+                                 search_galois_invariant)
 from paleyschemes.singer import singer_bundle
 
 _memo = {}
@@ -139,13 +139,6 @@ def test_galois_output_is_complement_closed():
     assert all(tuple(sorted(full - set(X))) in found for X in found)
 
 
-def test_blocked_and_stepwise_walks_agree():
-    assert search_galois_invariant(5, 1, 3, block_bits=0).found == \
-        galois_31().found
-    assert search_all_X(3, 1, 3, block_bits=3).found == all_13().found
-    assert search_all_X(3, 1, 3, block_bits=0).found == all_13().found
-
-
 def test_lookup_scan_matches_every_position():
     shared = False  # an odd-high block whose hits share one index entry
     for space in (galois_space(5, 1, 3), all_subsets_space(3, 1, 3)):
@@ -191,37 +184,6 @@ def test_repeated_runs_are_identical():
     assert again.space == galois_31().space
 
 
-# -- shards -----------------------------------------------------------------------
-
-
-def test_shard_boundaries_and_coverage():
-    space = galois_space(5, 1, 3)
-    only = shard_plan(space, 1)
-    assert len(only) == 1
-    assert (only[0].shard.start, only[0].shard.stop) == (0, 2048)
-    for n in (7, 8):
-        plan = shard_plan(space, n)
-        assert [s.shard.start for s in plan] == \
-            [k * 2048 // n for k in range(n)]
-        assert plan[0].shard.start == 0 and plan[-1].shard.stop == 2048
-        for a, b in zip(plan, plan[1:]):
-            assert a.shard.stop == b.shard.start
-
-
-def test_shard_entry_residues_match_plain_arithmetic():
-    space = galois_space(5, 1, 3)
-    for sub in shard_plan(space, 8):
-        X = subset_at(space, sub.shard.start)
-        assert list(sub.shard.residue) == brute_residue(5, 1, 3, X)
-
-
-def test_sharded_runs_match_the_single_shard():
-    res = search_galois_invariant(5, 1, 3, n_shards=8)
-    assert res.found == galois_31().found
-    lone = search_galois_invariant(5, 1, 3, n_shards=5)
-    assert lone.found == galois_31().found
-
-
 def test_one_contributions_call_per_search(monkeypatch, tmp_path):
     want = galois_31().found
     calls = []
@@ -231,105 +193,96 @@ def test_one_contributions_call_per_search(monkeypatch, tmp_path):
         return _contributions(space)
 
     monkeypatch.setattr(search, "_contributions", spy)
-    for kwargs in ({}, {"n_shards": 8},
-                   {"n_shards": 3, "checkpoint_dir": tmp_path}):
+    for kwargs in ({}, {"checkpoint_dir": tmp_path, "flush_every": 128}):
         calls.clear()
         assert search_galois_invariant(5, 1, 3, **kwargs).found == want
         assert len(calls) == 1
 
 
-def test_shard_plan_rejections():
-    space = galois_space(5, 1, 3)
-    with pytest.raises(ParameterError):
-        shard_plan(space, 0)
-    with pytest.raises(ParameterError):
-        shard_plan(shard_plan(space, 2)[0], 2)
-    with pytest.raises(ParameterError):
-        shard_plan(cyclotomic_space(7, 2, 4), 2)
-
-
-def test_more_shards_than_candidates_still_covers():
-    space = search_all_X(3, 1, 1).space
-    plan = shard_plan(space, 8)
-    sizes = [s.shard.stop - s.shard.start for s in plan]
-    assert sum(sizes) == 2 and all(x >= 0 for x in sizes)
-
-
 # -- checkpoints ------------------------------------------------------------------
+
+
+def read_records(path):
+    return [json.loads(ln) for ln in path.read_text().splitlines()]
 
 
 def test_checkpoint_files_and_resume_after_a_crash(tmp_path):
     full_dir = tmp_path / "full"
-    res = search_galois_invariant(5, 1, 3, n_shards=4,
-                                  checkpoint_dir=full_dir, flush_every=128)
+    res = search_galois_invariant(5, 1, 3, checkpoint_dir=full_dir,
+                                  flush_every=128)
     assert res.found == galois_31().found
-    files = sorted(full_dir.glob("shard-*.jsonl"))
-    assert len(files) == 4
+    assert sorted(p.name for p in full_dir.iterdir()) == ["search.jsonl"]
+    records = read_records(full_dir / "search.jsonl")
+    assert all(set(r) == {"gray_pos", "found", "engine", "residue"}
+               for r in records)
+    assert all(r["engine"] == ENGINE_VERSION for r in records)
+    assert [r["gray_pos"] for r in records] == list(range(128, 2049, 128))
+    assert sorted(tuple(X) for r in records for X in r["found"]) == \
+        list(res.found)
     space = galois_space(5, 1, 3)
-    for k, path in enumerate(files):
-        records = [json.loads(ln) for ln in path.read_text().splitlines()]
-        assert all(set(r) == {"shard", "gray_pos", "found", "engine",
-                              "residue"} for r in records)
-        assert all(r["shard"] == k for r in records)
-        assert all(r["engine"] == ENGINE_VERSION for r in records)
-        positions = [r["gray_pos"] for r in records]
-        assert positions == sorted(positions)
-        assert positions[-1] == (k + 1) * 2048 // 4
-        last = records[-1]
-        X = subset_at(space, last["gray_pos"] - 1)
-        assert last["residue"] == brute_residue(5, 1, 3, X)
+    for r in records:
+        X = subset_at(space, r["gray_pos"] - 1)
+        assert r["residue"] == brute_residue(5, 1, 3, X)
 
-    crash_dir = tmp_path / "crash"
-    search_galois_invariant(5, 1, 3, n_shards=4, checkpoint_dir=crash_dir,
-                            flush_every=128)
-    for k, path in enumerate(sorted(crash_dir.glob("shard-*.jsonl"))):
-        lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(lines[:k]))  # shard 0 loses all progress
-    resumed = search_galois_invariant(5, 1, 3, n_shards=4,
-                                      checkpoint_dir=crash_dir,
-                                      flush_every=128)
-    assert resumed.found == galois_31().found
-    for a, b in zip(files, sorted(crash_dir.glob("shard-*.jsonl"))):
-        assert a.read_text() == b.read_text()
+    final = (full_dir / "search.jsonl").read_text()
+    lines = final.splitlines(keepends=True)
+    for keep in (0, 1, 7, len(lines) - 1):
+        crash_dir = tmp_path / f"crash-{keep}"
+        crash_dir.mkdir()
+        (crash_dir / "search.jsonl").write_text("".join(lines[:keep]))
+        # a write that died between the temp file and the rename
+        (crash_dir / "search.tmp").write_text(
+            "".join(lines[:keep + 1])[:-9])
+        resumed = search_galois_invariant(5, 1, 3, checkpoint_dir=crash_dir,
+                                          flush_every=128)
+        assert resumed.found == galois_31().found
+        assert (crash_dir / "search.jsonl").read_text() == final
 
 
 def test_finished_checkpoints_short_circuit(tmp_path):
-    res = search_galois_invariant(5, 1, 3, n_shards=2,
-                                  checkpoint_dir=tmp_path, flush_every=512)
-    before = {f.name: f.read_text() for f in tmp_path.glob("*.jsonl")}
-    again = search_galois_invariant(5, 1, 3, n_shards=2,
-                                    checkpoint_dir=tmp_path, flush_every=512)
+    res = search_galois_invariant(5, 1, 3, checkpoint_dir=tmp_path,
+                                  flush_every=512)
+    before = (tmp_path / "search.jsonl").read_text()
+    again = search_galois_invariant(5, 1, 3, checkpoint_dir=tmp_path,
+                                    flush_every=512)
     assert again.found == res.found
-    assert {f.name: f.read_text() for f in tmp_path.glob("*.jsonl")} == before
+    assert (tmp_path / "search.jsonl").read_text() == before
+
+
+def test_old_shard_files_are_not_read(tmp_path):
+    (tmp_path / "shard-0000.jsonl").write_text(json.dumps(
+        {"shard": 0, "gray_pos": 2048, "found": [], "engine": "gray-block/1",
+         "residue": []}) + "\n")
+    res = search_galois_invariant(5, 1, 3, checkpoint_dir=tmp_path,
+                                  flush_every=512)
+    assert res.found == galois_31().found
+    records = read_records(tmp_path / "search.jsonl")
+    assert [r["gray_pos"] for r in records] == [512, 1024, 1536, 2048]
 
 
 def test_tampered_checkpoints_are_refused(tmp_path):
-    search_galois_invariant(5, 1, 3, n_shards=1, checkpoint_dir=tmp_path,
+    search_galois_invariant(5, 1, 3, checkpoint_dir=tmp_path,
                             flush_every=256)
-    path = tmp_path / "shard-0000.jsonl"
-    records = [json.loads(ln) for ln in path.read_text().splitlines()]
+    path = tmp_path / "search.jsonl"
+    records = read_records(path)
+
+    def rerun_with(bad):
+        path.write_text("".join(json.dumps(r) + "\n" for r in bad))
+        search_galois_invariant(5, 1, 3, checkpoint_dir=tmp_path,
+                                flush_every=256)
 
     bad = [dict(r) for r in records]
     bad[0]["residue"] = list(bad[0]["residue"])
     bad[0]["residue"][0] = (bad[0]["residue"][0] + 1) % 5
-    path.write_text("".join(json.dumps(r) + "\n" for r in bad))
     with pytest.raises(InternalInconsistencyError):
-        search_galois_invariant(5, 1, 3, n_shards=1, checkpoint_dir=tmp_path,
-                                flush_every=256)
+        rerun_with(bad)
 
-    bad = [dict(r) for r in records]
-    bad[0]["engine"] = "gray-block/0"
-    path.write_text("".join(json.dumps(r) + "\n" for r in bad))
-    with pytest.raises(ParameterError):
-        search_galois_invariant(5, 1, 3, n_shards=1, checkpoint_dir=tmp_path,
-                                flush_every=256)
-
-    bad = [dict(r) for r in records]
-    bad[0]["gray_pos"] = 4096
-    path.write_text("".join(json.dumps(r) + "\n" for r in bad))
-    with pytest.raises(ParameterError):
-        search_galois_invariant(5, 1, 3, n_shards=1, checkpoint_dir=tmp_path,
-                                flush_every=256)
+    for field, value in (("engine", "gray-block/1"), ("gray_pos", 4096),
+                         ("gray_pos", 0), ("gray_pos", "256")):
+        bad = [dict(r) for r in records]
+        bad[0][field] = value
+        with pytest.raises(ParameterError):
+            rerun_with(bad)
 
 
 # -- cyclotomic unions -------------------------------------------------------------
@@ -411,9 +364,6 @@ def test_space_invariants():
         SearchSpace("sideways", 3, 1, 3, ((0,),))
     with pytest.raises(ParameterError):
         SearchSpace("all_X", 3, 1, 3, tuple((i,) for i in range(12)))
-    with pytest.raises(ParameterError):
-        SearchSpace("all_X", 3, 1, 3, tuple((i,) for i in range(13)),
-                    shard=Shard(0, 1, 0, 1 << 14, ()))
     space = galois_space(5, 1, 3)
     assert space.candidates == 2 ** len(space.orbits)
 
