@@ -7,11 +7,13 @@ The package builds subsets D of a finite field's unit group satisfying
 which are strongly regular graphs when |F| = 1 mod 4 and skew Hadamard
 difference sets when |F| = 3 mod 4.  Every verification path runs on
 exact integer numpy kernels, with no floating point.  Classification
-counts three tallies in float64: `classify._triple_table`, whose entries
+counts four tallies in float64: `classify._triple_table`, whose entries
 are at most the block size, `classify._clique_counts`, whose chunk sums
-stay far below 2^53, and the neighbourhood product of
+stay far below 2^53, the neighbourhood product of
 `classify.fingerprint` on a scheme's graph, whose sum is at most k^3 <
-2^53 for the valency k.  All are exact.
+2^53 for the valency k, and the A A and A A^T checks of
+`classify.make_configuration`, whose entries are at most the order n <=
+4096.  All are exact.
 """
 
 __version__ = "0.1.0"

@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -41,29 +40,11 @@ from .errors import (BudgetExceededError, InternalInconsistencyError,
                      VerificationFailedError)
 from .fields import get_field
 from .graph6 import design_to_json, encode_graph6
-from .schemes import (METHODS, SchemeRecord, build_DX, certify, recover_X,
+from .schemes import (METHODS, SchemeRecord, certify, recover_X,
                       route_verdicts)
 from .search import (DEFAULT_MAX_CLASSES, DEFAULT_MAX_ORBITS, DEFAULT_MAX_V,
                      search_all_X, search_cyclotomic_unions,
                      search_galois_invariant)
-
-_ENV_BUDGETS = {
-    "classify_budget": ("PALEY_CLASSIFY_BUDGET", DEFAULT_NODE_BUDGET),
-    "max_v": ("PALEY_MAX_V", DEFAULT_MAX_V),
-    "max_orbits": ("PALEY_MAX_ORBITS", DEFAULT_MAX_ORBITS),
-    "max_classes": ("PALEY_MAX_CLASSES", DEFAULT_MAX_CLASSES),
-}
-
-
-def _budget(name: str, explicit: Optional[int]) -> int:
-    if explicit is not None:
-        return explicit
-    env, fallback = _ENV_BUDGETS[name]
-    try:
-        return int(os.environ.get(env, fallback))
-    except ValueError:
-        raise ParameterError(
-            f"{env}={os.environ[env]!r} is not an integer") from None
 
 
 def _parse_residues(text: str) -> tuple[int, ...]:
@@ -130,14 +111,9 @@ def _field_descriptor(rec: SchemeRecord) -> dict:
 def _built_records(args) -> tuple[list[SchemeRecord], list[Path]]:
     kind = args.kind
     if kind == "paley":
-        v = (args.p ** args.m - 1) // (args.p - 1)
-        if args.m % 2 == 1:
-            rec = build_DX(args.p, 1, args.m, range(v), provenance="paley")
-        else:
-            rec = SchemeRecord(field=get_field(args.p, args.m), e=1, l=args.m,
-                               D=tuple(range(0, args.p ** args.m - 1, 2)),
-                               X=None, provenance="paley",
-                               verified_by=frozenset())
+        rec = SchemeRecord(field=get_field(args.p, args.m), e=1, l=args.m,
+                           D=tuple(range(0, args.p ** args.m - 1, 2)),
+                           provenance="paley", verified_by=frozenset())
         return [certify(rec, "all")], [args.out]
     if kind == "adp":
         if args.family == "power":
@@ -220,14 +196,12 @@ def cmd_search(args) -> int:
     if args.engine == "galois":
         result = search_galois_invariant(
             args.p, args.e, args.degree, checkpoint_dir=args.checkpoint,
-            max_orbits=_budget("max_orbits", args.max_orbits))
+            max_orbits=args.max_orbits)
     elif args.engine == "all":
-        result = search_all_X(args.p, args.e, args.degree,
-                              max_v=_budget("max_v", args.max_v))
+        result = search_all_X(args.p, args.e, args.degree, max_v=args.max_v)
     else:
         result = search_cyclotomic_unions(
-            args.p, args.m, args.classes,
-            max_classes=_budget("max_classes", args.max_classes))
+            args.p, args.m, args.classes, max_classes=args.max_classes)
     data = result.to_json()
     run = _run_digest(args._argv, [])
     data["run"] = run
@@ -265,12 +239,6 @@ def _gather_inputs(paths: Sequence[str]) -> list[Path]:
     return out
 
 
-def _jsonable(value):
-    if isinstance(value, tuple):
-        return [_jsonable(x) for x in value]
-    return value
-
-
 def cmd_classify(args) -> int:
     """Cheap invariants always; the exact certificate and automorphism
     order only with --aut, because those run the refinement search."""
@@ -278,7 +246,6 @@ def cmd_classify(args) -> int:
     inputs = _gather_inputs(args.inputs)
     if not inputs:
         raise ParameterError("no scheme files to classify")
-    budget = _budget("classify_budget", args.budget)
     entries = []
     classes: dict[str, list[str]] = {}
     for path in inputs:
@@ -289,13 +256,13 @@ def cmd_classify(args) -> int:
             "kind": cfg.kind,
             "params": list(cfg.params),
             "semilinear_hash": canonical_hash(rec),
-            "fingerprint": _jsonable(fingerprint(cfg)),
+            "fingerprint": fingerprint(cfg),
         }
         if args.aut:
             cert = hashlib.sha256(
-                canonical_certificate(cfg, budget=budget)).hexdigest()
+                canonical_certificate(cfg, budget=args.budget)).hexdigest()
             entry["certificate_sha256"] = cert
-            entry["aut_order"] = aut_order(cfg, budget=budget)
+            entry["aut_order"] = aut_order(cfg, budget=args.budget)
             classes.setdefault(cert, []).append(path.name)
         entries.append(entry)
     report = {"entries": entries}
@@ -421,21 +388,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--e", type=int, default=1)
     sp.add_argument("--degree", type=int, required=True)
     sp.add_argument("--checkpoint", type=Path, default=None)
-    sp.add_argument("--max-orbits", type=int, default=None)
+    sp.add_argument("--max-orbits", type=int, default=DEFAULT_MAX_ORBITS)
     sp.add_argument("--out", type=Path, default=None)
 
     sp = ss.add_parser("all")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--e", type=int, default=1)
     sp.add_argument("--degree", type=int, required=True)
-    sp.add_argument("--max-v", type=int, default=None)
+    sp.add_argument("--max-v", type=int, default=DEFAULT_MAX_V)
     sp.add_argument("--out", type=Path, default=None)
 
     sp = ss.add_parser("cyclotomic")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--classes", type=int, required=True)
-    sp.add_argument("--max-classes", type=int, default=None)
+    sp.add_argument("--max-classes", type=int, default=DEFAULT_MAX_CLASSES)
     sp.add_argument("--out", type=Path, default=None)
 
     for engine_parser in ss.choices.values():
@@ -446,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="scheme file or directory (repeatable)")
     k.add_argument("--aut", action="store_true",
                    help="also compute automorphism group orders")
-    k.add_argument("--budget", type=int, default=None,
+    k.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
                    help="node budget for the refinement search")
     k.add_argument("--out", type=Path, default=None)
     k.set_defaults(func=cmd_classify)

@@ -17,7 +17,6 @@ vectors times powers of C, by doubling and then in fixed-size blocks.
 from __future__ import annotations
 
 import itertools
-import os
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -27,9 +26,9 @@ from .errors import InternalInconsistencyError, ParameterError
 
 ZERO = -1
 
-DEFAULT_MAX_ORDER = 3 ** 15
-# int32 tables; also keeps the int64 matrix products exact (m (p-1)^2 < 2^63)
-_TABLE_LIMIT = 2 ** 31 - 1
+# fits the int32 tables and keeps the int64 matrix products exact
+# (m (p-1)^2 < 2^63)
+MAX_FIELD_ORDER = 3 ** 15
 _BLOCK = 1 << 14  # rows of coefficient digits held at once by the table build
 
 
@@ -49,17 +48,6 @@ def _prime_divisors(n: int) -> list[int]:
 
 def is_prime(n: int) -> bool:
     return n >= 2 and _prime_divisors(n) == [n]
-
-
-def _max_order() -> int:
-    text = os.environ.get("PALEY_MAX_FIELD_ORDER")
-    if text is None:
-        return DEFAULT_MAX_ORDER
-    try:
-        return int(text)
-    except ValueError:
-        raise ParameterError(
-            f"PALEY_MAX_FIELD_ORDER={text!r} is not an integer") from None
 
 
 def _companion(modulus: Sequence[int], p: int) -> np.ndarray:
@@ -113,10 +101,9 @@ class FiniteField:
             raise ParameterError(f"p = {p} is not an odd prime")
         if m < 1:
             raise ParameterError(f"extension degree m = {m} must be >= 1")
-        cap = min(_max_order(), _TABLE_LIMIT)
-        if p ** m > cap:
+        if p ** m > MAX_FIELD_ORDER:
             raise ParameterError(
-                f"field order {p}^{m} exceeds the configured cap {cap}")
+                f"field order {p}^{m} exceeds the cap {MAX_FIELD_ORDER}")
         self.p = p
         self.m = m
         self.order = p ** m

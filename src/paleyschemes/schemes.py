@@ -47,7 +47,6 @@ class SchemeRecord:
     e: int
     l: int
     D: tuple[int, ...]
-    X: Optional[tuple[int, ...]]
     provenance: str
     verified_by: frozenset[str]
 
@@ -67,12 +66,6 @@ class SchemeRecord:
             raise ParameterError("exponent out of range")
         if not np.all(np.diff(D) > 0):
             raise ParameterError("D must be sorted and duplicate-free")
-        if self.X is not None:
-            X = np.asarray(self.X, dtype=np.int64)
-            if len(X) and (X.min() < 0 or X.max() >= self.v):
-                raise ParameterError("X residue out of range")
-            if len(np.unique(X)) != len(X):
-                raise ParameterError("X must be duplicate-free")
 
     @property
     def p(self) -> int:
@@ -93,6 +86,15 @@ class SchemeRecord:
     @property
     def tower(self) -> tuple[int, int, int]:
         return (self.p, self.e, self.l)
+
+    @property
+    def X(self) -> Optional[tuple[int, ...]]:
+        """The residues in Z_v that give D by the parity rule: read off D
+        for odd l and a half-point D, and None otherwise."""
+        try:
+            return recover_X(self)
+        except PreconditionError:
+            return None
 
     def unit_element(self) -> GroupRingElement:
         """D as an element of Z[Z_{q^l - 1}]."""
@@ -119,7 +121,7 @@ class SchemeRecord:
     @classmethod
     def from_json(cls, data: dict) -> "SchemeRecord":
         """Load a record, re-earning every route its file claims, then
-        checking that a stored X gives D by the parity rule."""
+        checking that a stored X is the one D gives."""
         fd = data["field"]
         entries = [fd["p"], fd["e"], fd["l"], *data["D"], *data.get("X", ())]
         if not all(type(x) is int for x in entries):
@@ -127,7 +129,6 @@ class SchemeRecord:
         field = FiniteField(fd["p"], fd["e"] * fd["l"],
                             modulus=tuple(fd["modulus"]))
         rec = cls(field=field, e=fd["e"], l=fd["l"], D=tuple(data["D"]),
-                  X=tuple(data["X"]) if "X" in data else None,
                   provenance=data["provenance"],
                   verified_by=frozenset(data["verified_by"]))
         if rec.verified_by:
@@ -138,8 +139,7 @@ class SchemeRecord:
                 raise VerificationFailedError(
                     f"record claims {claimed} but only "
                     f"{sorted(earned)} verify")
-        if rec.X is not None and not np.array_equal(
-                _parity_rule(rec.n1, rec.v, rec.X), rec.D):
+        if "X" in data and tuple(data["X"]) != rec.X:
             raise ParameterError("stored X does not give D by the parity rule")
         return rec
 
@@ -177,17 +177,12 @@ def build_DX(p: int, e: int, l: int, X: Iterable[int],
     if l % 2 == 0:
         warnings.warn("even l: the half-size guarantee does not apply",
                       stacklevel=2)
-    D = tuple(_parity_rule(n1, v, X).tolist())
-    return SchemeRecord(field=field, e=e, l=l, D=D, X=X,
-                        provenance=provenance, verified_by=frozenset())
-
-
-def _parity_rule(n1: int, v: int, X: Iterable[int]) -> np.ndarray:
-    """The exponents i in 0..n1-1 with (i even) == (i mod v in X)."""
     xind = np.zeros(v, dtype=bool)
     xind[np.asarray(X, dtype=np.int64)] = True
     i = np.arange(n1, dtype=np.int64)
-    return np.flatnonzero((i % 2 == 0) == xind[i % v])
+    D = tuple(np.flatnonzero((i % 2 == 0) == xind[i % v]).tolist())
+    return SchemeRecord(field=field, e=e, l=l, D=D, provenance=provenance,
+                        verified_by=frozenset())
 
 
 def is_half_point(rec: SchemeRecord) -> bool:
@@ -315,7 +310,6 @@ def verify_scheme(rec: SchemeRecord, method: str = "additive") -> bool:
     if method == "multiplicative":
         return verify_multiplicative(rec)
     if method == "quotient":
-        # X is read off D, so a stored X that D does not match is ignored
         return verify_quotient(rec.p, rec.e, rec.l, recover_X(rec),
                                field=rec.field)
     if method == "dual":
@@ -396,26 +390,19 @@ def dual_scheme(rec: SchemeRecord) -> SchemeRecord:
             "verified record produced a non 0/1 dual; verification stamps "
             "and the dual identity disagree")
     D = tuple(int(t) for t in np.flatnonzero(shifted == Q))
-    return _with_D(rec, D)
-
-
-def _with_D(rec: SchemeRecord, D: tuple[int, ...]) -> SchemeRecord:
-    new = replace(rec, D=D, X=None, verified_by=frozenset())
-    if rec.l % 2 == 1 and is_half_point(new):
-        new = replace(new, X=recover_X(new))
-    return new
+    return replace(rec, D=D, verified_by=frozenset())
 
 
 def scale(rec: SchemeRecord, s: int) -> SchemeRecord:
     """Multiply D by the unit g^s (exponent shift)."""
     D = tuple(sorted((i + s) % rec.n1 for i in rec.D))
-    return _with_D(rec, D)
+    return replace(rec, D=D, verified_by=frozenset())
 
 
 def frobenius(rec: SchemeRecord, k: int = 1) -> SchemeRecord:
     t = pow(rec.p, k, rec.n1)
     D = tuple(sorted(i * t % rec.n1 for i in rec.D))
-    return _with_D(rec, D)
+    return replace(rec, D=D, verified_by=frozenset())
 
 
 def negate(rec: SchemeRecord) -> SchemeRecord:
@@ -424,4 +411,4 @@ def negate(rec: SchemeRecord) -> SchemeRecord:
 
 def complement_units(rec: SchemeRecord) -> SchemeRecord:
     D = tuple(sorted(set(range(rec.n1)) - set(rec.D)))
-    return _with_D(rec, D)
+    return replace(rec, D=D, verified_by=frozenset())

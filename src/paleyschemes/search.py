@@ -439,7 +439,7 @@ def search_cyclotomic_unions(p: int, m: int, n_classes: int, *,
     found = []
     for position in range(space.candidates):
         D = _subset_of(space, position)
-        rec = SchemeRecord(field=field, e=1, l=m, D=D, X=None,
+        rec = SchemeRecord(field=field, e=1, l=m, D=D,
                            provenance="search", verified_by=frozenset())
         if verify_additive(rec):
             found.append(D)

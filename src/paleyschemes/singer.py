@@ -61,10 +61,6 @@ class SingerBundle:
             raise ParameterError("weighing vector exists only for odd l")
         return GroupRingElement(CyclicGroup(self.v), np.array(self.W, dtype=np.int64))
 
-    def to_json(self) -> dict:
-        return {"v": self.v, "set": list(self.S),
-                "params": list(self.ds_params()), "kind": "singer"}
-
 
 def _weighing_from_R(R: np.ndarray, v: int) -> np.ndarray:
     W = np.zeros(v, dtype=np.int64)

@@ -64,7 +64,7 @@ def criterion(capsys, num, label):
 def paley_record(p, m):
     F = get_field(p, m)
     return SchemeRecord(field=F, e=1, l=m, D=tuple(range(0, F.n1, 2)),
-                        X=None, provenance="paley", verified_by=frozenset())
+                        provenance="paley", verified_by=frozenset())
 
 
 def odd_prime_powers(limit):
@@ -354,7 +354,7 @@ def test_14_residue_class_unions_at_49_and_their_groups(capsys):
         histogram = {}
         nonpaley_auts = set()
         for D in res.found:
-            rec = certify(SchemeRecord(field=F, e=1, l=2, D=D, X=None,
+            rec = certify(SchemeRecord(field=F, e=1, l=2, D=D,
                                        provenance="manual",
                                        verified_by=frozenset()))
             a = aut_order(make_configuration(rec))

@@ -30,7 +30,7 @@ from paleyschemes.singer import singer_bundle
 def paley(p, m, field=None):
     F = field if field is not None else get_field(p, m)
     rec = SchemeRecord(field=F, e=1, l=m, D=tuple(range(0, F.n1, 2)),
-                       X=None, provenance="paley", verified_by=frozenset())
+                       provenance="paley", verified_by=frozenset())
     return certify(rec, ("additive",))
 
 
@@ -66,10 +66,25 @@ def test_eleven_point_design_params():
 
 def test_configuration_requires_verification():
     F = get_field(5, 1)
-    rec = SchemeRecord(field=F, e=1, l=1, D=(0, 2), X=None,
+    rec = SchemeRecord(field=F, e=1, l=1, D=(0, 2),
                        provenance="manual", verified_by=frozenset())
     with pytest.raises(PreconditionError):
         make_configuration(rec)
+
+
+def test_design_with_a_repeated_block_is_refused(monkeypatch):
+    # column sums stay k, but two equal blocks break M M^T = (k - lambda) I
+    # + lambda J
+    real = classify._difference_matrix
+
+    def repeated(rec, blocks):
+        M = real(rec, blocks).copy()
+        M[:, 1] = M[:, 0]
+        return M
+
+    monkeypatch.setattr(classify, "_difference_matrix", repeated)
+    with pytest.raises(InternalInconsistencyError, match="design"):
+        make_configuration(paley(11, 1))
 
 
 # -- fingerprints ---------------------------------------------------------------
@@ -233,9 +248,15 @@ def brute_least_rotation(bits):
 
 def test_least_rotation_against_brute_force():
     rng = np.random.default_rng(17)
-    for _ in range(60):
-        n = int(rng.integers(2, 40))
-        bits = rng.integers(0, 2, size=n).astype(np.uint8)
+    for trial in range(90):
+        n = int(rng.integers(1, 131))
+        if trial % 3 == 0:
+            # periodic strings tie several starts, as the Paley set does
+            period = int(rng.integers(1, 9))
+            word = rng.integers(0, 2, size=period)
+            bits = np.tile(word, max(1, n // period)).astype(np.uint8)
+        else:
+            bits = rng.integers(0, 2, size=n).astype(np.uint8)
         start = _least_rotation(bits)
         got = tuple(np.roll(bits, -start).tolist())
         assert got == brute_least_rotation(bits.tolist())
@@ -245,9 +266,9 @@ def test_squares_and_nonsquares_share_canonical_form():
     for p, m in [(3, 2), (3, 3), (7, 1), (13, 1)]:
         F = get_field(p, m)
         S = SchemeRecord(field=F, e=1, l=m, D=tuple(range(0, F.n1, 2)),
-                         X=None, provenance="paley", verified_by=frozenset())
+                         provenance="paley", verified_by=frozenset())
         N = SchemeRecord(field=F, e=1, l=m, D=tuple(range(1, F.n1, 2)),
-                         X=None, provenance="paley", verified_by=frozenset())
+                         provenance="paley", verified_by=frozenset())
         assert semilinear_canonical(S) == semilinear_canonical(N)
 
 
@@ -255,7 +276,7 @@ def test_singletons_share_canonical_form():
     F = get_field(3, 2)
     forms = set()
     for i in range(F.n1):
-        rec = SchemeRecord(field=F, e=1, l=2, D=(i,), X=None,
+        rec = SchemeRecord(field=F, e=1, l=2, D=(i,),
                            provenance="manual", verified_by=frozenset())
         forms.add(semilinear_canonical(rec))
     assert len(forms) == 1
@@ -548,7 +569,7 @@ def test_non_automorphism_seeds_are_rejected():
 
 
 def raw_record(F, D):
-    return SchemeRecord(field=F, e=1, l=F.m, D=tuple(sorted(D)), X=None,
+    return SchemeRecord(field=F, e=1, l=F.m, D=tuple(sorted(D)),
                         provenance="manual", verified_by=frozenset())
 
 

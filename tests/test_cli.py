@@ -236,30 +236,40 @@ def test_search_budget_exit_code():
     assert run("search", "galois", "--p", 3, "--degree", 7) == 3
 
 
-def test_search_budget_env_override(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("PALEY_MAX_ORBITS", "10")
+def test_search_max_orbits_flag(tmp_path):
+    out = tmp_path / "r.json"
     assert run("search", "galois", "--p", 5, "--degree", 3,
-               "--out", tmp_path / "r.json") == 3
-    monkeypatch.setenv("PALEY_MAX_ORBITS", "11")
+               "--max-orbits", 10, "--out", out) == 3
     assert run("search", "galois", "--p", 5, "--degree", 3,
-               "--out", tmp_path / "r.json") == 0
+               "--max-orbits", 11, "--out", out) == 0
+
+
+def test_verify_rejects_field_past_the_cap(tmp_path, capsys):
+    data = load(make_paley27(tmp_path))
+    data["field"]["l"] = 16
+    bad = tmp_path / "big.json"
+    bad.write_text(json.dumps(data))
     capsys.readouterr()
-    monkeypatch.setenv("PALEY_MAX_ORBITS", "abc")
-    assert run("search", "galois", "--p", 5, "--degree", 3,
-               "--out", tmp_path / "r.json") == 1
-    assert capsys.readouterr().err.startswith("error: PALEY_MAX_ORBITS=")
+    assert run("verify", bad) == 1
+    assert "exceeds the cap" in capsys.readouterr().err
 
 
-def test_field_order_env_must_be_an_integer(tmp_path, monkeypatch, capsys):
+def test_environment_does_not_configure_a_run(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "r.json"
     path = make_paley27(tmp_path)
     capsys.readouterr()
-    monkeypatch.setenv("PALEY_MAX_FIELD_ORDER", "abc")
-    assert run("verify", path) == 1
-    assert capsys.readouterr().err.startswith("error: PALEY_MAX_FIELD_ORDER=")
-    monkeypatch.setenv("PALEY_MAX_FIELD_ORDER", "26")
-    assert run("verify", path) == 1
-    monkeypatch.setenv("PALEY_MAX_FIELD_ORDER", "27")
-    assert run("verify", path) == 0
+
+    def outputs():
+        assert run("search", "galois", "--p", 5, "--degree", 3,
+                   "--out", out) == 0
+        assert run("verify", path) == 0
+        return out.read_bytes(), capsys.readouterr().out
+
+    clean = outputs()
+    for name in ("PALEY_MAX_V", "PALEY_MAX_ORBITS", "PALEY_MAX_CLASSES",
+                 "PALEY_CLASSIFY_BUDGET", "PALEY_MAX_FIELD_ORDER"):
+        monkeypatch.setenv(name, "abc")
+    assert outputs() == clean
 
 
 # -- classify and export -----------------------------------------------------------

@@ -151,10 +151,10 @@ def test_rejects_imprimitive_modulus(monkeypatch):
         FiniteField(3, 2, modulus=[1, 0, 1])
 
 
-def test_rejects_oversized_field(monkeypatch):
-    monkeypatch.setenv("PALEY_MAX_FIELD_ORDER", "5")
-    with pytest.raises(ParameterError):
-        FiniteField(3, 2)
+def test_rejects_oversized_field():
+    # the cap is checked before any table is built
+    with pytest.raises(ParameterError, match="exceeds the cap"):
+        FiniteField(3, 16)
 
 
 # --------------------------------------------------------------------------

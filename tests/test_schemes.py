@@ -50,12 +50,12 @@ def exps_of_values(F, values):
 def test_quadratic_residues_of_f7_verify():
     F = get_field(7, 1)
     D = exps_of_values(F, [1, 2, 4])
-    rec = SchemeRecord(field=F, e=1, l=1, D=D, X=None,
+    rec = SchemeRecord(field=F, e=1, l=1, D=D,
                        provenance="paley", verified_by=frozenset())
     assert D == (0, 2, 4)  # squares are the even powers of g = 5
     assert verify_additive(rec)
     bad = SchemeRecord(field=F, e=1, l=1, D=exps_of_values(F, [1, 2, 3]),
-                       X=None, provenance="manual", verified_by=frozenset())
+                       provenance="manual", verified_by=frozenset())
     assert not verify_additive(bad)
 
 
@@ -66,7 +66,7 @@ def test_paley_schemes_verify(p, m):
     if rec is None:  # even degree: build S directly
         F = get_field(p, m)
         rec = SchemeRecord(field=F, e=1, l=m, D=tuple(range(0, F.n1, 2)),
-                           X=None, provenance="paley",
+                           provenance="paley",
                            verified_by=frozenset())
     assert verify_additive(rec)
 
@@ -102,11 +102,11 @@ def test_half_point_detection():
     F = get_field(3, 3)
     # both elements of one F_3^* coset plus 11 fillers: not half-point
     D = tuple(sorted({0, 13} | set(range(2, 24, 2))))
-    rec = SchemeRecord(field=F, e=1, l=3, D=D, X=None,
+    rec = SchemeRecord(field=F, e=1, l=3, D=D,
                        provenance="manual", verified_by=frozenset())
     assert not is_half_point(rec)
     # wrong total size
-    small = SchemeRecord(field=F, e=1, l=3, D=(0, 2, 4), X=None,
+    small = SchemeRecord(field=F, e=1, l=3, D=(0, 2, 4),
                          provenance="manual", verified_by=frozenset())
     assert not is_half_point(small)
 
@@ -272,7 +272,7 @@ def test_all_four_routes_agree_at_19683_and_78125_points(p, m):
 
 def test_preconditions_and_errors():
     F = get_field(3, 3)
-    not_half = SchemeRecord(field=F, e=1, l=3, D=(0, 1, 2), X=None,
+    not_half = SchemeRecord(field=F, e=1, l=3, D=(0, 1, 2),
                             provenance="manual", verified_by=frozenset())
     with pytest.raises(PreconditionError):
         verify_multiplicative(not_half)
@@ -287,10 +287,10 @@ def test_preconditions_and_errors():
     with pytest.raises(PreconditionError):
         dual_scheme(build_DX(3, 1, 3, range(13)))  # unverified
     with pytest.raises(ParameterError):
-        SchemeRecord(field=F, e=1, l=3, D=(2, 1), X=None,
+        SchemeRecord(field=F, e=1, l=3, D=(2, 1),
                      provenance="manual", verified_by=frozenset())
     with pytest.raises(ParameterError):
-        SchemeRecord(field=F, e=1, l=3, D=(0,), X=None,
+        SchemeRecord(field=F, e=1, l=3, D=(0,),
                      provenance="spooky", verified_by=frozenset())
 
 
@@ -308,7 +308,7 @@ def test_record_json_round_trip():
 def test_record_refuses_bad_tower_fields_and_entries():
     F = get_field(3, 3)
     with pytest.raises(ParameterError, match="tower"):
-        SchemeRecord(field=F, e=-1, l=-3, D=(0, 2), X=None,
+        SchemeRecord(field=F, e=-1, l=-3, D=(0, 2),
                      provenance="manual", verified_by=frozenset())
     good = build_DX(3, 1, 3, range(13)).to_json()
     bad_tower = dict(good, field=dict(good["field"], e=-1, l=-3))

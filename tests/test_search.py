@@ -289,7 +289,7 @@ def test_tampered_checkpoints_are_refused(tmp_path):
 
 
 def union_scheme_49(D):
-    rec = SchemeRecord(field=get_field(7, 2), e=1, l=2, D=D, X=None,
+    rec = SchemeRecord(field=get_field(7, 2), e=1, l=2, D=D,
                        provenance="search", verified_by=frozenset())
     return certify(rec, ("additive",))
 
@@ -314,10 +314,10 @@ def test_unions_in_9_are_all_paley():
     assert all(len(D) == 4 for D in res.found)
     F9 = get_field(3, 2)
     paley = make_configuration(certify(SchemeRecord(
-        field=F9, e=1, l=2, D=tuple(range(0, 8, 2)), X=None,
+        field=F9, e=1, l=2, D=tuple(range(0, 8, 2)),
         provenance="paley", verified_by=frozenset()), ("additive",)))
     for D in res.found:
-        rec = certify(SchemeRecord(field=F9, e=1, l=2, D=D, X=None,
+        rec = certify(SchemeRecord(field=F9, e=1, l=2, D=D,
                                    provenance="search",
                                    verified_by=frozenset()), ("additive",))
         assert iso_test(make_configuration(rec), paley)
