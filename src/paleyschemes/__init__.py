@@ -7,13 +7,11 @@ The package builds subsets D of a finite field's unit group satisfying
 which are strongly regular graphs when |F| = 1 mod 4 and skew Hadamard
 difference sets when |F| = 3 mod 4.  Every verification path runs on
 exact integer numpy kernels, with no floating point.  Classification
-counts four tallies in float64: `classify._triple_table`, whose entries
-are at most the block size, `classify._clique_counts`, whose chunk sums
-stay far below 2^53, the neighbourhood product of
-`classify.fingerprint` on a scheme's graph, whose sum is at most k^3 <
-2^53 for the valency k, and the A A and A A^T checks of
-`classify.make_configuration`, whose entries are at most the order n <=
-4096.  All are exact.
+counts three tallies in float64: `classify._triple_table`, whose entries
+are at most the block size, the neighbourhood product of
+`classify.fingerprint`, whose sum is at most k^3 < 2^53 for the valency
+k, and the A A and A A^T checks of `classify.make_configuration`, whose
+entries are at most the order n <= 4096.  All are exact.
 """
 
 __version__ = "0.1.0"

@@ -6,21 +6,20 @@ layers of comparison are provided, from cheapest to most precise:
 
   1. semilinear canonical forms, exact for equivalence under the maps
      x -> c x^(p^k) (a computable subgroup of all additive automorphisms),
-  2. isomorphism invariants that certify non-isomorphism: fingerprints,
-     computed from the matrix of a bare configuration and read off the
-     scheme (full p-rank, 4-cliques from one vertex) when it has one,
-     and for designs of a scheme the development profile, its triple
-     counts read off the record,
+  2. isomorphism invariants that certify non-isomorphism, read off the
+     scheme a configuration carries: the fingerprint of a graph (full
+     p-rank, 4-cliques from one vertex) and the development profile of
+     a design, its triple counts,
   3. canonical certificates from individualization-refinement, which
      decide configuration isomorphism outright and give exact
-     automorphism group orders.
+     automorphism group orders. A configuration built from a bare
+     matrix, with no scheme, has only this layer.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -36,16 +35,12 @@ DEFAULT_NODE_BUDGET = 1_000_000
 # refuse to materialize matrices for orders past this point
 MAX_CONFIGURATION_ORDER = 4096
 
-# (edge, vertex) cells per chunk of the 4-clique tally
-_CLIQUE_CHUNK = 1 << 14
-
 
 @dataclass(eq=False)
 class Configuration:
     """A concrete graph or design built from a scheme."""
 
     kind: str                 # "srg_graph" or "hadamard_design"
-    p: int
     n: int
     matrix: np.ndarray        # adjacency, or point x block incidence
     params: tuple[int, ...]
@@ -103,91 +98,18 @@ def make_configuration(rec: SchemeRecord) -> Configuration:
         if (A @ A != expect).any():
             raise InternalInconsistencyError(
                 f"adjacency is not strongly regular ({order},{k},{lam},{mu})")
-        return Configuration(kind="srg_graph", p=rec.p, n=order,
+        return Configuration(kind="srg_graph", n=order,
                              matrix=M, params=(order, k, lam, mu), _rec=rec)
     lam = (order - 3) // 4
     expect = (k - lam) * eye + lam
     if (A @ A.T != expect).any() or (M.sum(axis=0) != k).any():
         raise InternalInconsistencyError(
             f"incidence is not a 2-({order},{k},{lam}) design")
-    return Configuration(kind="hadamard_design", p=rec.p, n=order,
+    return Configuration(kind="hadamard_design", n=order,
                          matrix=M, params=(order, k, lam), _rec=rec)
 
 
 # -- fingerprints ------------------------------------------------------------
-
-
-def _rank_mod_p(matrix: np.ndarray, p: int) -> int:
-    """Rank over F_p by row echelon form.
-
-    Each pivot clears only the rows below it, over the columns from the
-    pivot on: the columns to its left are already zero in those rows.
-    """
-    m = (matrix.astype(np.int64)) % p
-    rows, cols = m.shape
-    rank = 0
-    row = 0
-    for col in range(cols):
-        pivots = np.flatnonzero(m[row:, col])
-        if pivots.size == 0:
-            continue
-        piv = row + int(pivots[0])
-        if piv != row:
-            m[[row, piv]] = m[[piv, row]]
-        pivot_row = m[row, col:] * pow(int(m[row, col]), -1, p) % p
-        below = row + 1 + np.flatnonzero(m[row + 1:, col])
-        if below.size:
-            m[below, col:] = (m[below, col:]
-                              - np.outer(m[below, col], pivot_row)) % p
-        rank += 1
-        row += 1
-        if row == rows:
-            break
-    return rank
-
-
-def _clique_counts(adj: np.ndarray) -> tuple[int, tuple[int, ...]]:
-    """Number of 4-cliques, global and per vertex (sorted).
-
-    For each edge u < v with common neighbourhood C of at least two
-    vertices, the edges inside C close 4-cliques through u v: each
-    w in C is credited with its degree into C, and u, v and the total
-    with half their sum. Every 4-clique is met once per base edge, so
-    all tallies are six times the answer.
-
-    The rows are packed into uint64 words. The edges go in chunks of
-    _CLIQUE_CHUNK // n; a chunk computes C = P[u] & P[v] for all its
-    edges, one popcount(P[w] & C) per (edge, w in C) pair, and the
-    per-edge and per-vertex sums by bincount. A chunk has at most
-    _CLIQUE_CHUNK pairs of value at most n, so its float64 sums are
-    exact integers.
-    """
-    n = adj.shape[0]
-    words = -(-n // 64)
-    packed = np.zeros((n, 8 * words), dtype=np.uint8)
-    packed[:, :-(-n // 8)] = np.packbits(adj != 0, axis=1)
-    P = packed.view(np.uint64)
-    per_vertex = np.zeros(n, dtype=np.int64)
-    total = 0
-    us, vs = np.nonzero(np.triu(adj, 1))
-    step = max(1, _CLIQUE_CHUNK // max(n, 1))
-    for lo in range(0, us.size, step):
-        u, v = us[lo:lo + step], vs[lo:lo + step]
-        edge, w = np.nonzero(adj[u] & adj[v])
-        sizes = np.bincount(edge, minlength=u.size)
-        keep = sizes[edge] >= 2
-        edge, w = edge[keep], w[keep]
-        common = P[u] & P[v]
-        inside = np.bitwise_count(P[w] & common[edge]).sum(axis=1)
-        edges_inside = (np.bincount(edge, inside, u.size)
-                        .astype(np.int64) // 2)
-        total += int(edges_inside.sum())
-        per_vertex += (np.bincount(w, inside, n)
-                       + np.bincount(u, edges_inside, n)
-                       + np.bincount(v, edges_inside, n)).astype(np.int64)
-    if total % 6 or (per_vertex % 6).any():
-        raise InternalInconsistencyError("4-clique tally is not divisible by 6")
-    return total // 6, tuple(sorted(int(x) // 6 for x in per_vertex))
 
 
 def fingerprint(C: Configuration) -> tuple:
@@ -195,9 +117,9 @@ def fingerprint(C: Configuration) -> tuple:
 
     A graph gives (p-rank, number of 4-cliques, sorted 4-cliques per
     vertex), a design (p-rank, sorted histogram of the off-diagonal
-    block intersection sizes, ()). A configuration built from a bare
-    matrix computes each part from the n x n matrix. One that carries
-    its scheme reads every part off the scheme, with the same values:
+    block intersection sizes, ()). Every part is read off the scheme the
+    configuration carries, with the values the n x n matrix would give;
+    a configuration without a scheme raises `PreconditionError`.
 
     - The p-rank is n, for graphs and designs alike. Entry [x, y] is 1
       iff x - y lies in D, so the matrix is the regular representation
@@ -205,41 +127,35 @@ def fingerprint(C: Configuration) -> tuple:
       F_p[(F, +)] is a local ring whose maximal ideal is the
       augmentation ideal, and an element outside it is a unit. The
       augmentation of D is |D| = (q - 1)/2 = -1/2 mod p, not 0, so D
-      is a unit and the matrix is invertible over F_p.
+      is a unit and the matrix is invertible over F_p. Brouwer & van
+      Eijl (J. Algebraic Combin. 1, 1992) compare graphs by p-rank.
     - The translations x -> x + t are automorphisms of the Cayley graph,
       so every vertex lies on the same number c of 4-cliques: the
       triangles of the graph induced on the neighbourhood of vertex 0,
       c = sum((B B) o B) / 6 for that k x k block B. The total is n c / 4.
       The float64 product is exact: the sum is at most k^3 < 2^53.
     - Every pair of blocks of a design meets in lambda points, so the
-      profile is ((lambda, n(n - 1)),). `make_configuration` checked
-      M M^T = (k - lambda) I + lambda J and column sums k, so JM = kJ
-      and M^T J = kJ. Then k MJ = M M^T J = (k - lambda + lambda n) J
-      = k^2 J, as lambda (n - 1) = k (k - 1), so MJ = kJ. M is
-      invertible because k > lambda, and M^(-1) J = J / k. So
-      M^T M = M^(-1) (M M^T) M = (k - lambda) I + lambda M^(-1) J M
-      = (k - lambda) I + lambda J.
+      profile is ((lambda, n(n - 1)),), a function of the parameters.
+      `make_configuration` checked M M^T = (k - lambda) I + lambda J and
+      column sums k, so JM = kJ and M^T J = kJ. Then k MJ = M M^T J =
+      (k - lambda + lambda n) J = k^2 J, as lambda (n - 1) = k (k - 1),
+      so MJ = kJ. M is invertible because k > lambda, and M^(-1) J =
+      J / k. So M^T M = M^(-1) (M M^T) M = (k - lambda) I + lambda
+      M^(-1) J M = (k - lambda) I + lambda J.
     """
-    rank = C.n if C._rec is not None else _rank_mod_p(C.matrix, C.p)
-    if C.kind == "srg_graph":
-        if C._rec is None:
-            return (rank, *_clique_counts(C.matrix))
-        nb = np.flatnonzero(C.matrix[0])
-        B = C.matrix[np.ix_(nb, nb)].astype(np.float64)
-        six_c = int(((B @ B) * B).sum())
-        if six_c % 6 or C.n * (six_c // 6) % 4:
-            raise InternalInconsistencyError(
-                "4-clique tally of a vertex-transitive graph is not "
-                "divisible by 6, or n c by 4")
-        c = six_c // 6
-        return (rank, C.n * c // 4, (c,) * C.n)
-    if C._rec is not None:
-        return (rank, ((C.params[2], C.n * (C.n - 1)),), ())
-    gram = C.matrix.T.astype(np.int64) @ C.matrix
-    off = gram[~np.eye(C.n, dtype=bool)]
-    sizes, counts = np.unique(off, return_counts=True)
-    profile = tuple((int(s), int(c)) for s, c in zip(sizes, counts))
-    return (rank, profile, ())
+    if C._rec is None:
+        raise PreconditionError("fingerprint wants a configuration of a scheme")
+    if C.kind == "hadamard_design":
+        return (C.n, ((C.params[2], C.n * (C.n - 1)),), ())
+    nb = np.flatnonzero(C.matrix[0])
+    B = C.matrix[np.ix_(nb, nb)].astype(np.float64)
+    six_c = int(((B @ B) * B).sum())
+    if six_c % 6 or C.n * (six_c // 6) % 4:
+        raise InternalInconsistencyError(
+            "4-clique tally of a vertex-transitive graph is not "
+            "divisible by 6, or n c by 4")
+    c = six_c // 6
+    return (C.n, C.n * c // 4, (c,) * C.n)
 
 
 # -- development designs without the incidence matrix --------------------------
@@ -703,79 +619,73 @@ def _ir_inputs(C: Configuration) -> tuple[np.ndarray, list[np.ndarray]]:
 def _seed_point_maps(C: Configuration) -> list[np.ndarray]:
     """The scheme's seeds as IR vertex permutations; none without a scheme.
 
-    Each seed maps point i to seed[i]. Graphs take them directly; for
-    designs the induced block permutation is recovered by matching
-    permuted incidence columns. The search checks every one against the
-    adjacency matrix.
+    Each seed maps point i to seed[i]. Graphs take them directly. For a
+    design, column j of the incidence matrix is the block D + x_j for
+    the point x_j, and every seed g is additive with g(D) = D (see
+    `scheme_seeds`), so g carries the block D + x_j onto D + g(x_j):
+    its block map is its point map. The search checks every seed
+    against the adjacency matrix.
     """
     if C._rec is None:
         return []
     seeds = scheme_seeds(C._rec)
     if C.kind == "srg_graph":
         return seeds
-    M = C.matrix
-    lookup = {M[:, j].tobytes(): j for j in range(C.n)}
-    out = []
-    for g in seeds:
-        shuffled = np.empty_like(M)
-        shuffled[g, :] = M
-        blocks = np.empty(C.n, dtype=np.int64)
-        for j in range(C.n):
-            hit = lookup.get(shuffled[:, j].tobytes())
-            if hit is None:
-                raise InternalInconsistencyError(
-                    "scheme seed does not map blocks to blocks")
-            blocks[j] = hit
-        out.append(np.concatenate((g, C.n + blocks)))
-    return out
+    return [np.concatenate((g, C.n + g)) for g in seeds]
 
 
 def scheme_seeds(rec: SchemeRecord) -> list[np.ndarray]:
     """Known automorphisms of the configuration of a scheme, as point maps.
 
     Translations by a field basis always qualify. On top of those the
-    maps x -> c x^(p^k) are scanned: a graph needs c D^(p^k) to equal D
-    on the nose, a design only needs it to land on a translate of D
-    (translates develop to the same block set). A small generating set
-    of the hits is returned; the refinement search of the scheme's
-    configuration starts from these.
+    maps x -> c x^(p^k) with c D^(p^k) = D are scanned, for graphs and
+    designs alike. A small generating set of the hits is returned; the
+    refinement search of the scheme's configuration starts from these.
+
+    A design would also keep its block set under a map with
+    c D^(p^k) = D + s, since translates develop to the same blocks, but
+    for q > 3 that forces s = 0. The image c D^(p^k) is again a skew
+    Hadamard difference set, so for a nontrivial additive character chi
+    both chi(D) and chi(D + s) = chi(s) chi(D) are (-1 +- sqrt(-q)) / 2:
+    D u -D = F* gives real part -1/2, the difference set gives modulus
+    sqrt((q + 1) / 4). Hence Re(chi(D) (chi(s) - 1)) = 0. With
+    chi(s) = e^(i theta) this is cos(theta) +- sqrt(q) sin(theta) = 1,
+    so chi(s) = 1 or tan^2(theta / 2) = q. Now theta = 2 pi j / p, and
+    tan^2(pi j / p) = (1 - cos theta) / (1 + cos theta) has the degree
+    (p - 1) / 2 of cos(2 pi j / p) over Q, so it is rational only at
+    p = 3, where it is 3: an integer power of p only at q = 3. So
+    chi(s) = 1 for every chi, and s = 0. At q = 3 the map x -> -x sends
+    D = {1} to D + 1 and is left out; the search finds it anyway.
     """
     F = rec.field
     n1 = F.n1
     elems = _elements(F)
     seeds = [np.asarray(F.add_array(elems, t), dtype=np.int64) + 1
              for t in range(F.m)]
-    D = np.asarray(sorted(rec.D), dtype=np.int64)
-    if (n1 + 1) % 4 == 3:
-        targets = {frozenset(np.asarray(F.add_array(D, g)).tolist())
-                   for g in elems}
-    else:
-        targets = {frozenset(D.tolist())}
-    hits: dict[int, list[int]] = {}
-    for k in range(F.m):
-        base = (D * pow(F.p, k, n1)) % n1
-        for c in range(n1):
-            if frozenset(((base + c) % n1).tolist()) in targets:
-                hits.setdefault(k, []).append(c)
-    pairs = []
-    h0 = [c for c in hits.get(0, []) if c]
-    if h0:
-        c_star = math.gcd(n1, *h0) % n1
-        if c_star:
-            pairs.append((c_star, 0))
-    for k in sorted(hits):
-        if k:
-            pairs.append((hits[k][0], k))
+    member = np.zeros(n1, dtype=bool)
+    member[list(rec.D)] = True
+    D = np.flatnonzero(member)
     j = np.arange(n1, dtype=np.int64)
-    for c, k in pairs:
-        img = (j * pow(F.p, k, n1) + c) % n1
-        seeds.append(np.concatenate(([0], img + 1)))
+    for k in range(F.m):
+        # D maps into D under a bijection iff onto D. The hits at k = 0
+        # are a subgroup of Z_n1, generated by its least c > 0, and those
+        # at k > 0 a coset of it, so the first hit at each k suffices.
+        base = D * pow(F.p, k, n1)
+        c = next((c for c in range(1 if k == 0 else 0, n1)
+                  if member[(base + c) % n1].all()), None)
+        if c is not None:
+            img = (j * pow(F.p, k, n1) + c) % n1
+            seeds.append(np.concatenate(([0], img + 1)))
     return seeds
 
 
-def _ir_result(C: Configuration, budget: int) -> tuple[bytes, int]:
+def _check_budget(budget: int) -> None:
     if budget < 1:
         raise ParameterError(f"node budget must be at least 1, not {budget}")
+
+
+def _ir_result(C: Configuration, budget: int) -> tuple[bytes, int]:
+    _check_budget(budget)
     if C._ir is None:
         adj, cells = _ir_inputs(C)
         search = _IRSearch(adj, cells, budget, seed=_seed_point_maps(C))
@@ -803,16 +713,22 @@ def aut_order(C: Configuration, budget: int = DEFAULT_NODE_BUDGET) -> int:
 
 def iso_test(C1: Configuration, C2: Configuration,
              budget: int = DEFAULT_NODE_BUDGET) -> bool:
-    """Invariants first, then the certificate. Designs that both carry
-    their scheme also compare development profiles."""
+    """Parameters first, then one invariant, then the certificate.
+
+    Two graphs of schemes compare fingerprints. Two designs of schemes
+    compare development profiles: a design's fingerprint is a function
+    of its parameters. A configuration without a scheme goes straight
+    to the certificate.
+    """
+    _check_budget(budget)
     if C1.kind != C2.kind:
         raise ParameterError(f"kind mismatch: {C1.kind} vs {C2.kind}")
     if C1.params != C2.params:
         return False
-    if fingerprint(C1) != fingerprint(C2):
-        return False
-    recs = (C1._rec, C2._rec)
-    if (C1.kind == "hadamard_design" and None not in recs
-            and development_profile(recs[0]) != development_profile(recs[1])):
-        return False
+    if C1._rec is not None and C2._rec is not None:
+        if C1.kind == "srg_graph":
+            if fingerprint(C1) != fingerprint(C2):
+                return False
+        elif development_profile(C1._rec) != development_profile(C2._rec):
+            return False
     return canonical_certificate(C1, budget) == canonical_certificate(C2, budget)

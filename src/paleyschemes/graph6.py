@@ -24,16 +24,24 @@ def _encode_size(n: int) -> str:
     raise ParameterError(f"vertex count {n} exceeds the 3-byte size form")
 
 
+def _sextet(ch: str) -> int:
+    """The 6 bits a graph6 byte carries; bytes run from '?' (0) to '~' (63)."""
+    code = ord(ch) - 63
+    if not 0 <= code < 64:
+        raise ParameterError(f"byte {ch!r} outside the graph6 range")
+    return code
+
+
 def _decode_size(s: str) -> tuple[int, str]:
     if not s:
         raise ParameterError("empty graph6 string")
     if s[0] != "~":
-        return ord(s[0]) - 63, s[1:]
+        return _sextet(s[0]), s[1:]
     if len(s) < 4 or s[1] == "~":
         raise ParameterError("unsupported or truncated graph6 size field")
     n = 0
     for ch in s[1:4]:
-        n = (n << 6) | (ord(ch) - 63)
+        n = (n << 6) | _sextet(ch)
     return n, s[4:]
 
 
@@ -59,9 +67,7 @@ def decode_graph6(s: str) -> np.ndarray:
     need = n * (n - 1) // 2
     bits = []
     for ch in body:
-        code = ord(ch) - 63
-        if not 0 <= code < 64:
-            raise ParameterError(f"byte {ch!r} outside the graph6 range")
+        code = _sextet(ch)
         bits.extend((code >> shift) & 1 for shift in (5, 4, 3, 2, 1, 0))
     if len(bits) < need or len(bits) >= need + 6:
         raise ParameterError("graph6 body length does not match vertex count")

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from paleyschemes import classify
-from paleyschemes.classify import (_CLIQUE_CHUNK, Configuration,
-                                   _clique_counts, _ir_inputs,
+from paleyschemes.classify import (Configuration, _ir_inputs,
                                    _least_rotation, _perm_group_order,
-                                   _profile_rows, _rank_mod_p, _refine,
+                                   _profile_rows, _refine,
                                    _triple_table, affine_link,
                                    aut_order,
                                    canonical_hash, canonical_certificate,
@@ -88,6 +87,101 @@ def test_design_with_a_repeated_block_is_refused(monkeypatch):
 
 
 # -- fingerprints ---------------------------------------------------------------
+#
+# `fingerprint` reads everything off the scheme. The oracles below compute
+# the same invariant from the n x n matrix alone, and are checked in turn
+# against brute force.
+
+# (edge, vertex) cells per chunk of the 4-clique tally
+CLIQUE_CHUNK = 1 << 14
+
+
+def rank_mod_p(matrix: np.ndarray, p: int) -> int:
+    """Rank over F_p by row echelon form.
+
+    Each pivot clears only the rows below it, over the columns from the
+    pivot on: the columns to its left are already zero in those rows.
+    """
+    m = (matrix.astype(np.int64)) % p
+    rows, cols = m.shape
+    rank = 0
+    row = 0
+    for col in range(cols):
+        pivots = np.flatnonzero(m[row:, col])
+        if pivots.size == 0:
+            continue
+        piv = row + int(pivots[0])
+        if piv != row:
+            m[[row, piv]] = m[[piv, row]]
+        pivot_row = m[row, col:] * pow(int(m[row, col]), -1, p) % p
+        below = row + 1 + np.flatnonzero(m[row + 1:, col])
+        if below.size:
+            m[below, col:] = (m[below, col:]
+                              - np.outer(m[below, col], pivot_row)) % p
+        rank += 1
+        row += 1
+        if row == rows:
+            break
+    return rank
+
+
+def clique_counts(adj: np.ndarray) -> tuple[int, tuple[int, ...]]:
+    """Number of 4-cliques, global and per vertex (sorted).
+
+    For each edge u < v with common neighbourhood C of at least two
+    vertices, the edges inside C close 4-cliques through u v: each
+    w in C is credited with its degree into C, and u, v and the total
+    with half their sum. Every 4-clique is met once per base edge, so
+    all tallies are six times the answer.
+
+    The rows are packed into uint64 words. The edges go in chunks of
+    CLIQUE_CHUNK // n; a chunk computes C = P[u] & P[v] for all its
+    edges, one popcount(P[w] & C) per (edge, w in C) pair, and the
+    per-edge and per-vertex sums by bincount. A chunk has at most
+    CLIQUE_CHUNK pairs of value at most n, so its float64 sums are
+    exact integers.
+    """
+    n = adj.shape[0]
+    words = -(-n // 64)
+    packed = np.zeros((n, 8 * words), dtype=np.uint8)
+    packed[:, :-(-n // 8)] = np.packbits(adj != 0, axis=1)
+    P = packed.view(np.uint64)
+    per_vertex = np.zeros(n, dtype=np.int64)
+    total = 0
+    us, vs = np.nonzero(np.triu(adj, 1))
+    step = max(1, CLIQUE_CHUNK // max(n, 1))
+    for lo in range(0, us.size, step):
+        u, v = us[lo:lo + step], vs[lo:lo + step]
+        edge, w = np.nonzero(adj[u] & adj[v])
+        sizes = np.bincount(edge, minlength=u.size)
+        keep = sizes[edge] >= 2
+        edge, w = edge[keep], w[keep]
+        common = P[u] & P[v]
+        inside = np.bitwise_count(P[w] & common[edge]).sum(axis=1)
+        edges_inside = (np.bincount(edge, inside, u.size)
+                        .astype(np.int64) // 2)
+        total += int(edges_inside.sum())
+        per_vertex += (np.bincount(w, inside, n)
+                       + np.bincount(u, edges_inside, n)
+                       + np.bincount(v, edges_inside, n)).astype(np.int64)
+    if total % 6 or (per_vertex % 6).any():
+        raise InternalInconsistencyError("4-clique tally is not divisible by 6")
+    return total // 6, tuple(sorted(int(x) // 6 for x in per_vertex))
+
+
+def matrix_fingerprint(matrix, kind, p):
+    """`fingerprint` computed from the matrix: the p-rank, then the
+    4-clique counts of a graph or the block intersection profile of a
+    design."""
+    rank = rank_mod_p(matrix, p)
+    if kind == "srg_graph":
+        return (rank, *clique_counts(matrix))
+    n = matrix.shape[0]
+    gram = matrix.T.astype(np.int64) @ matrix
+    off = gram[~np.eye(n, dtype=bool)]
+    sizes, counts = np.unique(off, return_counts=True)
+    profile = tuple((int(s), int(c)) for s, c in zip(sizes, counts))
+    return (rank, profile, ())
 
 
 def brute_rank_mod_p(m, p):
@@ -108,7 +202,7 @@ def test_rank_mod_p_against_null_space(p):
     rng = np.random.default_rng(11 + p)
     for _ in range(8):
         m = rng.integers(0, p, size=(5, 6))
-        assert _rank_mod_p(m, p) == brute_rank_mod_p(m, p)
+        assert rank_mod_p(m, p) == brute_rank_mod_p(m, p)
 
 
 def brute_k4(adj):
@@ -131,7 +225,7 @@ def test_clique_counts_against_brute_force():
         for i, j in itertools.combinations(range(n), 2):
             if rng.random() < 0.55:
                 adj[i, j] = adj[j, i] = 1
-        assert _clique_counts(adj) == brute_k4(adj)
+        assert clique_counts(adj) == brute_k4(adj)
 
 
 def k4_by_neighbourhoods(adj):
@@ -152,14 +246,14 @@ def test_clique_counts_at_word_and_chunk_boundaries():
     for n in (63, 64, 65, 130):
         for density in (0.3, 0.7):
             adj = random_graph(rng, n, density)
-            assert _clique_counts(adj) == k4_by_neighbourhoods(adj)
-    assert _clique_counts(np.zeros((9, 9), dtype=np.uint8)) == (0, (0,) * 9)
+            assert clique_counts(adj) == k4_by_neighbourhoods(adj)
+    assert clique_counts(np.zeros((9, 9), dtype=np.uint8)) == (0, (0,) * 9)
     k7 = 1 - np.eye(7, dtype=np.uint8)
-    assert _clique_counts(k7) == (35, (20,) * 7)
+    assert clique_counts(k7) == (35, (20,) * 7)
     # 3875 edges, far more than one chunk holds at 125 vertices
     adj = make_configuration(paley(5, 3)).matrix
-    assert np.triu(adj, 1).sum() > _CLIQUE_CHUNK // adj.shape[0]
-    assert _clique_counts(adj) == k4_by_neighbourhoods(adj)
+    assert np.triu(adj, 1).sum() > CLIQUE_CHUNK // adj.shape[0]
+    assert clique_counts(adj) == k4_by_neighbourhoods(adj)
 
 
 def test_clique_count_self_check_catches_asymmetric_input():
@@ -167,7 +261,7 @@ def test_clique_count_self_check_catches_asymmetric_input():
     for _ in range(200):
         adj = rng.integers(0, 2, size=(8, 8)).astype(np.uint8)
         with pytest.raises(InternalInconsistencyError):
-            _clique_counts(adj)
+            clique_counts(adj)
 
 
 def test_fingerprint_stable_under_rebuilt_field():
@@ -182,7 +276,7 @@ def test_fingerprint_stable_under_rebuilt_field():
 
 def without_scheme(C):
     """The same configuration, built from its matrix alone: no seeds."""
-    return Configuration(kind=C.kind, p=C.p, n=C.n, matrix=C.matrix,
+    return Configuration(kind=C.kind, n=C.n, matrix=C.matrix,
                          params=C.params)
 
 
@@ -208,34 +302,30 @@ def test_fingerprint_read_off_the_scheme_matches_the_matrix():
     spectra = set()
     for C in pool:
         got = fingerprint(C)
-        assert got == fingerprint(without_scheme(C))
+        assert got == matrix_fingerprint(C.matrix, C.kind, C._rec.p)
         assert got[0] == C.n
         if C.kind == "srg_graph":
             spectra.add(got[1:])
     assert len(spectra) > len({C.n for C in pool if C.kind == "srg_graph"})
 
 
-def test_fingerprint_of_a_scheme_skips_the_matrix_passes(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("matrix pass run for a scheme configuration")
-
-    monkeypatch.setattr(classify, "_rank_mod_p", refuse)
-    monkeypatch.setattr(classify, "_clique_counts", refuse)
+def test_fingerprint_of_a_bare_configuration_is_refused():
     for rec in (paley(13, 1), paley(3, 3), paley(5, 2)):
         C = make_configuration(rec)
         fingerprint(C)
-        with pytest.raises(AssertionError):
+        with pytest.raises(PreconditionError):
             fingerprint(without_scheme(C))
 
 
 def test_fingerprint_stable_under_relabeling():
-    C = make_configuration(paley(13, 1))
     rng = np.random.default_rng(3)
-    perm = rng.permutation(C.n)
-    relabeled = Configuration(kind=C.kind, p=C.p, n=C.n,
-                              matrix=C.matrix[np.ix_(perm, perm)],
-                              params=C.params)
-    assert fingerprint(C) == fingerprint(relabeled)
+    for rec in (paley(13, 1), paley(19, 1)):
+        C = make_configuration(rec)
+        points = rng.permutation(C.n)
+        # a graph relabels rows and columns alike, a design apart
+        blocks = points if C.kind == "srg_graph" else rng.permutation(C.n)
+        relabeled = C.matrix[np.ix_(points, blocks)]
+        assert fingerprint(C) == matrix_fingerprint(relabeled, C.kind, rec.p)
 
 
 # -- semilinear canonical forms --------------------------------------------------
@@ -330,6 +420,10 @@ def test_graph6_rejects_bad_input():
         encode_graph6(np.eye(3, dtype=np.uint8))
     with pytest.raises(ParameterError):
         decode_graph6("B")  # truncated body
+    # size bytes below '?', the empty graph, or past '~'
+    for line in (">?", "\x7f", "~>??", "~?\x7f?"):
+        with pytest.raises(ParameterError, match="graph6 range"):
+            decode_graph6(line)
 
 
 def test_design_json_export():
@@ -397,7 +491,7 @@ def test_iso_test_under_relabeling():
     C = make_configuration(paley(17, 1))
     rng = np.random.default_rng(7)
     perm17 = rng.permutation(C.n)
-    relabeled = Configuration(kind=C.kind, p=C.p, n=C.n,
+    relabeled = Configuration(kind=C.kind, n=C.n,
                               matrix=C.matrix[np.ix_(perm17, perm17)],
                               params=C.params)
     assert iso_test(C, relabeled)
@@ -410,6 +504,33 @@ def test_iso_test_kind_guard():
         iso_test(g, d)
 
 
+def test_iso_test_fingerprints_only_pairs_of_scheme_graphs(monkeypatch):
+    seen = []
+    real = classify.fingerprint
+
+    def spy(C):
+        seen.append(C)
+        return real(C)
+
+    monkeypatch.setattr(classify, "fingerprint", spy)
+    rng = np.random.default_rng(4)
+    graph = make_configuration(paley(13, 1))
+    designs = [make_configuration(paley(19, 1)),
+               make_configuration(certify(negate(paley(19, 1)),
+                                          ("additive",)))]
+    bare_graph = without_scheme(graph)
+    bare_design = relabeled_without_scheme(designs[0], rng)
+    assert iso_test(*designs)
+    assert iso_test(designs[1], bare_design)
+    assert iso_test(bare_design, bare_design)
+    assert iso_test(graph, bare_graph) and iso_test(bare_graph, graph)
+    assert seen == []
+    rebuilt = make_configuration(paley(13, 1, field=FiniteField(
+        13, 1, modulus=(6, 1))))
+    assert iso_test(graph, rebuilt)
+    assert seen == [graph, rebuilt]
+
+
 def test_budget_is_enforced():
     # the seeded search of the 27-point Paley design visits 8 nodes
     C = make_configuration(paley(3, 3))
@@ -419,6 +540,10 @@ def test_budget_is_enforced():
     for budget in (0, -1):
         with pytest.raises(ParameterError):
             aut_order(C, budget=budget)
+        # iso_test checks on entry, whether or not the parameters match
+        for other in (C, make_configuration(paley(7, 1))):
+            with pytest.raises(ParameterError, match="budget"):
+                iso_test(C, other, budget=budget)
 
 
 def loop_refine(adj, cells):
@@ -544,7 +669,7 @@ def test_development_rows_match_brute_force_on_eleven():
 # -- seeded searches -------------------------------------------------------------
 
 
-def test_seeds_leave_aut_order_and_certificate_alone():
+def test_seeds_leave_aut_order_and_certificate_alone(monkeypatch):
     for rec in [paley(7, 1), paley(13, 1), paley(3, 3),
                 scheme_of_power(5, 3, 2)]:
         assert scheme_seeds(rec)
@@ -552,6 +677,20 @@ def test_seeds_leave_aut_order_and_certificate_alone():
         plain = without_scheme(seeded)
         assert aut_order(seeded) == aut_order(plain)
         assert canonical_certificate(seeded) == canonical_certificate(plain)
+    # X = () is the first hit of search_galois_invariant(3, 1, 5). Its
+    # unseeded search takes about 14 s, so the reference run here keeps
+    # the translations and drops the maps x -> c x^(p^k), whose block
+    # maps are taken to be their point maps.
+    rec = certify(build_DX(3, 1, 5, ()), ("additive",))
+    real = classify.scheme_seeds
+    assert len(real(rec)) > rec.field.m
+    seeded = make_configuration(rec)
+    want = (aut_order(seeded), canonical_certificate(seeded))
+    assert want[0] == 243 * 121 * 5
+    monkeypatch.setattr(classify, "scheme_seeds",
+                        lambda r: real(r)[:r.field.m])
+    translated = make_configuration(rec)
+    assert (aut_order(translated), canonical_certificate(translated)) == want
 
 
 def test_non_automorphism_seeds_are_rejected():
@@ -740,20 +879,20 @@ def paley_one_hadamard(p):
     return S + np.eye(p + 1, dtype=np.int64)
 
 
-def derived_design(H, p, row, col):
+def derived_design(H, row, col):
     """The Hadamard 2-design of H normalised at (row, col); no scheme."""
     n = H.shape[0]
     assert (H @ H.T == n * np.eye(n, dtype=np.int64)).all()
     H = H * H[:, [col]] * H[[row], :] * H[row, col]
     M = (np.delete(np.delete(H, row, 0), col, 1) == 1).astype(np.uint8)
     v = n - 1
-    return Configuration(kind="hadamard_design", p=p, n=v, matrix=M,
+    return Configuration(kind="hadamard_design", n=v, matrix=M,
                          params=(v, v // 2, (v - 3) // 4))
 
 
 def relabeled_without_scheme(C, rng):
     pperm, bperm = rng.permutation(C.n), rng.permutation(C.n)
-    return Configuration(kind=C.kind, p=C.p, n=C.n,
+    return Configuration(kind=C.kind, n=C.n,
                          matrix=C.matrix[np.ix_(pperm, bperm)],
                          params=C.params)
 
@@ -766,10 +905,10 @@ def test_iso_test_agrees_with_certificates_on_designs():
         certify(negate(paley(19, 1)), ("additive",)), paley(23, 1),
         paley(3, 3), paley(3, 3, field=other27), scheme_of_power(3, 3, 2),
         paley(43, 1))]
-    non_paley = [derived_design(paley_two_hadamard(3, 2), 19, 0, 0),
+    non_paley = [derived_design(paley_two_hadamard(3, 2), 0, 0),
                  derived_design(np.kron([[1, 1], [1, -1]],
-                                        paley_one_hadamard(11)), 23, 0, 0),
-                 derived_design(paley_two_hadamard(13, 1), 3, 0, 0)]
+                                        paley_one_hadamard(11)), 0, 0),
+                 derived_design(paley_two_hadamard(13, 1), 0, 0)]
     pool = (with_scheme + non_paley
             + [relabeled_without_scheme(C, rng)
                for C in with_scheme + non_paley[:1]])
