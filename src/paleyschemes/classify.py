@@ -11,8 +11,9 @@ layers of comparison are provided, from cheapest to most precise:
      p-rank, 4-cliques from one vertex) and the development profile of
      a design, its triple counts,
   3. canonical certificates from individualization-refinement, which
-     decide configuration isomorphism outright and give exact
-     automorphism group orders. A configuration built from a bare
+     decide configuration isomorphism outright. The same search gives
+     the exact automorphism group order, as the product of the orbit
+     sizes along its first path. A configuration built from a bare
      matrix, with no scheme, has only this layer.
 """
 
@@ -425,15 +426,41 @@ def _target_cell(cells: list[np.ndarray]) -> Optional[int]:
 
 
 class _IRSearch:
-    """Canonical labeling search with automorphism pruning.
+    """Canonical labeling and automorphism group order from one search.
 
     The certificate is the lexicographically least packed adjacency
     matrix over all leaves of the tree; automorphisms fall out of leaf
     collisions and prune sibling branches through their orbits. A
     configuration built from a scheme seeds in the automorphisms its
     scheme already has; they only enlarge the orbits used for pruning,
-    so the certificate and the completed group are the same as for an
+    so the certificate and the group order are the same as for an
     unseeded run, just reached much sooner.
+
+    The group order is read off the first path, the nodes entered before
+    the first leaf, each the first child of the one above (McKay &
+    Piperno, JSC 60, 2014). Say the node with prefix v_0 ... v_(i-1)
+    tries v_i first. Once all its children are explored or pruned, it
+    reads the orbit of v_i under the generators found so far that fix
+    the prefix pointwise. |Aut| is the product of these readings: by
+    orbit-stabilizer along Aut >= Aut_(v_0) >= Aut_(v_0, v_1) >= ...,
+    it is enough that each reading is the whole orbit of v_i under the
+    automorphisms fixing the prefix, and that the automorphisms fixing
+    the whole first path are trivial.
+
+    Every seed and recorded generator preserves the root cells, and
+    refinement commutes with automorphisms, so an automorphism fixing a
+    prefix maps the subtree of a child onto the subtree of its image,
+    certificates included. An individualized vertex keeps its position
+    in the final order, so a leaf whose certificate equals the first
+    leaf's yields a generator that fixes the prefix the two leaves share
+    and maps v_i to that leaf's choice at level i. By induction on the
+    pruning rule, each explored node whose subtree holds a leaf with the
+    first certificate explores such a leaf: a pruned child is the image
+    of an explored sibling under a found automorphism fixing the prefix,
+    which carries the leaf along. So every child in the orbit of v_i is
+    reached by a found generator, directly or through the sibling that
+    pruned it. The automorphisms fixing the whole first path fix the
+    discrete partition of the first leaf, so they are trivial.
     """
 
     def __init__(self, adj: np.ndarray, cells: list[np.ndarray], budget: int,
@@ -444,15 +471,17 @@ class _IRSearch:
         self.spent = 0
         self.gens: list[np.ndarray] = []
         self.gen_keys: set[bytes] = set()
+        self.order = 1
         self.first: Optional[tuple[bytes, np.ndarray]] = None
         self.best: Optional[tuple[bytes, np.ndarray]] = None
         self.root = [np.asarray(c, dtype=np.int64) for c in cells]
         for g in seed:
             self._record_automorphism(np.asarray(g, dtype=np.int64))
 
-    def run(self) -> tuple[bytes, list[np.ndarray]]:
+    def run(self) -> tuple[bytes, int]:
+        """The certificate and |Aut|."""
         self._explore(self.root, [])
-        return self.best[0], self.gens
+        return self.best[0], self.order
 
     def _explore(self, cells: list[np.ndarray], prefix: list[int]) -> None:
         self.spent += 1
@@ -460,6 +489,7 @@ class _IRSearch:
             raise BudgetExceededError(
                 f"isomorphism search visited {self.spent} nodes",
                 spent=self.spent)
+        on_first_path = self.first is None
         cells = _refine(self.adj, cells)
         pos = _target_cell(cells)
         if pos is None:
@@ -481,6 +511,9 @@ class _IRSearch:
                      + cells[pos + 1:])
             self._explore(split, prefix + [x])
             explored.append(x)
+        if on_first_path:
+            orbit = self._orbits(prefix)
+            self.order *= int(np.count_nonzero(orbit == orbit[target[0]]))
 
     def _orbits(self, prefix: list[int]) -> np.ndarray:
         """Orbit labels under the found generators that fix the prefix."""
@@ -527,84 +560,6 @@ class _IRSearch:
                 "a seed or leaf collision is not an automorphism")
         self.gen_keys.add(key)
         self.gens.append(g)
-
-
-def _perm_group_order(degree: int, gens: Iterable[np.ndarray]) -> int:
-    """Exact order of the generated permutation group (stabilizer chain)."""
-    ident = np.arange(degree, dtype=np.int64)
-    seeds = []
-    seen = set()
-    for g in gens:
-        g = np.asarray(g, dtype=np.int64)
-        key = g.tobytes()
-        if key not in seen and (g != ident).any():
-            seen.add(key)
-            seeds.append(g)
-    if not seeds:
-        return 1
-
-    base: list[int] = []
-    level_gens: list[list[np.ndarray]] = []
-    orbits: list[dict[int, np.ndarray]] = []
-
-    def inv(p: np.ndarray) -> np.ndarray:
-        q = np.empty_like(p)
-        q[p] = ident
-        return q
-
-    def new_level(pt: int) -> None:
-        base.append(pt)
-        level_gens.append([])
-        orbits.append({})
-
-    def build_orbit(i: int) -> None:
-        orb = {base[i]: ident}
-        queue = [base[i]]
-        while queue:
-            x = queue.pop()
-            ux = orb[x]
-            for g in level_gens[i]:
-                y = int(g[x])
-                if y not in orb:
-                    orb[y] = g[ux]
-                    queue.append(y)
-        orbits[i] = orb
-
-    def strip(g: np.ndarray, start: int) -> tuple[np.ndarray, int]:
-        for i in range(start, len(base)):
-            x = int(g[base[i]])
-            if x not in orbits[i]:
-                return g, i
-            g = inv(orbits[i][x])[g]
-        return g, len(base)
-
-    def verify(i: int) -> None:
-        build_orbit(i)
-        for x in sorted(orbits[i]):
-            ux = orbits[i][x]
-            for g in list(level_gens[i]):
-                y = int(g[x])
-                s = inv(orbits[i][y])[g[ux]]
-                if (s == ident).all():
-                    continue
-                h, j = strip(s, i + 1)
-                if (h == ident).all():
-                    continue
-                if j == len(base):
-                    new_level(int(np.flatnonzero(h != ident)[0]))
-                for k in range(i + 1, j + 1):
-                    level_gens[k].append(h)
-                for k in range(j, i, -1):
-                    verify(k)
-
-    first_moved = min(int(np.flatnonzero(g != ident)[0]) for g in seeds)
-    new_level(first_moved)
-    level_gens[0] = seeds
-    verify(0)
-    out = 1
-    for orb in orbits:
-        out *= len(orb)
-    return out
 
 
 def _ir_inputs(C: Configuration) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -689,9 +644,9 @@ def _ir_result(C: Configuration, budget: int) -> tuple[bytes, int]:
     if C._ir is None:
         adj, cells = _ir_inputs(C)
         search = _IRSearch(adj, cells, budget, seed=_seed_point_maps(C))
-        cert, gens = search.run()
+        cert, order = search.run()
         header = f"{C.kind}|{C.params}|".encode()
-        C._ir = (header + cert, _perm_group_order(adj.shape[0], gens))
+        C._ir = (header + cert, order)
     return C._ir
 
 
@@ -703,10 +658,13 @@ def canonical_certificate(C: Configuration,
 def aut_order(C: Configuration, budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Exact automorphism group order.
 
-    For designs this is the point-permutation group: blocks are distinct,
-    so block images are forced by point images and the color-preserving
-    group of the incidence graph is exactly the design group. A scheme's
-    configuration is searched from its scheme_seeds, which changes no answer.
+    The order is read off the same search that gives the certificate: the
+    product of the first-path orbit sizes of `_IRSearch`, with no second
+    pass over the generators. For designs this is the point-permutation
+    group: blocks are distinct, so block images are forced by point
+    images and the color-preserving group of the incidence graph is
+    exactly the design group. A scheme's configuration is searched from
+    its scheme_seeds, which changes no answer.
     """
     return _ir_result(C, budget)[1]
 

@@ -26,10 +26,6 @@ from .singer import gmw_components, singer_bundle
 
 ADP_ORIGINS = ("power", "half_power", "lifted", "quotient")
 
-# above this group order the dual-divisor certification of lifted sets is
-# skipped (difference-set certification still runs)
-ADP_CERTIFY_LIMIT = 10_000
-
 
 @dataclass(frozen=True)
 class AdpRecord:
@@ -217,28 +213,20 @@ def _lift(p: int, e: int, t: int, s: int,
 
 
 def adp_lift(rec: AdpRecord, s: int) -> tuple[AdpRecord, AdpRecord]:
-    """Lift an order-v_t record to layer st by the two trace-set twists."""
+    """Lift an order-v_t record to layer st by the two trace-set twists.
+
+    Both lifts are certified by `adp_check`, dual divisor included, at
+    every order.
+    """
     if not rec.adp_certified:
         raise PreconditionError("only certified records lift")
-    lifts = _lift(rec.p, rec.e, rec.l, s, rec.A)
-    q = rec.q
-    st = s * rec.l
-    v_st = (q ** st - 1) // (q - 1)
-    params = (v_st, q ** (st - 1), q ** (st - 2) * (q - 1))
     out = []
-    for lifted in lifts:
-        if v_st < ADP_CERTIFY_LIMIT:
-            cert = adp_check(rec.p, rec.e, st, lifted, origin="lifted")
-            if cert is None:
-                raise InternalInconsistencyError(
-                    "lifted set failed the dividing-set guarantee")
-            out.append(cert)
-        else:
-            if not is_difference_set(_as_element(v_st, lifted), *params):
-                raise InternalInconsistencyError(
-                    "lifted set is not a difference set")
-            out.append(AdpRecord(p=rec.p, e=rec.e, l=st, A=lifted, dual=None,
-                                 origin="lifted", adp_certified=False))
+    for lifted in _lift(rec.p, rec.e, rec.l, s, rec.A):
+        cert = adp_check(rec.p, rec.e, s * rec.l, lifted, origin="lifted")
+        if cert is None:
+            raise InternalInconsistencyError(
+                "lifted set failed the dividing-set guarantee")
+        out.append(cert)
     return out[0], out[1]
 
 

@@ -29,7 +29,8 @@ A residue search is one walk over the Gray range [0, 2^orbits).  Every
 snapshot at that position, to one JSON-lines checkpoint file
 `<checkpoint_dir>/search.jsonl` through a temp-file-and-rename write,
 and resuming from whatever survived a kill reproduces the uninterrupted
-output.
+output.  The file is read as a claim: a resumed run checks every
+position, residue snapshot and stored hit again before using it.
 """
 
 from __future__ import annotations
@@ -330,20 +331,67 @@ def _atomic_write(path: Path, records: list[dict]) -> None:
     os.replace(tmp, path)
 
 
-def _validate_checkpoint(recd: dict, total: int, contrib: np.ndarray,
-                         M: int) -> None:
-    if recd.get("engine") != ENGINE_VERSION:
-        raise ParameterError(
-            f"checkpoint from engine {recd.get('engine')!r} cannot drive "
-            f"engine {ENGINE_VERSION!r}")
-    pos = recd.get("gray_pos")
-    if not isinstance(pos, int) or not 0 < pos <= total:
-        raise ParameterError("checkpoint position lies outside the Gray range")
-    expect = _residue_at(contrib, M, _gray(pos - 1))
-    if [int(x) for x in expect] != list(recd.get("residue", [])):
-        raise InternalInconsistencyError(
-            "checkpoint residue snapshot does not match its position; the "
-            "file was not written by a run over this space")
+def _gray_position(code: int) -> int:
+    """The Gray position whose code is `code`: the inverse of _gray."""
+    n = 0
+    while code:
+        n ^= code
+        code >>= 1
+    return n
+
+
+def _load_checkpoint(path: Path, space: SearchSpace, contrib: np.ndarray,
+                     M: int, field) -> tuple[list[dict], int, list]:
+    """The records, position and hits of a checkpoint, every claim checked.
+
+    Positions must increase strictly and each carries the residue
+    snapshot of the walk there. A stored X must be a union of orbits
+    whose Gray position lies in its record's range, after the X before
+    it, with a vanishing residue; it is then verified again like a fresh
+    hit. A malformed record raises ParameterError.
+    """
+    orbit_of = {x: o for o, orbit in enumerate(space.orbits) for x in orbit}
+    records: list[dict] = []
+    found: list[tuple[int, ...]] = []
+    pos = 0
+    for line in path.read_text().splitlines():
+        if not line.strip():
+            continue
+        try:
+            recd = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise ParameterError(f"checkpoint line is not JSON: {err}")
+        if not isinstance(recd, dict) or not isinstance(recd.get("found"),
+                                                        list):
+            raise ParameterError("checkpoint record is not a dict of hits")
+        if recd.get("engine") != ENGINE_VERSION:
+            raise ParameterError(
+                f"checkpoint from engine {recd.get('engine')!r} cannot drive "
+                f"engine {ENGINE_VERSION!r}")
+        start, pos = pos, recd.get("gray_pos")
+        if not isinstance(pos, int) or not start < pos <= space.candidates:
+            raise ParameterError(
+                "checkpoint positions must increase inside the Gray range")
+        expect = _residue_at(contrib, M, _gray(pos - 1))
+        if [int(x) for x in expect] != list(recd.get("residue", [])):
+            raise InternalInconsistencyError(
+                "checkpoint residue snapshot does not match its position; "
+                "the file was not written by a run over this space")
+        for X in recd["found"]:
+            if not isinstance(X, list) or any(
+                    type(x) is not int or x not in orbit_of for x in X):
+                raise ParameterError(
+                    f"checkpoint hit {X!r} is not a list of indices")
+            g = _gray_position(sum(1 << o for o in {orbit_of[x] for x in X}))
+            if (not start <= g < pos or _subset_of(space, g) != tuple(X)
+                    or _residue_at(contrib, M, _gray(g)).any()):
+                raise ParameterError(
+                    f"checkpoint hit {X!r} is not a hit of positions "
+                    f"[{start}, {pos}) after the hits before it")
+            found.append(_verified_hit(space, g, field))
+            start = g + 1
+        records.append(recd)
+    return records, pos, found
 
 
 def _coverage_note(space: SearchSpace) -> Optional[str]:
@@ -375,12 +423,8 @@ def _run_residue_search(space: SearchSpace, *, checkpoint_dir=None,
         path = Path(checkpoint_dir) / "search.jsonl"
         path.parent.mkdir(parents=True, exist_ok=True)
         if path.exists():
-            lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-            records = [json.loads(ln) for ln in lines]
-            for recd in records:
-                _validate_checkpoint(recd, total, contrib, M)
-                found.extend(tuple(int(x) for x in X) for X in recd["found"])
-                pos = recd["gray_pos"]
+            records, pos, found = _load_checkpoint(path, space, contrib, M,
+                                                   field)
     while pos < total:
         upto = min(total, (pos // flush_every + 1) * flush_every)
         new = [_verified_hit(space, g, field)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from paleyschemes import classify
-from paleyschemes.classify import (Configuration, _ir_inputs,
-                                   _least_rotation, _perm_group_order,
+from paleyschemes.classify import (Configuration, _IRSearch, _ir_inputs,
+                                   _least_rotation,
                                    _profile_rows, _refine,
                                    _triple_table, affine_link,
                                    aut_order,
@@ -437,6 +437,85 @@ def test_design_json_export():
 # -- permutation group order ------------------------------------------------------
 
 
+def perm_group_order(degree, gens):
+    """Exact order of the generated permutation group, by Schreier-Sims:
+    the oracle for the first-path orbit product of `aut_order`."""
+    ident = np.arange(degree, dtype=np.int64)
+    seeds = []
+    seen = set()
+    for g in gens:
+        g = np.asarray(g, dtype=np.int64)
+        key = g.tobytes()
+        if key not in seen and (g != ident).any():
+            seen.add(key)
+            seeds.append(g)
+    if not seeds:
+        return 1
+
+    base: list[int] = []
+    level_gens: list[list[np.ndarray]] = []
+    orbits: list[dict[int, np.ndarray]] = []
+
+    def inv(p: np.ndarray) -> np.ndarray:
+        q = np.empty_like(p)
+        q[p] = ident
+        return q
+
+    def new_level(pt: int) -> None:
+        base.append(pt)
+        level_gens.append([])
+        orbits.append({})
+
+    def build_orbit(i: int) -> None:
+        orb = {base[i]: ident}
+        queue = [base[i]]
+        while queue:
+            x = queue.pop()
+            ux = orb[x]
+            for g in level_gens[i]:
+                y = int(g[x])
+                if y not in orb:
+                    orb[y] = g[ux]
+                    queue.append(y)
+        orbits[i] = orb
+
+    def strip(g: np.ndarray, start: int) -> tuple[np.ndarray, int]:
+        for i in range(start, len(base)):
+            x = int(g[base[i]])
+            if x not in orbits[i]:
+                return g, i
+            g = inv(orbits[i][x])[g]
+        return g, len(base)
+
+    def verify(i: int) -> None:
+        build_orbit(i)
+        for x in sorted(orbits[i]):
+            ux = orbits[i][x]
+            for g in list(level_gens[i]):
+                y = int(g[x])
+                s = inv(orbits[i][y])[g[ux]]
+                if (s == ident).all():
+                    continue
+                h, j = strip(s, i + 1)
+                if (h == ident).all():
+                    continue
+                if j == len(base):
+                    new_level(int(np.flatnonzero(h != ident)[0]))
+                for k in range(i + 1, j + 1):
+                    level_gens[k].append(h)
+                for k in range(j, i, -1):
+                    verify(k)
+
+    first_moved = min(int(np.flatnonzero(g != ident)[0]) for g in seeds)
+    new_level(first_moved)
+    level_gens[0] = seeds
+    verify(0)
+    out = 1
+    for orb in orbits:
+        out *= len(orb)
+    return out
+
+
 def perm(n, mapping):
     g = np.arange(n)
     for a, b in mapping.items():
@@ -448,19 +527,19 @@ def test_group_order_oracles():
     n = 5
     cycle = np.roll(np.arange(n), -1)
     swap = perm(n, {0: 1, 1: 0})
-    assert _perm_group_order(n, [cycle, swap]) == 120  # symmetric group
-    assert _perm_group_order(n, [cycle]) == 5
-    assert _perm_group_order(n, []) == 1
+    assert perm_group_order(n, [cycle, swap]) == 120  # symmetric group
+    assert perm_group_order(n, [cycle]) == 5
+    assert perm_group_order(n, []) == 1
     klein = [perm(4, {0: 1, 1: 0, 2: 3, 3: 2}),
              perm(4, {0: 2, 2: 0, 1: 3, 3: 1})]
-    assert _perm_group_order(4, klein) == 4
+    assert perm_group_order(4, klein) == 4
     hexagon = [np.roll(np.arange(6), -1),
                np.array([0, 5, 4, 3, 2, 1])]
-    assert _perm_group_order(6, hexagon) == 12  # dihedral
+    assert perm_group_order(6, hexagon) == 12  # dihedral
     a4 = [perm(4, {0: 1, 1: 2, 2: 0}), perm(4, {1: 2, 2: 3, 3: 1})]
-    assert _perm_group_order(4, a4) == 12  # alternating
+    assert perm_group_order(4, a4) == 12  # alternating
     split = [perm(5, {0: 1, 1: 0}), perm(5, {2: 3, 3: 4, 4: 2})]
-    assert _perm_group_order(5, split) == 6  # direct product C2 x C3
+    assert perm_group_order(5, split) == 6  # direct product C2 x C3
 
 
 # -- exact automorphism orders and isomorphism -------------------------------------
@@ -890,8 +969,17 @@ def derived_design(H, row, col):
                          params=(v, v // 2, (v - 3) // 4))
 
 
+def non_paley_designs():
+    """Hadamard designs on 19, 23 and 27 points, built with no scheme."""
+    return [derived_design(paley_two_hadamard(3, 2), 0, 0),
+            derived_design(np.kron([[1, 1], [1, -1]],
+                                   paley_one_hadamard(11)), 0, 0),
+            derived_design(paley_two_hadamard(13, 1), 0, 0)]
+
+
 def relabeled_without_scheme(C, rng):
-    pperm, bperm = rng.permutation(C.n), rng.permutation(C.n)
+    pperm = rng.permutation(C.n)
+    bperm = pperm if C.kind == "srg_graph" else rng.permutation(C.n)
     return Configuration(kind=C.kind, n=C.n,
                          matrix=C.matrix[np.ix_(pperm, bperm)],
                          params=C.params)
@@ -905,10 +993,7 @@ def test_iso_test_agrees_with_certificates_on_designs():
         certify(negate(paley(19, 1)), ("additive",)), paley(23, 1),
         paley(3, 3), paley(3, 3, field=other27), scheme_of_power(3, 3, 2),
         paley(43, 1))]
-    non_paley = [derived_design(paley_two_hadamard(3, 2), 0, 0),
-                 derived_design(np.kron([[1, 1], [1, -1]],
-                                        paley_one_hadamard(11)), 0, 0),
-                 derived_design(paley_two_hadamard(13, 1), 0, 0)]
+    non_paley = non_paley_designs()
     pool = (with_scheme + non_paley
             + [relabeled_without_scheme(C, rng)
                for C in with_scheme + non_paley[:1]])
@@ -919,3 +1004,23 @@ def test_iso_test_agrees_with_certificates_on_designs():
         if C1.params == C2.params:
             verdicts.add(same)
     assert verdicts == {True, False}
+
+
+def test_first_path_order_matches_schreier_sims(monkeypatch):
+    # a spy keeps each search, so the oracle sees the generators it found
+    searches = []
+
+    class Spy(_IRSearch):
+        def run(self):
+            searches.append(self)
+            return super().run()
+
+    monkeypatch.setattr(classify, "_IRSearch", Spy)
+    rng = np.random.default_rng(17)
+    schemes = scheme_configurations()
+    pool = (schemes + non_paley_designs()
+            + [relabeled_without_scheme(C, rng) for C in schemes])
+    for C in pool:
+        order = aut_order(C)
+        search = searches.pop()
+        assert order == perm_group_order(search.n, search.gens)

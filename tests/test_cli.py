@@ -222,6 +222,20 @@ def test_search_galois_checkpointed_and_deterministic(tmp_path):
                "--shards", 2) == 1
 
 
+def test_search_galois_refuses_a_malformed_checkpoint(tmp_path, capsys):
+    ck = tmp_path / "ck"
+    assert run("search", "galois", "--p", 5, "--degree", 3,
+               "--checkpoint", ck, "--out", tmp_path / "res.json") == 0
+    path = ck / "search.jsonl"
+    records = [json.loads(ln) for ln in path.read_text().splitlines()]
+    records[0]["found"].append(["a"])
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    capsys.readouterr()
+    assert run("search", "galois", "--p", 5, "--degree", 3,
+               "--checkpoint", ck, "--out", tmp_path / "again.json") == 1
+    assert "checkpoint hit" in capsys.readouterr().err
+
+
 def test_search_cyclotomic_via_cli(tmp_path):
     out = tmp_path / "unions.json"
     assert run("search", "cyclotomic", "--p", 7, "--m", 2, "--classes", 4,

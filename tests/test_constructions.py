@@ -188,15 +188,6 @@ def test_adp_lift_full_layer():
     assert lift2.adp_certified
 
 
-def test_adp_lift_defers_certification_above_limit():
-    base = AdpRecord(p=3, e=1, l=1, A=(0,), dual=(0,), origin="quotient",
-                     adp_certified=True)
-    lift1, lift2 = adp_lift(base, 11)
-    assert lift1.v == 88573
-    assert not lift1.adp_certified and lift1.dual is None
-    assert len(lift1.A) == 3 ** 10 and len(lift2.A) == 3 ** 10
-
-
 def test_lift_paths_agree():
     rec = adp_half_power_family(3, 1)
     lifts = adp_lift(rec, 3)

@@ -285,6 +285,43 @@ def test_tampered_checkpoints_are_refused(tmp_path):
             rerun_with(bad)
 
 
+def tampered_hits(records, name):
+    """A checkpoint whose hit lists claim more than the walk found."""
+    first = next(i for i, r in enumerate(records) if r["found"])
+    hit = records[first]["found"][0]
+    wide = next(X for X in records[first]["found"] if len(X) > 1)
+
+    def edited(i, found):
+        bad = [dict(r) for r in records]
+        bad[i]["found"] = found
+        return bad
+
+    return {
+        "repeated record": records[:first + 1] + records[first:],
+        "non-hit [0]": edited(0, [[0]] + records[0]["found"]),
+        "not an index": edited(first, [["a"]]),
+        "not a list": edited(first, [7]),
+        "repeated hit": edited(first, [hit] + records[first]["found"]),
+        "not an orbit union": edited(first, [wide[:-1]]),
+        "outside its range": edited(first + 1,
+                                    [hit] + records[first + 1]["found"]),
+    }[name]
+
+
+@pytest.mark.parametrize("name", [
+    "repeated record", "non-hit [0]", "not an index", "not a list",
+    "repeated hit", "not an orbit union", "outside its range"])
+def test_checkpoint_hits_are_checked_again(tmp_path, name):
+    search_galois_invariant(5, 1, 3, checkpoint_dir=tmp_path,
+                            flush_every=512)
+    path = tmp_path / "search.jsonl"
+    bad = tampered_hits(read_records(path), name)
+    path.write_text("".join(json.dumps(r) + "\n" for r in bad))
+    with pytest.raises(ParameterError):
+        search_galois_invariant(5, 1, 3, checkpoint_dir=tmp_path,
+                                flush_every=512)
+
+
 # -- cyclotomic unions -------------------------------------------------------------
 
 
