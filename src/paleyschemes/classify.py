@@ -379,50 +379,83 @@ def canonical_hash(rec: SchemeRecord) -> str:
 # -- individualization-refinement ---------------------------------------------
 
 
-def _refine(adj: np.ndarray, cells: list[np.ndarray]) -> list[np.ndarray]:
-    """Equitable refinement: split cells by neighbor counts until stable.
+def _refine(adj: np.ndarray, order: np.ndarray, starts: np.ndarray,
+            active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Equitable refinement, counting only against the cells that split.
 
-    The partition is kept as one vertex order with cell boundaries. Each
-    round takes the vertices of the non-singleton cells, counts their
-    neighbours in every cell with one reduceat over their adjacency rows
-    in that order, and sorts them with one lexsort keyed on (cell, count
-    row, vertex). A cell is cut where the count row changes, so its
-    pieces stay in its place, in lexicographic order of their rows, each
-    piece ascending; singleton cells are left as they are. The rounds
-    stop when no cell splits. Counts, vertices and cell indices are at
-    most n, so the keys take the narrowest unsigned type that holds n,
-    which lexsort orders by radix sort.
+    The partition is one vertex order with the ascending start positions
+    of its cells, 0 first; `adj` is symmetric. Each round takes the
+    vertices of the non-singleton cells and counts their neighbours in
+    the active cells, given by start position. A cell is cut where the
+    count row changes, so its pieces stay in its place, in lexicographic
+    order of their rows, each piece ascending; singleton cells are left
+    as they are. The rounds stop when no cell splits.
+
+    After a round the partition is equitable with respect to the cells
+    the round started from. So against a cell that was not cut, and
+    against the union of the pieces of a cut cell, all vertices of a
+    cell have the same count, and the next round counts against the
+    pieces of the cut cells only. It leaves out the last piece of each:
+    its count is the cell's total less the pieces before it, so it
+    never decides the order of two rows. The count rows of a cell thus
+    order and cut it exactly as the rows against every cell would. The
+    first round counts against `active`: every cell at the root, and at
+    a child of an equitable partition, whose target cell was cut into
+    {x} and the rest, the start of {x} alone.
+
+    A count is at most its cell's size, below 2^b for the largest active
+    cell, so a row is read as base 2^b digits, f = 52 // b to a word.
+    One float64 product of digit weights with the adjacency rows of the
+    active cells gives the words, exactly, as every partial sum is below
+    2^52; the words order the rows as the digits do. One lexsort keyed
+    on (cell, words, vertex) sorts the vertices.
     """
-    order = np.concatenate(cells)
-    bounds = np.cumsum(list(map(len, cells)))[:-1]
-    key = np.min_scalar_type(order.size)
+    n = order.size
+    key = np.min_scalar_type(n)
+    order = order.copy()
+    head = np.zeros(n, dtype=bool)              # True where a cell starts
+    head[starts] = True
+    act = np.zeros(n, dtype=bool)               # True where an active one does
+    act[active] = True
     while True:
-        starts = np.concatenate(([0], bounds))
-        sizes = np.diff(np.append(starts, order.size))
-        cell_of = np.repeat(np.arange(starts.size, dtype=key), sizes)
-        pos = np.flatnonzero(sizes[cell_of] > 1)
+        single = head.copy()
+        single[:-1] &= head[1:]
+        pos = (~single).nonzero()[0]
         if pos.size == 0:
             break
+        cell_of = head.cumsum(dtype=key)
+        cell_of -= 1
+        cols = act[head][cell_of].nonzero()[0]
+        digit = head[cols].cumsum() - 1         # active cell of each column
+        b = int(np.bincount(digit).max()).bit_length()
+        f = 52 // b
+        place = 2.0 ** (b * (f - 1 - digit % f))
+        weights = np.zeros((int(digit[-1]) // f + 1, cols.size))
+        weights[digit // f, np.arange(cols.size)] = place
         verts = order[pos]
-        counts = np.add.reduceat(adj[verts][:, order], starts, axis=1,
-                                 dtype=key)
-        keys = np.vstack((verts.astype(key), counts.T[::-1], cell_of[pos]))
-        keys = keys[:, np.lexsort(keys)]
-        order[pos] = keys[0]
-        step = keys[:, 1:] != keys[:, :-1]
-        cut = step[1:-1].any(axis=0) & ~step[-1]
-        if not cut.any():
+        words = weights @ adj[order[cols]][:, verts]
+        cells = cell_of[pos]
+        sort = np.lexsort((verts, *words[::-1], cells))
+        order[pos] = verts[sort]
+        words = words[:, sort]
+        cells = cells[sort]
+        cut = (words[:, 1:] != words[:, :-1]).any(axis=0)
+        cut &= cells[1:] == cells[:-1]
+        new = pos[1:][cut]
+        if new.size == 0:
             break
-        bounds = np.union1d(bounds, pos[1:][cut])
-    edges = [0, *bounds.tolist(), order.size]
-    return [order[a:b] for a, b in zip(edges, edges[1:])]
+        cell = cell_of[new]
+        # every piece of a cut cell but the last: the cell's old start,
+        # and each new start with a later one in the same cell
+        act[:] = False
+        act[head.nonzero()[0][cell]] = True
+        act[new[:-1][cell[:-1] == cell[1:]]] = True
+        head[new] = True
+    return order, head.nonzero()[0]
 
 
-def _target_cell(cells: list[np.ndarray]) -> Optional[int]:
-    candidates = [(len(c), i) for i, c in enumerate(cells) if len(c) > 1]
-    if not candidates:
-        return None
-    return min(candidates)[1]
+# leaves are compared on this many rows before the whole certificate
+_HEAD_ROWS = 32
 
 
 class _IRSearch:
@@ -435,6 +468,14 @@ class _IRSearch:
     scheme already has; they only enlarge the orbits used for pruning,
     so the certificate and the group order are the same as for an
     unseeded run, just reached much sooner.
+
+    A node holds its partition as one vertex order with cell starts. Its
+    target is the first of the smallest non-singleton cells, and the
+    child for x puts x first in the target and cuts it after x. The
+    parent is equitable, so the child's refinement starts from the new
+    cell {x} alone (see `_refine`); only the root counts against every
+    cell. The orbits that prune siblings are labelled by their least
+    vertex, with array passes over the generators (see `_orbits`).
 
     The group order is read off the first path, the nodes entered before
     the first leaf, each the first child of the one above (McKay &
@@ -471,73 +512,95 @@ class _IRSearch:
         self.spent = 0
         self.gens: list[np.ndarray] = []
         self.gen_keys: set[bytes] = set()
+        # each generator and its inverse, one row each
+        self.moves = np.empty((0, self.n), dtype=np.int64)
         self.order = 1
         self.first: Optional[tuple[bytes, np.ndarray]] = None
         self.best: Optional[tuple[bytes, np.ndarray]] = None
-        self.root = [np.asarray(c, dtype=np.int64) for c in cells]
+        self.root = np.concatenate(cells).astype(np.int64)
+        self.root_starts = np.cumsum([0] + [len(c) for c in cells[:-1]])
         for g in seed:
             self._record_automorphism(np.asarray(g, dtype=np.int64))
 
     def run(self) -> tuple[bytes, int]:
         """The certificate and |Aut|."""
-        self._explore(self.root, [])
+        self._explore(self.root, self.root_starts, self.root_starts, [])
         return self.best[0], self.order
 
-    def _explore(self, cells: list[np.ndarray], prefix: list[int]) -> None:
+    def _explore(self, order: np.ndarray, starts: np.ndarray,
+                 active: np.ndarray, prefix: list[int]) -> None:
         self.spent += 1
         if self.spent > self.budget:
             raise BudgetExceededError(
                 f"isomorphism search visited {self.spent} nodes",
                 spent=self.spent)
         on_first_path = self.first is None
-        cells = _refine(self.adj, cells)
-        pos = _target_cell(cells)
-        if pos is None:
-            self._leaf(cells)
+        order, starts = _refine(self.adj, order, starts, active)
+        sizes = np.concatenate((starts[1:], [self.n])) - starts
+        if sizes.max() == 1:
+            self._leaf(order)
             return
-        target = cells[pos]
+        t = int(np.argmin(np.where(sizes > 1, sizes, self.n + 1)))
+        lo, hi = int(starts[t]), int(starts[t] + sizes[t])
+        target = order[lo:hi]
+        child_starts = np.concatenate((starts[:t + 1], [lo + 1],
+                                       starts[t + 1:]))
+        child_active = starts[t:t + 1]
         explored: list[int] = []
         stamp = -1
-        orbit = None
         for x in target.tolist():
             if explored:
                 if stamp != len(self.gens):
-                    orbit = self._orbits(prefix)
+                    orbit = self._orbits(prefix).tolist()
                     stamp = len(self.gens)
-                if any(orbit[x] == orbit[y] for y in explored):
+                    seen = {orbit[y] for y in explored}
+                if orbit[x] in seen:
                     continue
-            split = (cells[:pos]
-                     + [np.array([x], dtype=np.int64), target[target != x]]
-                     + cells[pos + 1:])
-            self._explore(split, prefix + [x])
+            child = np.concatenate((order[:lo], [x], target[target != x],
+                                    order[hi:]))
+            self._explore(child, child_starts, child_active, prefix + [x])
             explored.append(x)
+            if stamp == len(self.gens):
+                seen.add(orbit[x])
         if on_first_path:
             orbit = self._orbits(prefix)
             self.order *= int(np.count_nonzero(orbit == orbit[target[0]]))
 
     def _orbits(self, prefix: list[int]) -> np.ndarray:
-        """Orbit labels under the found generators that fix the prefix."""
-        parent = np.arange(self.n, dtype=np.int64)
+        """The least vertex of each orbit under the found generators that
+        fix the prefix, one label per vertex.
 
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
+        Each pass lowers every label to the least label among its images
+        and preimages under those generators, then jumps each label to
+        the label of the vertex it names. A label only ever names a
+        vertex of the same orbit, no larger than the vertex it labels,
+        so the passes end, and at their end the labels are constant on
+        orbits and fix themselves: each is its orbit's least vertex.
+        """
+        label = np.arange(self.n)
+        moves = self.moves
+        if prefix:
+            pref = np.asarray(prefix)
+            moves = moves[(moves[:, pref] == pref).all(axis=1)]
+        if moves.shape[0] == 0:
+            return label
+        while True:
+            lower = np.minimum(label, label[moves].min(axis=0))
+            lower = lower[lower]
+            if (lower == label).all():
+                return label
+            label = lower
 
-        pref = np.asarray(prefix, dtype=np.int64)
-        for g in self.gens:
-            if pref.size and (g[pref] != pref).any():
-                continue
-            for v in range(self.n):
-                ra, rb = find(v), find(int(g[v]))
-                if ra != rb:
-                    parent[rb] = ra
-        return np.fromiter((find(v) for v in range(self.n)),
-                           dtype=np.int64, count=self.n)
-
-    def _leaf(self, cells: list[np.ndarray]) -> None:
-        order = np.concatenate(cells)
+    def _leaf(self, order: np.ndarray) -> None:
+        if self.first is not None:
+            # the first rows pack to a prefix of the certificate, as
+            # their bit count is a multiple of 8; most leaves differ
+            # from the first leaf and rank after the best one there
+            head = np.packbits(self.adj[order[:_HEAD_ROWS]][:, order])
+            head = head.tobytes()
+            if (head != self.first[0][:len(head)]
+                    and head > self.best[0][:len(head)]):
+                return
         cert = np.packbits(self.adj[order][:, order]).tobytes()
         if self.first is None:
             self.first = (cert, order)
@@ -555,11 +618,14 @@ class _IRSearch:
         key = g.tobytes()
         if key in self.gen_keys or (g == np.arange(self.n)).all():
             return
-        if (self.adj[np.ix_(g, g)] != self.adj).any():
+        if (self.adj[g][:, g] != self.adj).any():
             raise InternalInconsistencyError(
                 "a seed or leaf collision is not an automorphism")
+        inverse = np.empty_like(g)
+        inverse[g] = np.arange(self.n)
         self.gen_keys.add(key)
         self.gens.append(g)
+        self.moves = np.vstack((self.moves, g, inverse))
 
 
 def _ir_inputs(C: Configuration) -> tuple[np.ndarray, list[np.ndarray]]:

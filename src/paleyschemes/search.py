@@ -341,14 +341,17 @@ def _gray_position(code: int) -> int:
 
 
 def _load_checkpoint(path: Path, space: SearchSpace, contrib: np.ndarray,
-                     M: int, field) -> tuple[list[dict], int, list]:
+                     M: int, index: dict[bytes, list[int]], B: int,
+                     field) -> tuple[list[dict], int, list]:
     """The records, position and hits of a checkpoint, every claim checked.
 
     Positions must increase strictly and each carries the residue
     snapshot of the walk there. A stored X must be a union of orbits
     whose Gray position lies in its record's range, after the X before
     it, with a vanishing residue; it is then verified again like a fresh
-    hit. A malformed record raises ParameterError.
+    hit. Each record's range is scanned again, and its hits must be all
+    the scan finds, so a record that leaves a hit out is refused too. A
+    malformed record raises ParameterError.
     """
     orbit_of = {x: o for o, orbit in enumerate(space.orbits) for x in orbit}
     records: list[dict] = []
@@ -377,6 +380,7 @@ def _load_checkpoint(path: Path, space: SearchSpace, contrib: np.ndarray,
             raise InternalInconsistencyError(
                 "checkpoint residue snapshot does not match its position; "
                 "the file was not written by a run over this space")
+        begin, stored = start, []
         for X in recd["found"]:
             if not isinstance(X, list) or any(
                     type(x) is not int or x not in orbit_of for x in X):
@@ -389,7 +393,12 @@ def _load_checkpoint(path: Path, space: SearchSpace, contrib: np.ndarray,
                     f"checkpoint hit {X!r} is not a hit of positions "
                     f"[{start}, {pos}) after the hits before it")
             found.append(_verified_hit(space, g, field))
+            stored.append(g)
             start = g + 1
+        if stored != _scan_range(contrib, M, index, B, begin, pos):
+            raise ParameterError(
+                f"checkpoint record for positions [{begin}, {pos}) leaves "
+                "out hits a scan of its range finds")
         records.append(recd)
     return records, pos, found
 
@@ -424,7 +433,7 @@ def _run_residue_search(space: SearchSpace, *, checkpoint_dir=None,
         path.parent.mkdir(parents=True, exist_ok=True)
         if path.exists():
             records, pos, found = _load_checkpoint(path, space, contrib, M,
-                                                   field)
+                                                   index, B, field)
     while pos < total:
         upto = min(total, (pos // flush_every + 1) * flush_every)
         new = [_verified_hit(space, g, field)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from paleyschemes import classify
-from paleyschemes.classify import (Configuration, _IRSearch, _ir_inputs,
+from paleyschemes.classify import (DEFAULT_NODE_BUDGET, Configuration,
+                                   _IRSearch, _ir_inputs,
                                    _least_rotation,
                                    _profile_rows, _refine,
                                    _triple_table, affine_link,
@@ -658,6 +659,37 @@ def assert_same_cells(got, want):
         assert np.array_equal(a, b)
 
 
+def refine_cells(adj, cells, active=None):
+    """_refine on a list of cells; `active` lists cell indices, all by
+    default, as at the root of the search."""
+    order = np.concatenate(cells)
+    starts = np.cumsum([0] + [len(c) for c in cells[:-1]])
+    active = starts if active is None else starts[active]
+    order, starts = _refine(adj, order, starts, active)
+    return np.split(order, starts[1:])
+
+
+def individualised(split, pos, x):
+    target = split[pos]
+    return split[:pos] + [np.array([x]), target[target != x]] + split[pos + 1:]
+
+
+def check_children(adj, cells, rng, depth):
+    """Individualise down from the refinement of `cells`; each child is
+    refined from all its cells and from the new cell {x} alone."""
+    split = loop_refine(adj, cells)
+    for _ in range(depth):
+        multi = [i for i, c in enumerate(split) if len(c) > 1]
+        if not multi:
+            return
+        pos = int(rng.choice(multi))
+        child = individualised(split, pos, int(rng.choice(split[pos])))
+        want = loop_refine(adj, child)
+        assert_same_cells(refine_cells(adj, child), want)
+        assert_same_cells(refine_cells(adj, child, [pos]), want)
+        split = want
+
+
 def test_refine_matches_the_per_cell_loop():
     rng = np.random.default_rng(405)
     for n in range(1, 41):
@@ -666,28 +698,89 @@ def test_refine_matches_the_per_cell_loop():
             k = int(rng.integers(1, n + 1))
             cuts = np.sort(rng.choice(np.arange(1, n), k - 1, replace=False))
             cells = np.split(rng.permutation(n), cuts)
-            assert_same_cells(_refine(adj, cells), loop_refine(adj, cells))
+            assert_same_cells(refine_cells(adj, cells),
+                              loop_refine(adj, cells))
+            check_children(adj, cells, rng, 3)
     for rec in (paley(13, 1), paley(5, 3)):
         adj = make_configuration(rec).matrix
         n = adj.shape[0]
         for cells in ([np.arange(n)],
                       [np.array([3]), np.delete(np.arange(n), 3)]):
-            assert_same_cells(_refine(adj, cells), loop_refine(adj, cells))
-    # incidence graphs, individualised as the search does it
+            assert_same_cells(refine_cells(adj, cells),
+                              loop_refine(adj, cells))
+        for _ in range(3):
+            check_children(adj, [np.arange(n)], rng, 3)
+    # incidence graphs, individualised in points and blocks alike
     for p, m in ((3, 3), (43, 1)):
         adj, cells = _ir_inputs(make_configuration(paley(p, m)))
         for depth in (1, 2, 3):
             for _ in range(3):
-                split = loop_refine(adj, cells)
-                for _ in range(depth):
-                    pos = max(range(len(split)), key=lambda i: len(split[i]))
-                    target = split[pos]
-                    x = int(rng.choice(target))
-                    split = (split[:pos] + [np.array([x]), target[target != x]]
-                             + split[pos + 1:])
-                    want = loop_refine(adj, split)
-                    assert_same_cells(_refine(adj, split), want)
-                    split = want
+                check_children(adj, cells, rng, depth)
+
+
+def loop_orbits(n, gens, prefix):
+    """Orbit labels by union-find over the generators fixing the prefix."""
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for g in gens:
+        if any(g[v] != v for v in prefix):
+            continue
+        for v in range(n):
+            ra, rb = find(v), find(int(g[v]))
+            if ra != rb:
+                parent[rb] = ra
+    return [find(v) for v in range(n)]
+
+
+def test_orbit_labels_match_union_find():
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 7, 30, 64):
+        search = _IRSearch(np.zeros((n, n), dtype=np.uint8),
+                           [np.arange(n)], 1)
+        for _ in range(6):
+            # half the generators fix a random prefix, half move anything
+            fixed = rng.choice(n, int(rng.integers(0, n)), replace=False)
+            rest = np.setdiff1d(np.arange(n), fixed)
+            g = np.arange(n)
+            g[rest] = rng.permutation(rest)
+            search._record_automorphism(g)
+            search._record_automorphism(rng.permutation(n))
+            for k in range(min(n, 4)):
+                prefix = rng.choice(n, k, replace=False).tolist()
+                got = search._orbits(prefix)
+                want = loop_orbits(n, search.gens, prefix)
+                assert got.tolist() == [
+                    min(u for u in range(n) if want[u] == want[v])
+                    for v in range(n)]
+    # a long cycle, the slowest case for label passes
+    n = 500
+    search = _IRSearch(np.zeros((n, n), dtype=np.uint8), [np.arange(n)], 1)
+    search._record_automorphism(np.roll(np.arange(n), 1))
+    assert not search._orbits([]).any()
+    assert (search._orbits([0]) == np.arange(n)).all()
+
+
+@pytest.mark.parametrize("rec_of,seeded,unseeded", [
+    (lambda: paley(43, 1), 23, 486),
+    (lambda: paley(5, 3), 5, 258),
+    (lambda: scheme_of_power(5, 3, 2), 21, 81),
+], ids=["paley-43", "paley-125", "squares-125"])
+def test_search_tree_sizes_are_pinned(rec_of, seeded, unseeded):
+    # a refinement that reshapes the tree changes these counts first
+    C = make_configuration(rec_of())
+    adj, cells = _ir_inputs(C)
+    spent = []
+    for seed in (classify._seed_point_maps(C), ()):
+        search = _IRSearch(adj, cells, DEFAULT_NODE_BUDGET, seed=seed)
+        search.run()
+        spent.append(search.spent)
+    assert spent == [seeded, unseeded]
 
 
 def test_new_125_scheme_aut_order_and_non_paley():
@@ -757,7 +850,7 @@ def test_seeds_leave_aut_order_and_certificate_alone(monkeypatch):
         assert aut_order(seeded) == aut_order(plain)
         assert canonical_certificate(seeded) == canonical_certificate(plain)
     # X = () is the first hit of search_galois_invariant(3, 1, 5). Its
-    # unseeded search takes about 14 s, so the reference run here keeps
+    # unseeded search takes about 4 s, so the reference run here keeps
     # the translations and drops the maps x -> c x^(p^k), whose block
     # maps are taken to be their point maps.
     rec = certify(build_DX(3, 1, 5, ()), ("additive",))

@@ -322,6 +322,23 @@ def test_checkpoint_hits_are_checked_again(tmp_path, name):
                                 flush_every=512)
 
 
+def test_checkpoint_records_that_leave_out_hits_are_refused(tmp_path):
+    # every hit a record keeps is a true hit, but the record is short
+    search_galois_invariant(5, 1, 3, checkpoint_dir=tmp_path,
+                            flush_every=512)
+    path = tmp_path / "search.jsonl"
+    records = read_records(path)
+    first = next(i for i, r in enumerate(records) if r["found"])
+    hits = records[first]["found"]
+    for found in (hits[1:], hits[:-1], []):
+        bad = [dict(r) for r in records]
+        bad[first]["found"] = found
+        path.write_text("".join(json.dumps(r) + "\n" for r in bad))
+        with pytest.raises(ParameterError, match="leaves out hits"):
+            search_galois_invariant(5, 1, 3, checkpoint_dir=tmp_path,
+                                    flush_every=512)
+
+
 # -- cyclotomic unions -------------------------------------------------------------
 
 
