@@ -6,9 +6,11 @@ coefficient is at most min(|a|_1 |b|_inf, |b|_1 |a|_inf) in size.
 `convolve_exact` is the linear (hence, folded, the cyclic) product.  It
 runs modulo the fewest primes whose product exceeds twice the bound (one
 for every product the package makes), and the CRT recovers each
-coefficient exactly.  Output is int64 below 2^62 and Python integers past
-it.  A bound past three primes (~3.9e25) or a padded length past 2^23
-raises `ParameterError` before any transform runs.
+coefficient exactly.  Its transform is a radix-2 Stockham NTT on uint64
+residues below 2^30, written stage by stage into a ping-pong buffer.
+Output is int64 below 2^62 and Python integers past it.  A bound past
+three primes (~3.9e25) or a padded length past 2^23 raises
+`ParameterError` before any transform runs.
 
 `convolve_elementary` is the product over (Z_p)^m: the characters of that
 group are x -> w^(j.x) for w of order p, so the transform is the p x p
@@ -54,7 +56,7 @@ def _norms(x: np.ndarray) -> tuple[int, int]:
 def _roots(p: int, size: int) -> np.ndarray:
     """w^k mod p for k < size/2, w a primitive size-th root of unity."""
     w = pow(_GEN, (p - 1) // size, p)
-    roots = np.ones(max(size // 2, 1), dtype=np.int64)
+    roots = np.ones(max(size // 2, 1), dtype=np.uint64)
     k = 1
     while k < len(roots):
         roots[k:2 * k] = roots[:k] * pow(w, k, p) % p
@@ -66,28 +68,51 @@ def _roots(p: int, size: int) -> np.ndarray:
 def _transform(x: np.ndarray, p: int, roots: np.ndarray) -> np.ndarray:
     """NTT of each row of x in Stockham form, natural order in and out: row
     j of the (m, size/m) view holds the length-m transforms at frequency j
-    of the stride-(size/m) subsequences, so no bit reversal is needed."""
-    size = x.shape[-1]
-    x = x.reshape(*x.shape[:-1], 1, size)
-    while x.shape[-2] < size:
-        m, half = x.shape[-2], x.shape[-1] // 2
-        even = x[..., :half]
-        odd = x[..., half:] * roots[::size // (2 * m), None] % p
-        # both lie in [-p, p): adding p on a set sign bit beats a remainder
-        s, d = even + odd - p, even - odd
-        x = np.concatenate((s + ((s >> 63) & p), d + ((d >> 63) & p)), axis=-2)
-    return x.reshape(*x.shape[:-2], size)
+    of the stride-(size/m) subsequences, so no bit reversal is needed.
+
+    x holds uint64 residues in [0, p) and is not written.  Each stage
+    writes its sums and differences straight into the two halves of a
+    ping-pong buffer.  With p < 2^30 every twiddle product is below 2^60,
+    and a sum in [0, 2p) or a difference in (-p, p) that wrapped comes
+    back to [0, p) as min(s, s - p) or min(d, d + p) in uint64.
+    """
+    lead, size = x.shape[:-1], x.shape[-1]
+    if size == 1:
+        return x.copy()
+    buffers = np.empty((2, *lead, size), dtype=np.uint64)
+    scratch = np.empty((*lead, size // 2), dtype=np.uint64)
+    src, m = x, 1
+    while m < size:
+        half = size // (2 * m)
+        rows = src.reshape(*lead, m, 2 * half)
+        even, odd = rows[..., :half], rows[..., half:]
+        # the stages take turns writing the two buffers
+        dst = buffers[m.bit_length() % 2].reshape(*lead, 2, m, half)
+        s, d = dst[..., 0, :, :], dst[..., 1, :, :]
+        t = scratch.reshape(*lead, m, half)
+        np.multiply(odd, roots[::half, None], out=t)
+        np.remainder(t, p, out=t)
+        np.add(even, t, out=s)
+        np.subtract(even, t, out=d)
+        np.subtract(s, p, out=t)
+        np.minimum(s, t, out=s)
+        np.add(d, p, out=t)
+        np.minimum(d, t, out=d)
+        src, m = dst, 2 * m
+    return src.reshape(*lead, size)
 
 
 def _conv_mod(a: np.ndarray, b: np.ndarray, p: int, size: int) -> np.ndarray:
     roots = _roots(p, size)
-    x = np.zeros((2, size), dtype=np.int64)
+    x = np.zeros((2, size), dtype=np.uint64)
     x[0, :len(a)] = a % p
     x[1, :len(b)] = b % p
     fa, fb = _transform(x, p, roots)
     # the forward transform at -k is size times the inverse at k
     y = _transform(fa * fb % p, p, roots)
-    return np.concatenate((y[:1], y[:0:-1])) * pow(size, -1, p) % p
+    y = np.concatenate((y[:1], y[:0:-1])) * pow(size, -1, p) % p
+    # the CRT subtracts residues, which must not wrap
+    return y.view(np.int64)
 
 
 def _crt(residues: list, primes: tuple) -> np.ndarray:

@@ -242,11 +242,17 @@ def _inverse_times_R(rec: SchemeRecord) -> GroupRingElement:
     its (q - 1)/2 elements, so D is the full preimage of its image D-bar
     under pi: Z_n1 -> Z_2v, and for every x
 
-        (D^(-1) R)(x) = #{r in R : r - x in D} = (D-bar^(-1) pi_*R)(pi(x)),
+        (D^(-1) R)(x) = #{r in R : r - x in D} = (D-bar^(-1) R-bar)(pi(x)),
 
     where D-bar = {d in D : d < 2v} holds one representative per class and
-    pi_*R counts R mod 2v.  The product is formed in Z[Z_2v] (for q = 3,
-    2v = n1) and pulled back to Z_n1 by tiling, since 2v divides n1.
+    R-bar = pi_*R counts R mod 2v.  As v is odd, Z_2v = Z_2 x Z_v, and the
+    two characters of Z_2 give the ring maps f -> f+ and f -> f- into
+    Z[Z_v], f+(y) = f(y) + f(y + v) and f-(y) = (-1)^y (f(y) - f(y + v)),
+    which commute with x -> -x and recover f(x) as
+    (f+(x mod v) + (-1)^x f-(x mod v)) / 2.  D-bar holds one of y and
+    y + v, so D-bar+ = G_v and (D-bar^(-1) R-bar)+ = |R| G_v: one product
+    D-bar-^(-1) R-bar- in Z[Z_v] gives the whole of D-bar^(-1) R-bar,
+    which is pulled back to Z_n1 by tiling, since 2v divides n1.
     Inside a `route_verdicts` run it is computed once and shared.
     """
     if rec.l % 2 == 0:
@@ -257,16 +263,27 @@ def _inverse_times_R(rec: SchemeRecord) -> GroupRingElement:
     memo = run[1] if run is not None and run[0] is rec else {}
     if "inverse_times_R" not in memo:
         bundle = _bundle(rec.p, rec.e, rec.l, rec.field)
-        m = 2 * rec.v
-        G = CyclicGroup(m)
+        v = rec.v
+        sign = 1 - 2 * (np.arange(v, dtype=np.int64) % 2)  # (-1)^y
         D = np.asarray(rec.D, dtype=np.int64)
-        Dbar = GroupRingElement.from_indices(
-            G, D[:np.searchsorted(D, m)])
-        R = GroupRingElement(G, np.bincount(
-            np.asarray(bundle.R, dtype=np.int64) % m, minlength=m))
-        prod = Dbar.power_map(-1) * R
+        Dbar = np.bincount(D[:np.searchsorted(D, 2 * v)], minlength=2 * v)
+        Rbar = np.bincount(np.asarray(bundle.R, dtype=np.int64) % (2 * v),
+                           minlength=2 * v)
+        G = CyclicGroup(v)
+
+        def minus(f: np.ndarray) -> GroupRingElement:
+            return GroupRingElement(G, sign * (f[:v] - f[v:]))
+
+        prod = minus(Dbar).power_map(-1) * minus(Rbar)
+        # (D-bar^(-1) R-bar)(y) - (D-bar^(-1) R-bar)(y + v)
+        signed = sign * prod.coeffs
+        twice = len(bundle.R) + np.concatenate((signed, -signed))
+        if np.any(twice % 2):
+            raise InternalInconsistencyError(
+                "D^(-1) * R has an odd entry at twice its value; the "
+                "Z_2 x Z_v fold does not apply to this record")
         memo["inverse_times_R"] = GroupRingElement(
-            CyclicGroup(rec.n1), np.tile(prod.coeffs, rec.n1 // m))
+            CyclicGroup(rec.n1), np.tile(twice // 2, rec.n1 // (2 * v)))
     return memo["inverse_times_R"]
 
 

@@ -202,6 +202,39 @@ def test_ntt_matches_schoolbook(monkeypatch):
         assert np.array_equal(got, np.convolve(a, b))
 
 
+def loop_transform(x, p, roots):
+    """The Stockham NTT with one concatenation per stage, in int64: the
+    oracle for `ntt._transform`."""
+    roots = roots.astype(np.int64)
+    size = x.shape[-1]
+    x = x.astype(np.int64).reshape(*x.shape[:-1], 1, size)
+    while x.shape[-2] < size:
+        m, half = x.shape[-2], x.shape[-1] // 2
+        even = x[..., :half]
+        odd = x[..., half:] * roots[::size // (2 * m), None] % p
+        s, d = even + odd - p, even - odd
+        x = np.concatenate((s + ((s >> 63) & p), d + ((d >> 63) & p)), axis=-2)
+    return x.reshape(*x.shape[:-2], size)
+
+
+def test_transform_matches_the_concatenating_oracle():
+    rng = np.random.default_rng(17)
+    for p in ntt._PRIMES:
+        for k in range(13):
+            size = 1 << k
+            roots = ntt._roots(p, size)
+            for shape in [(size,), (2, size)]:
+                for x in (rng.integers(0, p, size=shape),
+                          np.zeros(shape, dtype=np.int64),
+                          np.full(shape, p - 1)):
+                    x = x.astype(np.uint64)
+                    before = x.copy()
+                    got = ntt._transform(x, p, roots)
+                    assert got.shape == shape and got.dtype == np.uint64
+                    assert np.array_equal(got, loop_transform(x, p, roots))
+                    assert np.array_equal(x, before)
+
+
 def test_ntt_refuses_lengths_past_its_roots_of_unity(monkeypatch):
     def no_transform(*args):
         raise AssertionError("transform ran past the size guard")
