@@ -37,7 +37,6 @@ class AdpRecord:
     A: tuple[int, ...]
     dual: Optional[tuple[int, ...]]
     origin: str
-    adp_certified: bool
 
     def __post_init__(self):
         if self.origin not in ADP_ORIGINS:
@@ -58,7 +57,7 @@ class AdpRecord:
     def to_json(self) -> dict:
         out = {"v": self.v, "set": list(self.A),
                "params": list(self.params()), "kind": "adp",
-               "origin": self.origin, "certified": self.adp_certified}
+               "origin": self.origin}
         if self.dual is not None:
             out["dual"] = list(self.dual)
         return out
@@ -114,7 +113,7 @@ def adp_check(p: int, e: int, l: int, A: Iterable[int],
     if not ok_main:
         return None
     return AdpRecord(p=p, e=e, l=l, A=A, dual=B.subset_indices(),
-                     origin=origin, adp_certified=True)
+                     origin=origin)
 
 
 def adp_power_family(p: int, e: int, l: int, r: int) -> AdpRecord:
@@ -149,7 +148,7 @@ def adp_dual(rec: AdpRecord) -> AdpRecord:
     if rec.dual is None:
         raise PreconditionError("record has no certified dual to swap")
     return AdpRecord(p=rec.p, e=rec.e, l=rec.l, A=rec.dual, dual=rec.A,
-                     origin=rec.origin, adp_certified=rec.adp_certified)
+                     origin=rec.origin)
 
 
 @lru_cache(maxsize=None)
@@ -218,8 +217,6 @@ def adp_lift(rec: AdpRecord, s: int) -> tuple[AdpRecord, AdpRecord]:
     Both lifts are certified by `adp_check`, dual divisor included, at
     every order.
     """
-    if not rec.adp_certified:
-        raise PreconditionError("only certified records lift")
     out = []
     for lifted in _lift(rec.p, rec.e, rec.l, s, rec.A):
         cert = adp_check(rec.p, rec.e, s * rec.l, lifted, origin="lifted")
@@ -231,9 +228,7 @@ def adp_lift(rec: AdpRecord, s: int) -> tuple[AdpRecord, AdpRecord]:
 
 
 def scheme_from_adp(rec: AdpRecord) -> SchemeRecord:
-    """Build D(A); certified records must verify by both routes."""
-    if not rec.adp_certified:
-        raise PreconditionError("record is not certified as a dividing set")
+    """Build D(A); a dividing set must verify by both routes."""
     if rec.l % 2 == 0:
         raise PreconditionError("schemes need odd l")
     return _guaranteed(build_DX(rec.p, rec.e, rec.l, rec.A, provenance="adp"),
@@ -305,7 +300,6 @@ class LangevinParams:
     a: int
     b: int
     constructive: bool
-    desk_feasible: bool
     candidates: tuple[tuple[int, ...], ...]
     candidate_labels: tuple[str, ...]
 
@@ -373,7 +367,6 @@ def langevin_solve(p: int, p_prime: int, m: int = 1) -> LangevinParams:
     return LangevinParams(
         p=p, p_prime=p_prime, m=m, l=l, h=h, a=a, b=b,
         constructive=constructive,
-        desk_feasible=constructive and p ** l <= 1_000_000,
         candidates=candidates, candidate_labels=labels)
 
 

@@ -25,12 +25,13 @@ testing every union of power-residue classes with the additive
 identity directly, so it also covers even extension degrees.
 
 A residue search is one walk over the Gray range [0, 2^orbits).  Every
-`flush_every` positions it flushes its progress, with the residue
+`FLUSH_EVERY` positions it flushes its progress, with the residue
 snapshot at that position, to one JSON-lines checkpoint file
-`<checkpoint_dir>/search.jsonl` through a temp-file-and-rename write,
-and resuming from whatever survived a kill reproduces the uninterrupted
-output.  The file is read as a claim: a resumed run checks every
-position, residue snapshot and stored hit again before using it.
+`<checkpoint_dir>/search.jsonl` through a temp-file-and-rename write.
+A rerun walks from position 0 too, checks each stored record against
+the one the walk makes there and continues past the last, so resuming
+from whatever survived a kill reproduces the uninterrupted output at
+the cost of a fresh run.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ ENGINE_VERSION = "gray-block/2"
 DEFAULT_MAX_V = 16
 DEFAULT_MAX_ORBITS = 26
 DEFAULT_MAX_CLASSES = 16
-DEFAULT_FLUSH_EVERY = 1 << 20
+FLUSH_EVERY = 1 << 20
 _BLOCK_BITS = 12
 
 KINDS = ("all_X", "galois_orbits", "cyclotomic_unions")
@@ -331,76 +332,33 @@ def _atomic_write(path: Path, records: list[dict]) -> None:
     os.replace(tmp, path)
 
 
-def _gray_position(code: int) -> int:
-    """The Gray position whose code is `code`: the inverse of _gray."""
-    n = 0
-    while code:
-        n ^= code
-        code >>= 1
-    return n
+def _read_checkpoint(path: Path) -> list[dict]:
+    """The records of a checkpoint file, unchecked: the walk checks them."""
+    try:
+        records = [json.loads(line) for line in path.read_text().splitlines()
+                   if line.strip()]
+    except json.JSONDecodeError as err:
+        raise ParameterError(f"checkpoint line is not JSON: {err}")
+    if not all(isinstance(rec, dict) for rec in records):
+        raise ParameterError("checkpoint record is not a dict")
+    return records
 
 
-def _load_checkpoint(path: Path, space: SearchSpace, contrib: np.ndarray,
-                     M: int, index: dict[bytes, list[int]], B: int,
-                     field) -> tuple[list[dict], int, list]:
-    """The records, position and hits of a checkpoint, every claim checked.
-
-    Positions must increase strictly and each carries the residue
-    snapshot of the walk there. A stored X must be a union of orbits
-    whose Gray position lies in its record's range, after the X before
-    it, with a vanishing residue; it is then verified again like a fresh
-    hit. Each record's range is scanned again, and its hits must be all
-    the scan finds, so a record that leaves a hit out is refused too. A
-    malformed record raises ParameterError.
-    """
-    orbit_of = {x: o for o, orbit in enumerate(space.orbits) for x in orbit}
-    records: list[dict] = []
-    found: list[tuple[int, ...]] = []
-    pos = 0
-    for line in path.read_text().splitlines():
-        if not line.strip():
-            continue
-        try:
-            recd = json.loads(line)
-        except json.JSONDecodeError as err:
-            raise ParameterError(f"checkpoint line is not JSON: {err}")
-        if not isinstance(recd, dict) or not isinstance(recd.get("found"),
-                                                        list):
-            raise ParameterError("checkpoint record is not a dict of hits")
-        if recd.get("engine") != ENGINE_VERSION:
-            raise ParameterError(
-                f"checkpoint from engine {recd.get('engine')!r} cannot drive "
-                f"engine {ENGINE_VERSION!r}")
-        start, pos = pos, recd.get("gray_pos")
-        if not isinstance(pos, int) or not start < pos <= space.candidates:
-            raise ParameterError(
-                "checkpoint positions must increase inside the Gray range")
-        expect = _residue_at(contrib, M, _gray(pos - 1))
-        if [int(x) for x in expect] != list(recd.get("residue", [])):
-            raise InternalInconsistencyError(
-                "checkpoint residue snapshot does not match its position; "
-                "the file was not written by a run over this space")
-        begin, stored = start, []
-        for X in recd["found"]:
-            if not isinstance(X, list) or any(
-                    type(x) is not int or x not in orbit_of for x in X):
-                raise ParameterError(
-                    f"checkpoint hit {X!r} is not a list of indices")
-            g = _gray_position(sum(1 << o for o in {orbit_of[x] for x in X}))
-            if (not start <= g < pos or _subset_of(space, g) != tuple(X)
-                    or _residue_at(contrib, M, _gray(g)).any()):
-                raise ParameterError(
-                    f"checkpoint hit {X!r} is not a hit of positions "
-                    f"[{start}, {pos}) after the hits before it")
-            found.append(_verified_hit(space, g, field))
-            stored.append(g)
-            start = g + 1
-        if stored != _scan_range(contrib, M, index, B, begin, pos):
-            raise ParameterError(
-                f"checkpoint record for positions [{begin}, {pos}) leaves "
-                "out hits a scan of its range finds")
-        records.append(recd)
-    return records, pos, found
+def _check_record(stored: dict, rec: dict, start: int) -> None:
+    """Refuse a stored record that is not the one the walk just made."""
+    if stored.get("engine") != rec["engine"]:
+        raise ParameterError(
+            f"checkpoint from engine {stored.get('engine')!r} cannot drive "
+            f"engine {rec['engine']!r}")
+    if stored.get("residue") != rec["residue"]:
+        raise InternalInconsistencyError(
+            "checkpoint residue snapshot does not match its position; "
+            "the file was not written by a run over this space")
+    if stored.get("found") != rec["found"]:
+        raise ParameterError(
+            f"checkpoint hit list for positions [{start}, {rec['gray_pos']}) "
+            "is not what the walk finds there: it claims a hit the walk "
+            "does not find, or leaves out hits it finds")
 
 
 def _coverage_note(space: SearchSpace) -> Optional[str]:
@@ -414,10 +372,8 @@ def _coverage_note(space: SearchSpace) -> Optional[str]:
     return None
 
 
-def _run_residue_search(space: SearchSpace, *, checkpoint_dir=None,
-                        flush_every: int = DEFAULT_FLUSH_EVERY) -> SearchResult:
-    if flush_every < 1:
-        raise ParameterError("flush interval must be positive")
+def _run_residue_search(space: SearchSpace, *,
+                        checkpoint_dir=None) -> SearchResult:
     contrib = _contributions(space)
     M = _modulus(space)
     B = min(_BLOCK_BITS, len(space.orbits))
@@ -425,6 +381,7 @@ def _run_residue_search(space: SearchSpace, *, checkpoint_dir=None,
     field = get_field(space.p, space.e * space.l)
     total = space.candidates
     path = None
+    stored: list[dict] = []
     records: list[dict] = []
     found: list[tuple[int, ...]] = []
     pos = 0
@@ -432,23 +389,34 @@ def _run_residue_search(space: SearchSpace, *, checkpoint_dir=None,
         path = Path(checkpoint_dir) / "search.jsonl"
         path.parent.mkdir(parents=True, exist_ok=True)
         if path.exists():
-            records, pos, found = _load_checkpoint(path, space, contrib, M,
-                                                   index, B, field)
-    while pos < total:
-        upto = min(total, (pos // flush_every + 1) * flush_every)
+            stored = _read_checkpoint(path)
+    while pos < total or len(records) < len(stored):
+        claim = stored[len(records)] if len(records) < len(stored) else None
+        if claim is None:
+            upto = min(total, (pos // FLUSH_EVERY + 1) * FLUSH_EVERY)
+        else:
+            upto = claim.get("gray_pos")
+            if not isinstance(upto, int) or not pos < upto <= total:
+                raise ParameterError(
+                    "checkpoint positions must increase inside the Gray range")
         new = [_verified_hit(space, g, field)
                for g in _scan_range(contrib, M, index, B, pos, upto)]
         found.extend(new)
-        pos = upto
-        if path is not None:
-            records.append({
-                "gray_pos": pos,
-                "found": [list(x) for x in new],
-                "engine": ENGINE_VERSION,
-                "residue": [int(x) for x in _residue_at(contrib, M,
-                                                        _gray(pos - 1))],
-            })
+        start, pos = pos, upto
+        if path is None:
+            continue
+        rec = {
+            "gray_pos": pos,
+            "found": [list(x) for x in new],
+            "engine": ENGINE_VERSION,
+            "residue": [int(x) for x in _residue_at(contrib, M,
+                                                    _gray(pos - 1))],
+        }
+        records.append(rec)
+        if claim is None:
             _atomic_write(path, records)
+        else:
+            _check_record(claim, rec, start)
     return SearchResult(space=space, found=tuple(sorted(found)),
                         note=_coverage_note(space))
 
@@ -463,19 +431,18 @@ def search_all_X(p: int, e: int, l: int, *,
 
 
 def search_galois_invariant(p: int, e: int, l: int, *, checkpoint_dir=None,
-                            flush_every: int = DEFAULT_FLUSH_EVERY,
                             max_orbits: int = DEFAULT_MAX_ORBITS
                             ) -> SearchResult:
     """Complete sweep of the X fixed by i -> p*i, resumable.
 
     With a checkpoint directory the run can be killed and restarted; a
-    restart picks up the walk at its last flushed position in
-    `<checkpoint_dir>/search.jsonl` and the final output is identical
-    to an uninterrupted run.
+    restart walks from position 0, checks each record stored in
+    `<checkpoint_dir>/search.jsonl` against the walk and continues past
+    the last one, so it costs what a fresh run costs and its output is
+    identical to an uninterrupted run.
     """
     space = galois_space(p, e, l, max_orbits=max_orbits)
-    return _run_residue_search(space, checkpoint_dir=checkpoint_dir,
-                               flush_every=flush_every)
+    return _run_residue_search(space, checkpoint_dir=checkpoint_dir)
 
 
 def search_cyclotomic_unions(p: int, m: int, n_classes: int, *,

@@ -222,15 +222,11 @@ def gmw_components(p: int, e: int, t: int, s: int) -> GmwComponents:
         raise InternalInconsistencyError("sub-layer projection lost elements")
     w_sub = _weighing_from_R(R_sub, v_t) if t % 2 == 1 else np.zeros(0, np.int64)
 
-    # full-tower Singer set
-    te_all = field.trace_exponents(e)
-    S_big = np.unique(np.flatnonzero(te_all == 0).astype(np.int64) % v_st)
-
     comps = GmwComponents(p=p, e=e, t=t, s=s, field=field,
                           rtilde=tuple(int(x) for x in rtilde),
                           s_sub=tuple(int(x) for x in s_sub),
                           w_sub=tuple(int(x) for x in w_sub),
-                          s_big=tuple(int(x) for x in S_big))
+                          s_big=singer_bundle(p, e, s * t).S)
     _verify_gmw(comps)
     return comps
 

@@ -80,7 +80,7 @@ def test_power_family_members():
     b = singer_bundle(3, 1, 5)
     assert r1.A == power_set(b.S, 4, 121)
     assert r2.A == power_set(b.S, 10, 121)
-    assert r1.origin == "power" and r1.adp_certified
+    assert r1.origin == "power"
     r3 = adp_power_family(3, 1, 7, 3)   # exponent 28 at v = 1093
     assert r3.A == power_set(singer_bundle(3, 1, 7).S, 28, 1093)
 
@@ -154,19 +154,18 @@ def test_scheme_from_adp_escalates_on_fake_certificate():
             break
     assert bad_t is not None
     forged = AdpRecord(p=3, e=1, l=5, A=power_set(b.S, bad_t, 121),
-                       dual=None, origin="quotient", adp_certified=True)
+                       dual=None, origin="quotient")
     with pytest.raises(InternalInconsistencyError):
         scheme_from_adp(forged)
 
 
 def test_adp_lift_degenerate_base():
-    base = AdpRecord(p=3, e=1, l=1, A=(0,), dual=(0,), origin="quotient",
-                     adp_certified=True)
+    base = AdpRecord(p=3, e=1, l=1, A=(0,), dual=(0,), origin="quotient")
     lift1, lift2 = adp_lift(base, 3)
     b = singer_bundle(3, 1, 3)
     assert lift1.A == power_set(b.S, -1, 13)
     assert lift2.A == power_set(b.S, 2, 13)
-    assert lift1.origin == "lifted" and lift1.adp_certified
+    assert lift1.origin == "lifted"
     assert lift1.dual is not None
     big1, big2 = adp_lift(base, 5)
     b5 = singer_bundle(3, 1, 5)
@@ -184,8 +183,7 @@ def test_adp_lift_full_layer():
     assert lift1.l == 9 and lift1.v == 9841
     assert len(lift1.A) == 3 ** 6 * len(rec.A)
     assert len(lift2.A) == 6561
-    assert lift1.adp_certified and lift1.dual is not None
-    assert lift2.adp_certified
+    assert lift1.dual is not None
 
 
 def test_lift_paths_agree():
@@ -231,12 +229,12 @@ def test_cyclotomic_rejections():
 def test_langevin_solver_known_instances():
     r = langevin_solve(3, 11)
     assert (r.l, r.h, r.a, abs(r.b)) == (5, 1, 1, 1)
-    assert r.constructive and r.desk_feasible
+    assert r.constructive
     assert r.candidate_labels == ("squares_with_zero", "nonsquares_with_zero")
     assert all(len(c) == 6 and 0 in c for c in r.candidates)
     r2 = langevin_solve(5, 19)
     assert (r2.l, r2.h, r2.a) == (9, 1, 1)
-    assert r2.constructive and not r2.desk_feasible
+    assert r2.constructive
 
 
 def test_langevin_solver_rejections():
@@ -342,4 +340,3 @@ def test_adp_record_json():
     assert data["kind"] == "adp" and data["origin"] == "power"
     assert data["params"] == [121, 81, 54]
     assert data["set"] == list(rec.A) and data["dual"] == list(rec.dual)
-    assert data["certified"] is True

@@ -193,7 +193,8 @@ def test_one_contributions_call_per_search(monkeypatch, tmp_path):
         return _contributions(space)
 
     monkeypatch.setattr(search, "_contributions", spy)
-    for kwargs in ({}, {"checkpoint_dir": tmp_path, "flush_every": 128}):
+    monkeypatch.setattr(search, "FLUSH_EVERY", 128)
+    for kwargs in ({}, {"checkpoint_dir": tmp_path}):
         calls.clear()
         assert search_galois_invariant(5, 1, 3, **kwargs).found == want
         assert len(calls) == 1
@@ -206,10 +207,10 @@ def read_records(path):
     return [json.loads(ln) for ln in path.read_text().splitlines()]
 
 
-def test_checkpoint_files_and_resume_after_a_crash(tmp_path):
+def test_checkpoint_files_and_resume_after_a_crash(monkeypatch, tmp_path):
+    monkeypatch.setattr(search, "FLUSH_EVERY", 128)
     full_dir = tmp_path / "full"
-    res = search_galois_invariant(5, 1, 3, checkpoint_dir=full_dir,
-                                  flush_every=128)
+    res = search_galois_invariant(5, 1, 3, checkpoint_dir=full_dir)
     assert res.found == galois_31().found
     assert sorted(p.name for p in full_dir.iterdir()) == ["search.jsonl"]
     records = read_records(full_dir / "search.jsonl")
@@ -233,43 +234,55 @@ def test_checkpoint_files_and_resume_after_a_crash(tmp_path):
         # a write that died between the temp file and the rename
         (crash_dir / "search.tmp").write_text(
             "".join(lines[:keep + 1])[:-9])
-        resumed = search_galois_invariant(5, 1, 3, checkpoint_dir=crash_dir,
-                                          flush_every=128)
+        resumed = search_galois_invariant(5, 1, 3, checkpoint_dir=crash_dir)
         assert resumed.found == galois_31().found
         assert (crash_dir / "search.jsonl").read_text() == final
 
 
-def test_finished_checkpoints_short_circuit(tmp_path):
-    res = search_galois_invariant(5, 1, 3, checkpoint_dir=tmp_path,
-                                  flush_every=512)
+def test_finished_checkpoints_short_circuit(monkeypatch, tmp_path):
+    monkeypatch.setattr(search, "FLUSH_EVERY", 512)
+    res = search_galois_invariant(5, 1, 3, checkpoint_dir=tmp_path)
     before = (tmp_path / "search.jsonl").read_text()
-    again = search_galois_invariant(5, 1, 3, checkpoint_dir=tmp_path,
-                                    flush_every=512)
+    again = search_galois_invariant(5, 1, 3, checkpoint_dir=tmp_path)
     assert again.found == res.found
     assert (tmp_path / "search.jsonl").read_text() == before
 
 
-def test_old_shard_files_are_not_read(tmp_path):
+def test_resume_at_another_flush_interval(monkeypatch, tmp_path):
+    monkeypatch.setattr(search, "FLUSH_EVERY", 128)
+    search_galois_invariant(5, 1, 3, checkpoint_dir=tmp_path)
+    path = tmp_path / "search.jsonl"
+    head = path.read_text().splitlines(keepends=True)[:3]
+    path.write_text("".join(head))
+    monkeypatch.setattr(search, "FLUSH_EVERY", 512)
+    resumed = search_galois_invariant(5, 1, 3, checkpoint_dir=tmp_path)
+    assert resumed.found == galois_31().found
+    lines = path.read_text().splitlines(keepends=True)
+    assert lines[:3] == head
+    assert [json.loads(ln)["gray_pos"] for ln in lines] == \
+        [128, 256, 384, 512, 1024, 1536, 2048]
+
+
+def test_old_shard_files_are_not_read(monkeypatch, tmp_path):
+    monkeypatch.setattr(search, "FLUSH_EVERY", 512)
     (tmp_path / "shard-0000.jsonl").write_text(json.dumps(
         {"shard": 0, "gray_pos": 2048, "found": [], "engine": "gray-block/1",
          "residue": []}) + "\n")
-    res = search_galois_invariant(5, 1, 3, checkpoint_dir=tmp_path,
-                                  flush_every=512)
+    res = search_galois_invariant(5, 1, 3, checkpoint_dir=tmp_path)
     assert res.found == galois_31().found
     records = read_records(tmp_path / "search.jsonl")
     assert [r["gray_pos"] for r in records] == [512, 1024, 1536, 2048]
 
 
-def test_tampered_checkpoints_are_refused(tmp_path):
-    search_galois_invariant(5, 1, 3, checkpoint_dir=tmp_path,
-                            flush_every=256)
+def test_tampered_checkpoints_are_refused(monkeypatch, tmp_path):
+    monkeypatch.setattr(search, "FLUSH_EVERY", 256)
+    search_galois_invariant(5, 1, 3, checkpoint_dir=tmp_path)
     path = tmp_path / "search.jsonl"
     records = read_records(path)
 
     def rerun_with(bad):
         path.write_text("".join(json.dumps(r) + "\n" for r in bad))
-        search_galois_invariant(5, 1, 3, checkpoint_dir=tmp_path,
-                                flush_every=256)
+        search_galois_invariant(5, 1, 3, checkpoint_dir=tmp_path)
 
     bad = [dict(r) for r in records]
     bad[0]["residue"] = list(bad[0]["residue"])
@@ -298,6 +311,7 @@ def tampered_hits(records, name):
 
     return {
         "repeated record": records[:first + 1] + records[first:],
+        "repeated last record": records + records[-1:],
         "non-hit [0]": edited(0, [[0]] + records[0]["found"]),
         "not an index": edited(first, [["a"]]),
         "not a list": edited(first, [7]),
@@ -309,23 +323,25 @@ def tampered_hits(records, name):
 
 
 @pytest.mark.parametrize("name", [
-    "repeated record", "non-hit [0]", "not an index", "not a list",
+    "repeated record", "repeated last record", "non-hit [0]", "not an index", "not a list",
     "repeated hit", "not an orbit union", "outside its range"])
-def test_checkpoint_hits_are_checked_again(tmp_path, name):
-    search_galois_invariant(5, 1, 3, checkpoint_dir=tmp_path,
-                            flush_every=512)
+def test_checkpoint_hits_are_checked_again(monkeypatch, tmp_path, name):
+    monkeypatch.setattr(search, "FLUSH_EVERY", 512)
+    search_galois_invariant(5, 1, 3, checkpoint_dir=tmp_path)
     path = tmp_path / "search.jsonl"
     bad = tampered_hits(read_records(path), name)
-    path.write_text("".join(json.dumps(r) + "\n" for r in bad))
+    text = "".join(json.dumps(r) + "\n" for r in bad)
+    path.write_text(text)
     with pytest.raises(ParameterError):
-        search_galois_invariant(5, 1, 3, checkpoint_dir=tmp_path,
-                                flush_every=512)
+        search_galois_invariant(5, 1, 3, checkpoint_dir=tmp_path)
+    assert path.read_text() == text
 
 
-def test_checkpoint_records_that_leave_out_hits_are_refused(tmp_path):
+def test_checkpoint_records_that_leave_out_hits_are_refused(monkeypatch,
+                                                            tmp_path):
+    monkeypatch.setattr(search, "FLUSH_EVERY", 512)
     # every hit a record keeps is a true hit, but the record is short
-    search_galois_invariant(5, 1, 3, checkpoint_dir=tmp_path,
-                            flush_every=512)
+    search_galois_invariant(5, 1, 3, checkpoint_dir=tmp_path)
     path = tmp_path / "search.jsonl"
     records = read_records(path)
     first = next(i for i, r in enumerate(records) if r["found"])
@@ -335,8 +351,7 @@ def test_checkpoint_records_that_leave_out_hits_are_refused(tmp_path):
         bad[first]["found"] = found
         path.write_text("".join(json.dumps(r) + "\n" for r in bad))
         with pytest.raises(ParameterError, match="leaves out hits"):
-            search_galois_invariant(5, 1, 3, checkpoint_dir=tmp_path,
-                                    flush_every=512)
+            search_galois_invariant(5, 1, 3, checkpoint_dir=tmp_path)
 
 
 # -- cyclotomic unions -------------------------------------------------------------
