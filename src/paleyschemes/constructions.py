@@ -377,10 +377,6 @@ class LangevinResult:
     labels: tuple[str, ...]
 
     @property
-    def ambiguous(self) -> bool:
-        return len(self.records) > 1
-
-    @property
     def record(self) -> SchemeRecord:
         return self.records[0]
 

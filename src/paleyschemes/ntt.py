@@ -126,15 +126,22 @@ def _crt(residues: list, primes: tuple) -> np.ndarray:
     return np.where(x > modulus // 2, x - modulus, x)
 
 
-def convolve_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact linear convolution of integer vectors (possibly negative)."""
-    a, b = np.asarray(a), np.asarray(b)
-    out_len = len(a) + len(b) - 1
+def transform_size(out_len: int) -> int:
+    """The power-of-two transform length for `out_len` output coefficients;
+    past 2^23 it raises `ParameterError`."""
     size = 1 << (out_len - 1).bit_length()
     if size > _MAX_SIZE:
         raise ParameterError(
             f"NTT length {size} exceeds 2^23, the longest transform "
             f"the primes support")
+    return size
+
+
+def convolve_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact linear convolution of integer vectors (possibly negative)."""
+    a, b = np.asarray(a), np.asarray(b)
+    out_len = len(a) + len(b) - 1
+    size = transform_size(out_len)
     (a1, a_top), (b1, b_top) = _norms(a), _norms(b)
     bound = min(a1 * b_top, b1 * a_top)
     primes = next((_PRIMES[:k] for k in range(1, len(_PRIMES) + 1)

@@ -6,11 +6,13 @@ discrete-log exponents.  The defining identity
     (1 + 2 D^(-1)) (1 + 2 D)  =  |G| + (|G| - 1) G      in Z[(F_{q^l}, +)]
 
 is checked in the additive group ring itself (`additive`), by one exact
-character transform of (F, +) modulo a prime, or through three equivalent
-routes that exploit the trace structure of the field:
-divisibility of D^(-1) * R by q^((l-1)/2) in the unit group
-(`multiplicative`), the same divisibility for X^(-1) * W down in Z_v
-(`quotient`), and integrality of the dual construction (`dual`).
+character transform of (F, +) modulo a prime, or through three routes
+that exploit the trace structure of the field: divisibility of D^(-1) * R
+by q^((l-1)/2) in the unit group (`multiplicative`), the same divisibility
+for X^(-1) * W down in Z_v (`quotient`), and integrality of the dual
+construction (`dual`).  D^(-1) * R is read off X^(-1) * W, so the routes
+make two independent computations: the additive identity, and the one
+product X^(-1) * W that the three trace routes share.
 
 `certify` is where routes run: every applicable route it is asked for
 runs, their verdicts must agree, and those that pass are stamped on the
@@ -95,10 +97,6 @@ class SchemeRecord:
             return recover_X(self)
         except PreconditionError:
             return None
-
-    def unit_element(self) -> GroupRingElement:
-        """D as an element of Z[Z_{q^l - 1}]."""
-        return GroupRingElement.from_indices(CyclicGroup(self.n1), self.D)
 
     def additive_element(self) -> GroupRingElement:
         """D as an element of Z[(F, +)]; exponent i sits at index 1 + i."""
@@ -228,63 +226,59 @@ def verify_additive(rec: SchemeRecord) -> bool:
     return lhs == rhs
 
 
-# While `route_verdicts` runs a route on a record, this holds that record
-# and the run's memo, so the multiplicative and dual routes of one run
-# share one D^(-1) * R.  It is set only around a route call.
-_RUN: ContextVar[Optional[tuple[SchemeRecord, dict]]] = ContextVar(
-    "_RUN", default=None)
+# While `route_verdicts` runs a route on a record, this holds the run's
+# memo, so the three trace routes of one run share one X^(-1) * W.  It is
+# set only around a route call.
+_RUN: ContextVar[Optional[dict]] = ContextVar("_RUN", default=None)
+
+
+def _inverse_times_W(p: int, e: int, l: int, X: tuple[int, ...],
+                     field: Optional[FiniteField]) -> GroupRingElement:
+    """X^(-1) * W in Z[Z_v]; inside a `route_verdicts` run it is formed
+    once and shared."""
+    memo = _RUN.get()
+    if memo is None:
+        memo = {}
+    key = (p, e, l, field, X)
+    if key not in memo:
+        bundle = _bundle(p, e, l, field)
+        Xel = GroupRingElement.from_indices(CyclicGroup(bundle.v), X)
+        memo[key] = Xel.power_map(-1) * bundle.weighing_element()
+    return memo[key]
 
 
 def _inverse_times_R(rec: SchemeRecord) -> GroupRingElement:
     """D^(-1) * R in the unit group Z_n1; defined for half-point sets, odd l.
 
     A half-point set meets every class of Z_n1 mod 2v in all or none of
-    its (q - 1)/2 elements, so D is the full preimage of its image D-bar
-    under pi: Z_n1 -> Z_2v, and for every x
+    its (q - 1)/2 elements, so D^(-1) * R depends on x mod 2v only.  As v
+    is odd, Z_2v = Z_2 x Z_v, and the signed ring map
+    f -> (-1)^y (f(y) - f(y + v)) into Z[Z_v] sends D mod 2v to 2X - G_v
+    and R mod 2v to W, while the unsigned one sends D^(-1) R to |R| G_v.
+    Hence
 
-        (D^(-1) R)(x) = #{r in R : r - x in D} = (D-bar^(-1) R-bar)(pi(x)),
+        (D^(-1) R)(x) = (|R| + (-1)^x (2 X^(-1) W - sum W)(x mod v)) / 2,
 
-    where D-bar = {d in D : d < 2v} holds one representative per class and
-    R-bar = pi_*R counts R mod 2v.  As v is odd, Z_2v = Z_2 x Z_v, and the
-    two characters of Z_2 give the ring maps f -> f+ and f -> f- into
-    Z[Z_v], f+(y) = f(y) + f(y + v) and f-(y) = (-1)^y (f(y) - f(y + v)),
-    which commute with x -> -x and recover f(x) as
-    (f+(x mod v) + (-1)^x f-(x mod v)) / 2.  D-bar holds one of y and
-    y + v, so D-bar+ = G_v and (D-bar^(-1) R-bar)+ = |R| G_v: one product
-    D-bar-^(-1) R-bar- in Z[Z_v] gives the whole of D-bar^(-1) R-bar,
-    which is pulled back to Z_n1 by tiling, since 2v divides n1.
-    Inside a `route_verdicts` run it is computed once and shared.
+    which is tiled from Z_2v to Z_n1, since 2v divides n1.
     """
     if rec.l % 2 == 0:
         raise PreconditionError("route needs odd l")
-    if not is_half_point(rec):
-        raise PreconditionError("route applies to half-point sets only")
-    run = _RUN.get()
-    memo = run[1] if run is not None and run[0] is rec else {}
-    if "inverse_times_R" not in memo:
-        bundle = _bundle(rec.p, rec.e, rec.l, rec.field)
-        v = rec.v
-        sign = 1 - 2 * (np.arange(v, dtype=np.int64) % 2)  # (-1)^y
-        D = np.asarray(rec.D, dtype=np.int64)
-        Dbar = np.bincount(D[:np.searchsorted(D, 2 * v)], minlength=2 * v)
-        Rbar = np.bincount(np.asarray(bundle.R, dtype=np.int64) % (2 * v),
-                           minlength=2 * v)
-        G = CyclicGroup(v)
-
-        def minus(f: np.ndarray) -> GroupRingElement:
-            return GroupRingElement(G, sign * (f[:v] - f[v:]))
-
-        prod = minus(Dbar).power_map(-1) * minus(Rbar)
-        # (D-bar^(-1) R-bar)(y) - (D-bar^(-1) R-bar)(y + v)
-        signed = sign * prod.coeffs
-        twice = len(bundle.R) + np.concatenate((signed, -signed))
-        if np.any(twice % 2):
-            raise InternalInconsistencyError(
-                "D^(-1) * R has an odd entry at twice its value; the "
-                "Z_2 x Z_v fold does not apply to this record")
-        memo["inverse_times_R"] = GroupRingElement(
-            CyclicGroup(rec.n1), np.tile(twice // 2, rec.n1 // (2 * v)))
-    return memo["inverse_times_R"]
+    try:
+        X = recover_X(rec)
+    except PreconditionError:
+        raise PreconditionError(
+            "route applies to half-point sets only") from None
+    bundle = _bundle(rec.p, rec.e, rec.l, rec.field)
+    v = rec.v
+    XW = _inverse_times_W(rec.p, rec.e, rec.l, X, rec.field).coeffs
+    sign = 1 - 2 * (np.arange(2 * v, dtype=np.int64) % 2)  # (-1)^x
+    twice = len(bundle.R) + sign * np.tile(2 * XW - sum(bundle.W), 2)
+    if np.any(twice % 2):
+        raise InternalInconsistencyError(
+            "D^(-1) * R has an odd entry at twice its value; the "
+            "Z_2 x Z_v fold does not apply to this record")
+    return GroupRingElement(CyclicGroup(rec.n1),
+                            np.tile(twice // 2, rec.n1 // (2 * v)))
 
 
 def verify_multiplicative(rec: SchemeRecord) -> bool:
@@ -298,14 +292,12 @@ def verify_quotient(p: int, e: int, l: int, X: Iterable[int],
     """Divisibility of X^(-1) * W by q^((l-1)/2) down in Z_v."""
     if l % 2 == 0:
         raise PreconditionError("route needs odd l")
-    bundle = _bundle(p, e, l, field)
-    v = bundle.v
-    X = sorted({int(x) for x in X})
+    v = ((p ** e) ** l - 1) // (p ** e - 1)
+    X = tuple(sorted({int(x) for x in X}))
     if X and (X[0] < 0 or X[-1] >= v):
         raise ParameterError(f"X must lie in 0..{v - 1}")
-    Xel = GroupRingElement.from_indices(CyclicGroup(v), X)
-    prod = Xel.power_map(-1) * bundle.weighing_element()
-    return prod.scalar_divisible((p ** e) ** ((l - 1) // 2))
+    return _inverse_times_W(p, e, l, X, field).scalar_divisible(
+        (p ** e) ** ((l - 1) // 2))
 
 
 def _dual_coefficients(rec: SchemeRecord) -> tuple[np.ndarray, int]:
@@ -341,8 +333,8 @@ def route_verdicts(rec: SchemeRecord, methods: Iterable[str]
     The verdict is a bool, or the PreconditionError of a route that does
     not apply to this record.  Applicable routes must agree: a verdict
     that differs from an earlier one raises InternalInconsistencyError.
-    The multiplicative and dual routes of one run share one D^(-1) * R,
-    which is dropped when the run ends.
+    The three trace routes of one run share one X^(-1) * W, which is
+    dropped when the run ends; only the additive route computes apart.
     """
     first = None
     memo: dict = {}
@@ -364,7 +356,7 @@ def route_verdicts(rec: SchemeRecord, methods: Iterable[str]
 def _run_route(rec: SchemeRecord, method: str,
                memo: dict) -> bool | PreconditionError:
     """One route of a `route_verdicts` run, with the run's memo in reach."""
-    token = _RUN.set((rec, memo))
+    token = _RUN.set(memo)
     try:
         return verify_scheme(rec, method)
     except PreconditionError as err:

@@ -13,6 +13,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import ntt
 from .errors import InternalInconsistencyError, ParameterError
 from .fields import FiniteField, get_field
 from .groupring import (CyclicGroup, GroupRingElement,
@@ -47,10 +48,6 @@ class SingerBundle:
     def ds_params(self) -> tuple[int, int, int]:
         q, l = self.q, self.l
         return (self.v, q ** (l - 1), q ** (l - 2) * (q - 1))
-
-    def complement_params(self) -> tuple[int, int, int]:
-        q, l = self.q, self.l
-        return (self.v, (q ** (l - 1) - 1) // (q - 1), (q ** (l - 2) - 1) // (q - 1))
 
     def rds_params(self) -> tuple[int, int, int, int]:
         q, l = self.q, self.l
@@ -123,11 +120,14 @@ def build_singer_bundle(p: int, e: int, l: int,
                         verify: bool = True) -> SingerBundle:
     if l < 1:
         raise ParameterError(f"layer degree l = {l} must be >= 1")
+    q = p ** e
+    if verify and l >= 2:
+        # refuse before the field: the self-check forms R * R^(-1) in Z_n1
+        ntt.transform_size(2 * (q ** l - 1) - 1)
     if field is None:
         field = get_field(p, e * l)
     elif field.p != p or field.m != e * l:
         raise ParameterError("field does not match the requested tower")
-    q = p ** e
     v = (q ** l - 1) // (q - 1)
     te = field.trace_exponents(e)
     R = np.flatnonzero(te == 0).astype(np.int64)  # trace exactly 1

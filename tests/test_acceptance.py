@@ -145,7 +145,8 @@ def test_02_trace_sets_have_their_stated_parameters(capsys):
             comp = sorted(set(range(v)) - set(b.S))
             assert is_difference_set(
                 GroupRingElement.from_indices(Gv, comp),
-                *b.complement_params())
+                v, (q ** (l - 1) - 1) // (q - 1),
+                (q ** (l - 2) - 1) // (q - 1))
             W = b.weighing_element()
             assert W * W.power_map(-1) == \
                 q ** (l - 1) * GroupRingElement.identity(Gv)
@@ -241,7 +242,7 @@ def test_09_quadratic_form_solver_values_and_construction(capsys):
         assert (params.l, params.h, params.a) == (5, 1, 1)
         assert all(len(P) == 6 for P in params.candidates)
         result = langevin_scheme(3, 11)
-        assert not result.ambiguous
+        assert len(result.records) <= 1
         assert len(result.records) == 1
         rec = result.record
         assert rec.n1 + 1 == 243

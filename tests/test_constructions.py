@@ -252,7 +252,7 @@ def test_langevin_solver_rejections():
 
 def test_langevin_scheme_at_243():
     res = langevin_scheme(3, 11)
-    assert not res.ambiguous
+    assert len(res.records) <= 1
     rec = res.record
     assert rec.provenance == "langevin"
     assert len(rec.X) == 66 and len(rec.D) == 121

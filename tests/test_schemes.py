@@ -330,16 +330,17 @@ def test_from_json_refuses_a_stored_X_that_D_does_not_give():
         SchemeRecord.from_json(data)
 
 
-# -- D^(-1) * R: down in Z_2v, folded into Z_v, once per run -------------------
+# -- D^(-1) * R: read off X^(-1) * W in Z_v, once per run ----------------------
 
 
 def _direct_inverse_times_R(rec):
     """D^(-1) * R formed in Z_n1 itself, the oracle for the product that is
-    folded into Z_v and pulled back from Z_2v."""
+    read off X^(-1) * W in Z_v and tiled from Z_2v."""
     R = build_singer_bundle(rec.p, rec.e, rec.l, field=rec.field,
                             verify=False).R
-    return rec.unit_element().power_map(-1) * \
-        GroupRingElement.from_indices(CyclicGroup(rec.n1), R)
+    G = CyclicGroup(rec.n1)
+    return GroupRingElement.from_indices(G, rec.D).power_map(-1) * \
+        GroupRingElement.from_indices(G, R)
 
 
 def _spy_on_cyclic_products(monkeypatch):
@@ -376,14 +377,32 @@ def test_multiplicative_and_dual_share_one_product(monkeypatch):
     rec = build_DX(5, 1, 3, range(31))
     singer_bundle(5, 1, 3)  # built and self-checked before counting
     calls = _spy_on_cyclic_products(monkeypatch)
-    assert certify(rec, ("multiplicative", "dual")).verified_by == \
-        {"multiplicative", "dual"}
+    trace_routes = ("multiplicative", "quotient", "dual")
+    assert certify(rec, trace_routes).verified_by == set(trace_routes)
     assert len(calls) == 1
-    # the product is formed in Z_v = Z_31, not in Z_2v = Z_62 or Z_n1 = Z_124
+    # X^(-1) * W is formed in Z_v = Z_31, not in Z_2v = Z_62 or Z_n1 = Z_124
     assert calls[0] == 2 * 31 - 1
     # on their own, each route computes its own
     assert verify_multiplicative(rec) and verify_dual(rec)
-    assert len(calls) == 3
+    assert verify_quotient(5, 1, 3, rec.X)
+    assert len(calls) == 4
+
+
+def test_a_corrupted_shared_product_is_caught_by_the_additive_route(
+        monkeypatch):
+    rec = build_DX(5, 1, 3, range(31), provenance="paley")
+    assert certify(rec, "all").verified_by == set(METHODS)
+    real = schemes._inverse_times_W
+
+    def corrupted(*args):
+        prod = real(*args)
+        coeffs = prod.coeffs.copy()
+        coeffs[0] += 1
+        return GroupRingElement(prod.group, coeffs)
+
+    monkeypatch.setattr(schemes, "_inverse_times_W", corrupted)
+    with pytest.raises(InternalInconsistencyError, match="routes disagree"):
+        certify(rec, "all")
 
 
 def test_no_product_outlives_its_run():

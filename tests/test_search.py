@@ -1,5 +1,10 @@
 import itertools
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,6 +242,71 @@ def test_checkpoint_files_and_resume_after_a_crash(monkeypatch, tmp_path):
         resumed = search_galois_invariant(5, 1, 3, checkpoint_dir=crash_dir)
         assert resumed.found == galois_31().found
         assert (crash_dir / "search.jsonl").read_text() == final
+
+
+# A child search that SIGKILLs itself on its n-th checkpoint write: after
+# the write ("after") or between the temp file and the rename ("inside").
+_KILLED_CHILD = """
+import os, signal, sys
+from paleyschemes import search
+
+n, where, ckdir = int(sys.argv[1]), sys.argv[2], sys.argv[3]
+search.FLUSH_EVERY = 128
+writes = 0
+real_write, real_replace = search._atomic_write, os.replace
+
+
+def die():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def replace(src, dst):
+    if where == "inside" and writes == n:
+        die()
+    real_replace(src, dst)
+
+
+def write(path, records):
+    global writes
+    writes += 1
+    real_write(path, records)
+    if where == "after" and writes == n:
+        die()
+
+
+os.replace = replace
+search._atomic_write = write
+search.search_galois_invariant(5, 1, 3, checkpoint_dir=ckdir)
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+@pytest.mark.parametrize("n, where", [(1, "after"), (5, "after"),
+                                      (1, "inside"), (9, "inside")])
+def test_checkpoints_survive_a_kill(monkeypatch, tmp_path, n, where):
+    monkeypatch.setattr(search, "FLUSH_EVERY", 128)
+    search_galois_invariant(5, 1, 3, checkpoint_dir=tmp_path / "full")
+    final = (tmp_path / "full" / "search.jsonl").read_text()
+    ckdir = tmp_path / "killed"
+    src = str(Path(search.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    child = subprocess.run(
+        [sys.executable, "-c", _KILLED_CHILD, str(n), where, str(ckdir)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == -signal.SIGKILL, child.stderr
+    path, tmp = ckdir / "search.jsonl", ckdir / "search.tmp"
+    lines = final.splitlines(keepends=True)
+    kept = n if where == "after" else n - 1
+    assert (path.read_text() if path.exists() else "") == \
+        "".join(lines[:kept])
+    if where == "inside":
+        assert tmp.read_text() == "".join(lines[:n])
+    else:
+        assert not tmp.exists()
+    resumed = search_galois_invariant(5, 1, 3, checkpoint_dir=ckdir)
+    assert resumed.found == galois_31().found
+    assert path.read_text() == final
 
 
 def test_finished_checkpoints_short_circuit(monkeypatch, tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from paleyschemes.errors import InternalInconsistencyError, ParameterError
-from paleyschemes.fields import ZERO, get_field
+from paleyschemes.fields import ZERO, FiniteField, get_field
 from paleyschemes.groupring import CyclicGroup, GroupRingElement, is_difference_set
 from paleyschemes.singer import (_verify_bundle, _weighing_from_R,
                                  build_singer_bundle, gmw_components,
@@ -134,7 +134,8 @@ def test_derived_bundle_properties(p, e, l):
     q, v = b.q, b.v
     assert is_ds(b.S, *b.ds_params())
     comp = np.setdiff1d(np.arange(v), b.S)
-    assert is_ds(comp, *b.complement_params())
+    assert is_ds(comp, v, (q ** (l - 1) - 1) // (q - 1),
+                 (q ** (l - 2) - 1) // (q - 1))
     trace_zero = np.flatnonzero(b.field.trace_exponents(e) == ZERO)
     zero_cosets = np.unique(trace_zero % v)
     assert len(zero_cosets) == (q ** (l - 1) - 1) // (q - 1)
@@ -271,7 +272,6 @@ def test_bundle_is_cached():
 
 
 def test_alternate_modulus_still_verifies():
-    from paleyschemes.fields import FiniteField
     F = FiniteField(3, 2, modulus=(2, 2, 1))  # x^2 + 2x + 2, also primitive
     b = build_singer_bundle(3, 1, 2, field=F)
     assert b.R != (4, 5, 7)  # different presentation
@@ -283,6 +283,22 @@ def test_field_mismatch_rejected():
         build_singer_bundle(3, 1, 2, field=get_field(3, 3))
     with pytest.raises(ParameterError):
         build_singer_bundle(3, 1, 0)
+
+
+def test_a_self_check_past_the_transform_cap_is_refused_before_the_field(
+        monkeypatch):
+    built = []
+    real = FiniteField.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteField, "__init__", spy)
+    # R * R^(-1) at 3^15 has 2 (3^15 - 1) - 1 coefficients: a 2^25 transform
+    with pytest.raises(ParameterError, match="2\\^23"):
+        singer_bundle(3, 1, 15)
+    assert built == []
 
 
 # -- GMW composition ----------------------------------------------------------
