@@ -98,12 +98,6 @@ class SchemeRecord:
         except PreconditionError:
             return None
 
-    def additive_element(self) -> GroupRingElement:
-        """D as an element of Z[(F, +)]; exponent i sits at index 1 + i."""
-        G = FieldAdditiveGroup(self.field)
-        return GroupRingElement.from_indices(
-            G, np.asarray(self.D, dtype=np.int64) + 1)
-
     def to_json(self) -> dict:
         out = {
             "field": {"p": self.p, "e": self.e, "l": self.l,
@@ -183,12 +177,33 @@ def build_DX(p: int, e: int, l: int, X: Iterable[int],
                         verified_by=frozenset())
 
 
+# While `route_verdicts` runs a route on a record, this holds the run's
+# memo, so the routes of one run convert D once, recover X once and share
+# one X^(-1) * W.  It is set only around a route call.
+_RUN: ContextVar[Optional[dict]] = ContextVar("_RUN", default=None)
+
+
+def _per_run(rec: SchemeRecord, name: str, make):
+    """make(rec), formed once per `route_verdicts` run on rec."""
+    memo = _RUN.get()
+    if memo is None:
+        return make(rec)
+    held = memo.get(name)
+    if held is None or held[0] is not rec:
+        held = memo[name] = (rec, make(rec))
+    return held[1]
+
+
+def _D_array(rec: SchemeRecord) -> np.ndarray:
+    return _per_run(rec, "D",
+                    lambda r: np.asarray(r.D, dtype=np.int64))
+
+
 def is_half_point(rec: SchemeRecord) -> bool:
     """Union of base-square cosets meeting each unit-coset of F_q in half."""
     v, n1 = rec.v, rec.n1
     full = n1 // (2 * v)  # (q - 1) / 2
-    cls = np.bincount(np.asarray(rec.D, dtype=np.int64) % (2 * v),
-                      minlength=2 * v)
+    cls = np.bincount(_D_array(rec) % (2 * v), minlength=2 * v)
     if not np.all((cls == 0) | (cls == full)):
         return False
     return bool(np.all(cls[:v] + cls[v:] == full))
@@ -199,10 +214,32 @@ def recover_X(rec: SchemeRecord) -> tuple[int, ...]:
         raise PreconditionError("X recovery needs odd l")
     if not is_half_point(rec):
         raise PreconditionError("not a half-point set; X is undefined")
-    D = np.asarray(rec.D, dtype=np.int64)
+    D = _D_array(rec)
     inX = np.zeros(rec.v, dtype=bool)
     inX[D[D % 2 == 0] % rec.v] = True
     return tuple(np.flatnonzero(inX).tolist())
+
+
+def _recover_or_refuse(rec: SchemeRecord):
+    try:
+        return recover_X(rec)
+    except PreconditionError as err:
+        return err
+
+
+def _run_X(rec: SchemeRecord) -> tuple[int, ...]:
+    """recover_X(rec), once per `route_verdicts` run; where X is
+    undefined, every call raises recover_X's PreconditionError afresh."""
+    X = _per_run(rec, "X", _recover_or_refuse)
+    if isinstance(X, PreconditionError):
+        raise PreconditionError(*X.args)
+    return X
+
+
+def _is_run_X(X) -> bool:
+    """Whether X is the one the current run recovered: sorted, in range."""
+    memo = _RUN.get()
+    return memo is not None and "X" in memo and memo["X"][1] is X
 
 
 # -- verification routes -------------------------------------------------------
@@ -212,24 +249,24 @@ def verify_additive(rec: SchemeRecord) -> bool:
     """Check the defining identity in the additive group ring.
 
     The identity says T(chi) T(chi-bar) = |F| at every nontrivial additive
-    character chi, for T = 1 + 2D.  The product T^(-1) T has coefficients
-    of size at most 2|F|, and it is computed exactly through the character
-    transform of (F, +) = (Z_p)^m modulo one prime P = 1 (mod p) above
-    4|F| (for m = 1, by the cyclic product over Z_p).
+    character chi, for T = 1 + 2D.  T and T^(-1) = 1 + 2(-D) are scattered
+    straight into coefficient vectors, with -g^i = g^(i + n1/2) (p is
+    odd).  Their product has coefficients of size at most 2|F|, and it is
+    computed exactly through the character transform of (F, +) = (Z_p)^m
+    modulo one prime P = 1 (mod p) above 4|F| (for m = 1, by the cyclic
+    product over Z_p); the identity asks for 2|F| - 1 at the zero element
+    and |F| - 1 everywhere else.
     """
     G = FieldAdditiveGroup(rec.field)
-    T = GroupRingElement.identity(G) + 2 * rec.additive_element()
-    lhs = T.power_map(-1) * T
-    order = rec.n1 + 1
-    rhs = order * GroupRingElement.identity(G) + \
-        (order - 1) * GroupRingElement.all_ones(G)
-    return lhs == rhs
-
-
-# While `route_verdicts` runs a route on a record, this holds the run's
-# memo, so the three trace routes of one run share one X^(-1) * W.  It is
-# set only around a route call.
-_RUN: ContextVar[Optional[dict]] = ContextVar("_RUN", default=None)
+    D = _D_array(rec)
+    T = np.zeros(G.order, dtype=np.int64)
+    T_inv = np.zeros(G.order, dtype=np.int64)
+    T[0] = T_inv[0] = 1
+    T[D + 1] = 2
+    T_inv[(D + rec.n1 // 2) % rec.n1 + 1] = 2
+    prod = GroupRingElement(G, T).convolve(GroupRingElement(G, T_inv)).coeffs
+    return bool(prod[0] == 2 * G.order - 1
+                and np.all(prod[1:] == G.order - 1))
 
 
 def _inverse_times_W(p: int, e: int, l: int, X: tuple[int, ...],
@@ -264,7 +301,7 @@ def _inverse_times_R(rec: SchemeRecord) -> GroupRingElement:
     if rec.l % 2 == 0:
         raise PreconditionError("route needs odd l")
     try:
-        X = recover_X(rec)
+        X = _run_X(rec)
     except PreconditionError:
         raise PreconditionError(
             "route applies to half-point sets only") from None
@@ -289,13 +326,18 @@ def verify_multiplicative(rec: SchemeRecord) -> bool:
 
 def verify_quotient(p: int, e: int, l: int, X: Iterable[int],
                     field: Optional[FiniteField] = None) -> bool:
-    """Divisibility of X^(-1) * W by q^((l-1)/2) down in Z_v."""
+    """Divisibility of X^(-1) * W by q^((l-1)/2) down in Z_v.
+
+    X is normalised first, unless it is the X that the current
+    `route_verdicts` run recovered, which is sorted and in range.
+    """
     if l % 2 == 0:
         raise PreconditionError("route needs odd l")
-    v = ((p ** e) ** l - 1) // (p ** e - 1)
-    X = tuple(sorted({int(x) for x in X}))
-    if X and (X[0] < 0 or X[-1] >= v):
-        raise ParameterError(f"X must lie in 0..{v - 1}")
+    if not _is_run_X(X):
+        v = ((p ** e) ** l - 1) // (p ** e - 1)
+        X = tuple(sorted({int(x) for x in X}))
+        if X and (X[0] < 0 or X[-1] >= v):
+            raise ParameterError(f"X must lie in 0..{v - 1}")
     return _inverse_times_W(p, e, l, X, field).scalar_divisible(
         (p ** e) ** ((l - 1) // 2))
 
@@ -319,7 +361,7 @@ def verify_scheme(rec: SchemeRecord, method: str = "additive") -> bool:
     if method == "multiplicative":
         return verify_multiplicative(rec)
     if method == "quotient":
-        return verify_quotient(rec.p, rec.e, rec.l, recover_X(rec),
+        return verify_quotient(rec.p, rec.e, rec.l, _run_X(rec),
                                field=rec.field)
     if method == "dual":
         return verify_dual(rec)
@@ -333,8 +375,9 @@ def route_verdicts(rec: SchemeRecord, methods: Iterable[str]
     The verdict is a bool, or the PreconditionError of a route that does
     not apply to this record.  Applicable routes must agree: a verdict
     that differs from an earlier one raises InternalInconsistencyError.
-    The three trace routes of one run share one X^(-1) * W, which is
-    dropped when the run ends; only the additive route computes apart.
+    The routes of one run convert D to an array once, and the three trace
+    routes share one recovered X and one X^(-1) * W; all of it is
+    dropped when the run ends.  Only the additive route computes apart.
     """
     first = None
     memo: dict = {}

@@ -11,9 +11,16 @@ The shared engine walks candidates in binary reflected Gray-code order
 and keeps the residue vector r = X^(-1) * W mod q^((l-1)/2) up to date
 incrementally.  Each orbit o contributes a fixed vector C_o, and one
 Gray step toggles exactly one orbit, so a step costs a single vector
-add.  Candidates with r = 0 are re-verified through the additive
-identity before being recorded; a disagreement there means the residue
-arithmetic is broken and raises instead of being swallowed.  For speed
+add.  Candidates with r = 0 are proven before being recorded, and half
+of them cost no product.  D(X) follows the parity rule, so the
+complement X^c = Z_v - X gives D(X^c) = F* - D(X); as |D(X)| = (|F|-1)/2,
+T' = 1 + 2 D(X^c) is 2F - T for T = 1 + 2 D(X), and T' T'^(-1) = T T^(-1).
+So X^c is a scheme exactly when X is.  A hit whose complement was
+already proven is recorded as it stands; every other hit is re-verified
+through the additive identity, and a failure there means the residue
+arithmetic is broken and raises instead of being swallowed.  A filter
+that emitted a non-hit would still raise: its complement is no scheme
+either, so neither can be the proven one.  For speed
 the walk is split in the middle: the low B orbits are indexed once by
 the residue of each of their 2^B patterns, and a block of 2^B positions
 sharing the high orbits vanishes exactly where the low residue equals
@@ -22,7 +29,10 @@ the hits keep the order of the plain walk.
 
 `search_cyclotomic_unions` is different: it works in the field proper,
 testing every union of power-residue classes with the additive
-identity directly, so it also covers even extension degrees.
+identity directly, so it also covers even extension degrees.  The
+complement identity holds there too (a union of the wrong size fails,
+and so does its complement), so one union of each complementary pair
+is tested and its verdict given to the other.
 
 A residue search is one walk over the Gray range [0, 2^orbits).  Every
 `FLUSH_EVERY` positions it flushes its progress, with the residue
@@ -312,14 +322,24 @@ def _subset_of(space: SearchSpace, position: int) -> tuple[int, ...]:
     return tuple(sorted(members))
 
 
-def _verified_hit(space: SearchSpace, position: int, field) -> tuple[int, ...]:
+def _verified_hit(space: SearchSpace, position: int, field,
+                  proven: set[int]) -> tuple[int, ...]:
+    """The X at a hit position, proven a scheme before it is recorded.
+
+    A hit whose complement mask is in `proven` is a scheme by the
+    complement identity and costs no product; any other goes through
+    the additive identity, and its mask joins `proven` once it passes.
+    """
     X = _subset_of(space, position)
-    rec = build_DX(space.p, space.e, space.l, X, field=field,
-                   provenance="search")
-    if not verify_additive(rec):
-        raise InternalInconsistencyError(
-            f"the residue filter emitted X of size {len(X)} that fails the "
-            "additive identity; the incremental arithmetic is broken")
+    mask = _gray(position)
+    if mask ^ (space.candidates - 1) not in proven:
+        rec = build_DX(space.p, space.e, space.l, X, field=field,
+                       provenance="search")
+        if not verify_additive(rec):
+            raise InternalInconsistencyError(
+                f"the residue filter emitted X of size {len(X)} that fails "
+                "the additive identity; the incremental arithmetic is broken")
+    proven.add(mask)
     return X
 
 
@@ -384,6 +404,7 @@ def _run_residue_search(space: SearchSpace, *,
     stored: list[dict] = []
     records: list[dict] = []
     found: list[tuple[int, ...]] = []
+    proven: set[int] = set()
     pos = 0
     if checkpoint_dir is not None:
         path = Path(checkpoint_dir) / "search.jsonl"
@@ -399,7 +420,7 @@ def _run_residue_search(space: SearchSpace, *,
             if not isinstance(upto, int) or not pos < upto <= total:
                 raise ParameterError(
                     "checkpoint positions must increase inside the Gray range")
-        new = [_verified_hit(space, g, field)
+        new = [_verified_hit(space, g, field, proven)
                for g in _scan_range(contrib, M, index, B, pos, upto)]
         found.extend(new)
         start, pos = pos, upto
@@ -452,16 +473,24 @@ def search_cyclotomic_unions(p: int, m: int, n_classes: int, *,
 
     Works for any extension degree, even ones included, because it never
     leaves the field; the price is that only 2^n_classes candidates are
-    seen.  Found entries are the unions' exponent sets.
+    seen.  Each complementary pair of unions gets one test, as D and
+    F* - D pass or fail together.  Found entries are the unions'
+    exponent sets.
     """
     space = cyclotomic_space(p, m, n_classes, max_classes=max_classes)
     field = get_field(p, m)
+    full = space.candidates - 1
+    verdicts: dict[int, bool] = {}
     found = []
     for position in range(space.candidates):
         D = _subset_of(space, position)
-        rec = SchemeRecord(field=field, e=1, l=m, D=D,
-                           provenance="search", verified_by=frozenset())
-        if verify_additive(rec):
+        mask = _gray(position)
+        ok = verdicts.pop(mask ^ full, None)
+        if ok is None:
+            rec = SchemeRecord(field=field, e=1, l=m, D=D,
+                               provenance="search", verified_by=frozenset())
+            ok = verdicts[mask] = verify_additive(rec)
+        if ok:
             found.append(D)
     return SearchResult(space=space, found=tuple(sorted(found)),
                         note=_coverage_note(space))

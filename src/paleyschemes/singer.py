@@ -59,6 +59,12 @@ class SingerBundle:
         return GroupRingElement(CyclicGroup(self.v), np.array(self.W, dtype=np.int64))
 
 
+def _residues(R: np.ndarray, v: int) -> np.ndarray:
+    """The distinct residues of R mod v, sorted (a bincount, which unlike
+    np.unique does not import numpy.ma)."""
+    return np.flatnonzero(np.bincount(R % v, minlength=v))
+
+
 def _weighing_from_R(R: np.ndarray, v: int) -> np.ndarray:
     W = np.zeros(v, dtype=np.int64)
     W[R % v] = 1 - 2 * (R % 2)
@@ -97,7 +103,7 @@ def _verify_bundle(b: SingerBundle) -> None:
 
     if len(R) != q ** (l - 1):
         raise InternalInconsistencyError("trace-one set has wrong size")
-    if len(S) != len(R) or not np.array_equal(S, np.unique(R % v)):
+    if len(S) != len(R) or not np.array_equal(S, _residues(R, v)):
         raise InternalInconsistencyError(
             "S is not the coset-distinct projection of R")
     W_ok = (np.array_equal(b.W, _weighing_from_R(R, v)) if l % 2 == 1
@@ -131,7 +137,7 @@ def build_singer_bundle(p: int, e: int, l: int,
     v = (q ** l - 1) // (q - 1)
     te = field.trace_exponents(e)
     R = np.flatnonzero(te == 0).astype(np.int64)  # trace exactly 1
-    S = np.unique(R % v)
+    S = _residues(R, v)
     if len(S) != len(R):
         raise InternalInconsistencyError("projection lost elements")
     W = tuple(int(x) for x in _weighing_from_R(R, v)) if l % 2 == 1 else None
@@ -207,7 +213,7 @@ def gmw_components(p: int, e: int, t: int, s: int) -> GmwComponents:
     # relative trace-one set of the top layer, projected to Z_{v_st}
     te_top = field.trace_exponents(e * t)
     R_top = np.flatnonzero(te_top == 0).astype(np.int64)
-    rtilde = np.unique(R_top % v_st)
+    rtilde = _residues(R_top, v_st)
     if len(rtilde) != len(R_top):
         raise InternalInconsistencyError("top-layer projection lost elements")
 
@@ -217,7 +223,7 @@ def gmw_components(p: int, e: int, t: int, s: int) -> GmwComponents:
     for i in range(1, t):
         acc = field.add_array(acc, (sub_exps * pow(q, i, n1)) % n1)
     R_sub = np.flatnonzero(acc == 0).astype(np.int64)  # small exponents j
-    s_sub = np.unique(R_sub % v_t)
+    s_sub = _residues(R_sub, v_t)
     if len(s_sub) != len(R_sub):
         raise InternalInconsistencyError("sub-layer projection lost elements")
     w_sub = _weighing_from_R(R_sub, v_t) if t % 2 == 1 else np.zeros(0, np.int64)

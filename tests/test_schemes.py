@@ -388,6 +388,35 @@ def test_multiplicative_and_dual_share_one_product(monkeypatch):
     assert len(calls) == 4
 
 
+def test_one_X_recovery_per_run(monkeypatch):
+    calls = []
+    real = schemes.recover_X
+
+    def spy(rec):
+        calls.append(rec)
+        return real(rec)
+
+    monkeypatch.setattr(schemes, "recover_X", spy)
+    valid = build_DX(5, 1, 3, range(31))
+    assert certify(valid, "all").verified_by == set(METHODS)
+    assert len(calls) == 1
+    # the trace routes refuse a record that is no half-point set, each in
+    # its own words, from one recovery
+    calls.clear()
+    not_half = SchemeRecord(field=valid.field, e=1, l=3, D=tuple(range(62)),
+                            provenance="manual", verified_by=frozenset())
+    verdicts = dict(route_verdicts(not_half, METHODS))
+    assert len(calls) == 1
+    assert isinstance(verdicts["additive"], bool)
+    assert "half-point sets only" in str(verdicts["multiplicative"])
+    assert "half-point sets only" in str(verdicts["dual"])
+    assert "not a half-point set" in str(verdicts["quotient"])
+    # outside a run, verify_quotient still normalises its argument
+    assert verify_quotient(5, 1, 3, [30, 0, *range(31)])
+    with pytest.raises(ParameterError):
+        verify_quotient(5, 1, 3, [31])
+
+
 def test_a_corrupted_shared_product_is_caught_by_the_additive_route(
         monkeypatch):
     rec = build_DX(5, 1, 3, range(31), provenance="paley")

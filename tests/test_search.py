@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -203,6 +204,100 @@ def test_one_contributions_call_per_search(monkeypatch, tmp_path):
         calls.clear()
         assert search_galois_invariant(5, 1, 3, **kwargs).found == want
         assert len(calls) == 1
+
+
+# -- one additive product per complementary pair of hits -------------------------
+
+# sha256 of the JSON found list; the 5^3 and 7^3 ones are also frozen in
+# perfbench/expected.json (classify hits, sweep output)
+FOUND_SHA256 = {
+    "galois 5^3": "4f5f035335183819d3752c7a868171442f436693693e5a2157a78c68ef6d48b6",
+    "galois 7^3": "ebab2fd01b2e30d11a5ee164fc487d27e27c65808927d278a7c79844a251015a",
+    "all X 3^3": "8f3b6cbcbaeff7a05451f44b1847dc01a64acfc4126ef9c3cf39a81db58a1e43",
+}
+SWEEPS = {
+    "galois 5^3": (lambda: search_galois_invariant(5, 1, 3), (5, 1, 3), 96),
+    "galois 7^3": (lambda: search_galois_invariant(7, 1, 3), (7, 1, 3), 1520),
+    "all X 3^3": (lambda: search_all_X(3, 1, 3), (3, 1, 3), 288),
+}
+
+
+def found_sha256(found):
+    return hashlib.sha256(json.dumps([list(X) for X in found]).encode()
+                          ).hexdigest()
+
+
+def position_of(mask):
+    """Inverse Gray code: the position whose gray() is mask."""
+    pos = 0
+    while mask:
+        pos ^= mask
+        mask >>= 1
+    return pos
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_one_product_per_complementary_pair_of_hits(monkeypatch, name):
+    run, tower, hits = SWEEPS[name]
+    checked = []
+
+    def spy(rec):
+        checked.append(rec.X)
+        return verify_additive(rec)
+
+    monkeypatch.setattr(search, "verify_additive", spy)
+    res = run()
+    monkeypatch.undo()
+    assert len(res.found) == hits
+    assert found_sha256(res.found) == FOUND_SHA256[name]
+    assert len(checked) == len(set(checked)) == hits // 2
+    full = set(range(res.space.v))
+    unchecked = set(res.found) - set(checked)
+    assert len(unchecked) == hits // 2
+    for X in unchecked:
+        assert tuple(sorted(full - set(X))) in checked
+        assert verify_additive(build_DX(*tower, X))
+
+
+def test_complementary_unions_share_one_test(monkeypatch):
+    calls = []
+
+    def spy(rec):
+        calls.append(rec.D)
+        return verify_additive(rec)
+
+    monkeypatch.setattr(search, "verify_additive", spy)
+    for args in ((7, 2, 4), (3, 2, 4)):
+        calls.clear()
+        res = search_cyclotomic_unions(*args)
+        assert len(calls) == len(set(calls)) == res.space.candidates // 2
+        units = set(range(res.space.n1))
+        assert all(tuple(sorted(units - set(D))) not in calls for D in calls)
+
+
+@pytest.mark.parametrize("with_complement", [False, True])
+def test_a_filter_that_emits_a_non_hit_still_raises(monkeypatch,
+                                                    with_complement):
+    space = galois_space(5, 1, 3)
+    found = set(galois_31().found)
+    full = space.candidates - 1
+    # a non-hit whose complement comes first in the walk
+    bad = next(g for g in range(space.candidates)
+               if subset_at(space, g) not in found
+               and position_of(gray(g) ^ full) < g)
+    extra = {bad}
+    if with_complement:
+        extra.add(position_of(gray(bad) ^ full))
+    assert all(subset_at(space, g) not in found for g in extra)
+    real = search._scan_range
+
+    def broken(contrib, M, index, B, start, stop):
+        hits = real(contrib, M, index, B, start, stop)
+        return sorted(set(hits) | {g for g in extra if start <= g < stop})
+
+    monkeypatch.setattr(search, "_scan_range", broken)
+    with pytest.raises(InternalInconsistencyError, match="additive identity"):
+        search_galois_invariant(5, 1, 3)
 
 
 # -- checkpoints ------------------------------------------------------------------
