@@ -18,7 +18,10 @@ matrix w^(jk) applied along each of the m coordinates (Pollard, *The fast
 Fourier transform in a finite field*, Math. Comp. 25, 1971).  It runs
 modulo one prime P = 1 (mod p) above twice the bound, so the centred
 residues are the coefficients; a bound that would need P >= 2^31 raises
-`ParameterError` before any transform runs.
+`ParameterError` before any transform runs.  The transform of
+x -> a(-x) at k is that of a at -k, so a product A * A^(-1), which is
+what the defining identity asks for, takes one forward transform: an
+exact compare spots b = a(-x), and any other b is transformed itself.
 """
 
 from __future__ import annotations
@@ -154,12 +157,11 @@ def convolve_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _characters(p: int, bits: int) -> tuple[int, np.ndarray, np.ndarray, int]:
-    """(P, W, W_inv, chunk) for coefficients below 2^bits in size.
+def _characters(p: int, bits: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(P, W, W_inv) for coefficients below 2^bits in size.
 
     P is the smallest prime = 1 (mod p) above 2^(bits+1); W[j, k] = w^(jk)
-    and W_inv[j, k] = w^(-jk) mod P for a w of order p; and a sum of
-    `chunk` products of residues cannot wrap int64.
+    and W_inv[j, k] = w^(-jk) mod P for a w of order p.
     """
     P = (2 ** (bits + 1) // p + 1) * p + 1
     while P < _ELEMENTARY_LIMIT and not is_prime(P):
@@ -180,16 +182,34 @@ def _characters(p: int, bits: int) -> tuple[int, np.ndarray, np.ndarray, int]:
     W, W_inv = powers[jk], powers[-jk % p]
     W.setflags(write=False)
     W_inv.setflags(write=False)
-    return P, W, W_inv, (2 ** 63 - 1) // (P - 1) ** 2
+    return P, W, W_inv
+
+
+@functools.lru_cache(maxsize=16)
+def _negation(p: int, q: int) -> np.ndarray:
+    """neg[c] is the code of -x for x of code c: each base-p digit of c
+    negated mod p."""
+    codes = np.arange(q, dtype=np.int64)
+    neg = np.zeros(q, dtype=np.int64)
+    stride = 1
+    while stride < q:
+        neg += (-(codes // stride) % p) * stride
+        stride *= p
+    neg.setflags(write=False)
+    return neg
 
 
 def _elementary_transform(x: np.ndarray, W: np.ndarray, P: int,
-                          chunk: int) -> np.ndarray:
-    """W applied mod P along every base-p coordinate of each row of x.
+                          top: int) -> np.ndarray:
+    """W applied mod P along every base-p coordinate of each row of x,
+    whose entries are at most `top` in size.
 
     A row of length p^m holds the element sum c_i p^i at that index, so
     the coordinate c_i is the axis of stride p^i in the (.., p, p^i) view.
-    The axis sum runs in slices of `chunk` rows, reduced between slices.
+    A stage multiplies the entry bound by p (P - 1); the entries are
+    reduced mod P only before a stage that could wrap int64.  When even
+    reduced entries could (P past 2^30), the axis sum runs in slices of
+    `chunk` rows, reduced between slices.
     """
     p = len(W)
     lead, q = x.shape[:-1], x.shape[-1]
@@ -197,22 +217,37 @@ def _elementary_transform(x: np.ndarray, W: np.ndarray, P: int,
     while stride > 1:
         stride //= p
         x = x.reshape(*lead, -1, p, stride)
+        if top * p * (P - 1) >= 2 ** 63:
+            x, top = x % P, P - 1
+        if top * p * (P - 1) < 2 ** 63:
+            x, top = W @ x, top * p * (P - 1)
+            continue
+        chunk = (2 ** 63 - 1) // (P - 1) ** 2
         y = W[:, :chunk] @ x[..., :chunk, :] % P
         for s in range(chunk, p, chunk):
             y += W[:, s:s + chunk] @ x[..., s:s + chunk, :] % P
-        x = y % P
-    return x.reshape(*lead, q)
+        x, top = y, -(-p // chunk) * (P - 1)
+    return x.reshape(*lead, q) % P
 
 
 def convolve_elementary(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact product in Z[(Z_p)^m] of vectors of length p^m, each indexed
-    by the codes sum c_i p^i of the group elements (possibly negative)."""
+    by the codes sum c_i p^i of the group elements (possibly negative).
+
+    When b is a^(-1), b(x) = a(-x), its transform at k is a's at -k, so
+    one forward transform serves both operands."""
     a, b = np.asarray(a), np.asarray(b)
-    (a1, a_top), (b1, b_top) = _norms(a), _norms(b)
-    P, W, W_inv, chunk = _characters(
-        p, min(a1 * b_top, b1 * a_top).bit_length())
-    x = np.stack((a % P, b % P)).astype(np.int64)
-    fa, fb = _elementary_transform(x, W, P, chunk)
-    y = _elementary_transform(fa * fb % P, W_inv, P, chunk)
+    neg = _negation(p, len(a))
+    inverse = np.array_equal(b, a[neg])
+    a1, a_top = _norms(a)
+    b1, b_top = (a1, a_top) if inverse else _norms(b)
+    P, W, W_inv = _characters(p, min(a1 * b_top, b1 * a_top).bit_length())
+    if inverse:
+        fa = _elementary_transform(a.astype(np.int64), W, P, a_top)
+        fb = fa[neg]
+    else:
+        fa, fb = _elementary_transform(np.stack((a, b)).astype(np.int64),
+                                       W, P, max(a_top, b_top))
+    y = _elementary_transform(fa * fb % P, W_inv, P, P - 1)
     y = y * pow(len(a), -1, P) % P
     return np.where(y > P // 2, y - P, y)

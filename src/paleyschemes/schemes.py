@@ -34,11 +34,13 @@ from .errors import (InternalInconsistencyError, ParameterError,
                      PreconditionError, VerificationFailedError)
 from .fields import FiniteField, get_field
 from .groupring import CyclicGroup, FieldAdditiveGroup, GroupRingElement
-from .singer import SingerBundle, build_singer_bundle, singer_bundle
+from .singer import (SingerBundle, build_singer_bundle, check_transform_cap,
+                     singer_bundle)
 
 PROVENANCES = ("paley", "adp", "cyclotomic", "langevin", "gmw_lift",
                "union", "search", "manual")
 METHODS = ("additive", "multiplicative", "quotient", "dual")
+_TRACE_ROUTES = METHODS[1:]  # the routes that read the Singer bundle
 
 
 @dataclass(frozen=True)
@@ -64,9 +66,13 @@ class SchemeRecord:
         if bad:
             raise ParameterError(f"unknown verification tokens {sorted(bad)}")
         D = np.asarray(self.D, dtype=np.int64)
-        if len(D) and (D.min() < 0 or D.max() >= self.n1):
-            raise ParameterError("exponent out of range")
-        if not np.all(np.diff(D) > 0):
+        increasing = bool(np.all(D[1:] > D[:-1]))
+        if len(D):
+            # a strictly increasing D is in range iff its ends are
+            lo, hi = (D[0], D[-1]) if increasing else (D.min(), D.max())
+            if lo < 0 or hi >= self.n1:
+                raise ParameterError("exponent out of range")
+        if not increasing:
             raise ParameterError("D must be sorted and duplicate-free")
 
     @property
@@ -118,6 +124,9 @@ class SchemeRecord:
         entries = [fd["p"], fd["e"], fd["l"], *data["D"], *data.get("X", ())]
         if not all(type(x) is int for x in entries):
             raise ParameterError("field, D and X entries must be integers")
+        if set(_TRACE_ROUTES).intersection(data["verified_by"]):
+            # a trace route needs the bundle: refuse before the field
+            check_transform_cap(fd["p"], fd["e"], fd["l"])
         field = FiniteField(fd["p"], fd["e"] * fd["l"],
                             modulus=tuple(fd["modulus"]))
         rec = cls(field=field, e=fd["e"], l=fd["l"], D=tuple(data["D"]),
@@ -154,6 +163,16 @@ def _field_bundle(p: int, e: int, l: int, field: FiniteField) -> SingerBundle:
 # -- construction -------------------------------------------------------------
 
 
+@lru_cache(maxsize=4)
+def _parity_pattern(n1: int, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i % 2 == 0, i % v) for i < n1, read-only, shared by every build."""
+    i = np.arange(n1, dtype=np.int64)
+    even, residue = i % 2 == 0, (i % v).astype(np.int32)
+    even.setflags(write=False)
+    residue.setflags(write=False)
+    return even, residue
+
+
 def build_DX(p: int, e: int, l: int, X: Iterable[int],
              field: Optional[FiniteField] = None,
              provenance: str = "manual") -> SchemeRecord:
@@ -171,8 +190,8 @@ def build_DX(p: int, e: int, l: int, X: Iterable[int],
                       stacklevel=2)
     xind = np.zeros(v, dtype=bool)
     xind[np.asarray(X, dtype=np.int64)] = True
-    i = np.arange(n1, dtype=np.int64)
-    D = tuple(np.flatnonzero((i % 2 == 0) == xind[i % v]).tolist())
+    even, residue = _parity_pattern(n1, v)
+    D = tuple(np.flatnonzero(even == xind[residue]).tolist())
     return SchemeRecord(field=field, e=e, l=l, D=D, provenance=provenance,
                         verified_by=frozenset())
 
@@ -254,8 +273,9 @@ def verify_additive(rec: SchemeRecord) -> bool:
     odd).  Their product has coefficients of size at most 2|F|, and it is
     computed exactly through the character transform of (F, +) = (Z_p)^m
     modulo one prime P = 1 (mod p) above 4|F| (for m = 1, by the cyclic
-    product over Z_p); the identity asks for 2|F| - 1 at the zero element
-    and |F| - 1 everywhere else.
+    product over Z_p).  That takes one forward transform: the kernel
+    reads the transform of T^(-1) at k off that of T at -k.  The identity
+    asks for 2|F| - 1 at the zero element and |F| - 1 everywhere else.
     """
     G = FieldAdditiveGroup(rec.field)
     D = _D_array(rec)

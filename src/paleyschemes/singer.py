@@ -121,15 +121,23 @@ def _verify_bundle(b: SingerBundle) -> None:
                 "trace-one set is not a relative difference set")
 
 
+def check_transform_cap(p: int, e: int, l: int) -> None:
+    """Raise `ParameterError` if the bundle self-check of the tower, the
+    product R * R^(-1) in Z_n1 (l >= 2), needs a transform past the NTT's
+    longest.  It reads p, e and l alone, so it runs before any field is
+    built; a tower with e < 1 is left to the callers' own checks."""
+    if e >= 1 and l >= 2:
+        ntt.transform_size(2 * ((p ** e) ** l - 1) - 1)
+
+
 def build_singer_bundle(p: int, e: int, l: int,
                         field: Optional[FiniteField] = None,
                         verify: bool = True) -> SingerBundle:
     if l < 1:
         raise ParameterError(f"layer degree l = {l} must be >= 1")
     q = p ** e
-    if verify and l >= 2:
-        # refuse before the field: the self-check forms R * R^(-1) in Z_n1
-        ntt.transform_size(2 * (q ** l - 1) - 1)
+    if verify:
+        check_transform_cap(p, e, l)
     if field is None:
         field = get_field(p, e * l)
     elif field.p != p or field.m != e * l:

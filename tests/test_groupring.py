@@ -78,6 +78,61 @@ def test_additive_product_up_to_and_past_its_prime(monkeypatch):
         ntt.convolve_elementary(a, a, 59)
 
 
+def sparse_element(group, rng, support=24):
+    """A random element with `support` nonzero coefficients in [-4, 4]."""
+    c = np.zeros(group.order, dtype=np.int64)
+    c[rng.choice(group.order, size=support, replace=False)] = \
+        rng.choice([-4, -3, -2, -1, 1, 2, 3, 4], size=support)
+    return GroupRingElement(group, c)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_product_with_the_inverse_and_a_near_miss(p, m):
+    group = FieldAdditiveGroup(get_field(p, m))
+    rng = np.random.default_rng(100 * p + m)
+    A = sparse_element(group, rng, support=min(24, group.order // 2))
+    A_inv = A.power_map(-1)
+    # b differs from A^(-1) in one coefficient, so the kernel transforms it
+    near = A_inv.coeffs.copy()
+    near[rng.integers(group.order)] += 1
+    for b in (A_inv.coeffs, near):
+        got = A * GroupRingElement(group, b)
+        assert got.coeffs.tolist() == brute_convolve(group, A.coeffs, b)
+
+
+def test_product_with_the_inverse_transforms_one_operand(monkeypatch):
+    rows = []
+    transform = ntt._elementary_transform
+
+    def spy(x, *args):
+        rows.append(int(np.prod(x.shape[:-1])))
+        return transform(x, *args)
+
+    monkeypatch.setattr(ntt, "_elementary_transform", spy)
+    group = FieldAdditiveGroup(get_field(7, 3))
+    A = sparse_element(group, np.random.default_rng(5))
+    A * A.power_map(-1)
+    assert rows == [1, 1]  # one forward, one inverse
+    rows.clear()
+    A * A
+    assert rows == [2, 1]
+
+
+def test_transform_reduces_where_int64_would_wrap():
+    group = FieldAdditiveGroup(get_field(3, 4))
+    rng = np.random.default_rng(8)
+    a = rng.integers(-2 ** 11, 2 ** 11, size=group.order)
+    b = rng.integers(-2 ** 11, 2 ** 11, size=group.order)
+    (a1, a_top), (b1, b_top) = ((int(np.abs(x).sum()), int(np.abs(x).max()))
+                                for x in (a, b))
+    P = ntt._characters(3, min(a1 * b_top, b1 * a_top).bit_length())[0]
+    # the entries would pass 2^63 by the second of the four stages
+    assert a_top * (3 * (P - 1)) ** 2 >= 2 ** 63
+    got = GroupRingElement(group, a) * GroupRingElement(group, b)
+    assert got.coeffs.tolist() == brute_convolve(group, a, b)
+
+
 def test_ring_axioms_sampled():
     group = FieldAdditiveGroup(get_field(3, 2))
     rng = np.random.default_rng(99)

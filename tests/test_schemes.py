@@ -295,6 +295,18 @@ def test_preconditions_and_errors():
                      provenance="spooky", verified_by=frozenset())
 
 
+def test_record_checks_range_before_order():
+    F = get_field(3, 3)
+    for D, message in (((-1, 4), "out of range"), ((3, 26), "out of range"),
+                       ((5, 26, 1), "out of range"), ((-2, 7, 0), "out of range"),
+                       ((4, 4), "duplicate-free"), ((9, 3), "duplicate-free")):
+        with pytest.raises(ParameterError, match=message):
+            SchemeRecord(field=F, e=1, l=3, D=D, provenance="manual",
+                         verified_by=frozenset())
+    assert SchemeRecord(field=F, e=1, l=3, D=(0, 25), provenance="manual",
+                        verified_by=frozenset()).D == (0, 25)
+
+
 def test_record_json_round_trip():
     rec = certify(build_DX(3, 1, 3, [0, 2, 3]), strict=False)
     data = rec.to_json()
@@ -328,6 +340,30 @@ def test_from_json_refuses_a_stored_X_that_D_does_not_give():
     data["X"] = [0, 1]
     with pytest.raises(ParameterError, match="parity rule"):
         SchemeRecord.from_json(data)
+
+
+def test_from_json_refuses_a_trace_claim_past_the_cap_before_the_field(
+        monkeypatch):
+    built = []
+    real = FiniteField.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteField, "__init__", spy)
+    # the bundle self-check at 3^15 needs a 2^25 transform; a non-monic
+    # modulus makes the field refuse at once if it is reached
+    data = {"field": {"p": 3, "e": 1, "l": 15, "modulus": [1] * 15},
+            "D": [], "provenance": "manual"}
+    for route in METHODS[1:]:
+        with pytest.raises(ParameterError, match="2\\^23"):
+            SchemeRecord.from_json(dict(data, verified_by=["additive", route]))
+    assert built == []
+    for claims in ([], ["additive"]):
+        with pytest.raises(ParameterError, match="monic"):
+            SchemeRecord.from_json(dict(data, verified_by=claims))
+    assert built == [(3, 15), (3, 15)]
 
 
 # -- D^(-1) * R: read off X^(-1) * W in Z_v, once per run ----------------------
