@@ -22,6 +22,7 @@ or internal disagreement, 3 exhausted work budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -65,8 +66,41 @@ def _run_digest(argv: Sequence[str], inputs: Sequence[Path]) -> str:
         json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.lru_cache(maxsize=16)
+def _scalar_list_encoder(inner: str) -> json.JSONEncoder:
+    return json.JSONEncoder(separators=("," + inner, ": "))
+
+
+def _json_text(data, pad: str = "\n") -> str:
+    """The bytes of `json.dumps(data, indent=2)` for str-keyed data.
+
+    The indent layout is written here and every scalar goes to the
+    json encoder, a list of scalars in one call whose item separator
+    carries the line break and indent, so the C encoder does the bulk of
+    the work that indent would hand to the pure-Python one.
+    """
+    inner = pad + "  "
+    if isinstance(data, dict) and data:
+        for key in data:
+            if not isinstance(key, str):
+                raise TypeError(f"JSON keys must be str, not {key!r}")
+        return "{" + inner + ("," + inner).join(
+            json.dumps(key) + ": " + _json_text(value, inner)
+            for key, value in data.items()) + pad + "}"
+    if isinstance(data, (list, tuple)) and data:
+        if _SCALARS.issuperset(map(type, data)):
+            body = _scalar_list_encoder(inner).encode(data)[1:-1]
+        else:
+            body = ("," + inner).join(_json_text(x, inner) for x in data)
+        return "[" + inner + body + pad + "]"
+    return json.dumps(data)
+
+
 def _write_json(path: Path, data: dict) -> None:
-    path.write_text(json.dumps(data, indent=2) + "\n")
+    path.write_text(_json_text(data) + "\n")
 
 
 def _write_manifest(argv: Sequence[str], run: str, fields: list[dict],

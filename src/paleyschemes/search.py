@@ -11,28 +11,35 @@ The shared engine walks candidates in binary reflected Gray-code order
 and keeps the residue vector r = X^(-1) * W mod q^((l-1)/2) up to date
 incrementally.  Each orbit o contributes a fixed vector C_o, and one
 Gray step toggles exactly one orbit, so a step costs a single vector
-add.  Candidates with r = 0 are proven before being recorded, and half
-of them cost no product.  D(X) follows the parity rule, so the
-complement X^c = Z_v - X gives D(X^c) = F* - D(X); as |D(X)| = (|F|-1)/2,
-T' = 1 + 2 D(X^c) is 2F - T for T = 1 + 2 D(X), and T' T'^(-1) = T T^(-1).
-So X^c is a scheme exactly when X is.  A hit whose complement was
-already proven is recorded as it stands; every other hit is re-verified
-through the additive identity, and a failure there means the residue
-arithmetic is broken and raises instead of being swallowed.  A filter
-that emitted a non-hit would still raise: its complement is no scheme
-either, so neither can be the proven one.  For speed
-the walk is split in the middle: the low B orbits are indexed once by
-the residue of each of their 2^B patterns, and a block of 2^B positions
-sharing the high orbits vanishes exactly where the low residue equals
--r_high mod M, so each block costs one exact dictionary probe while
-the hits keep the order of the plain walk.
+add.  Candidates with r = 0 are proven before being recorded, one
+additive product per orbit of the semilinear maps x -> c x^(p^k) and
+the complement that keep the space (see `_semilinear_images`).  With
+c = g^s, c D(X) = D(X + s) for even s and D(Z_v - (X + s)) for odd s,
+D(X)^p = D(pX), and the complement X^c = Z_v - X gives D(X^c) = F* -
+D(X), so T' = 1 + 2 D(X^c) is 2F - T for T = 1 + 2 D(X) and T' T'^(-1)
+= T T^(-1).  Each map therefore carries a scheme to a scheme.  The
+first hit of an orbit is re-verified through the additive identity,
+and a failure there means the residue arithmetic is broken and raises
+instead of being swallowed; once it passes, its whole orbit is marked
+proven and later hits in it are recorded as they stand.  A filter
+that emitted a non-hit would still raise, since no non-scheme is the
+image of a scheme.  As the filter is a necessary condition, every
+image of a proven scheme must also be emitted; a walk that ends with a
+proven mask the filter never emitted raises, so a filter that drops
+part of an orbit is caught.
+
+For speed the walk is split in the middle: the low B orbits are
+indexed once by the residue of each of their 2^B patterns, and a block
+of 2^B positions sharing the high orbits vanishes exactly where the
+low residue equals -r_high mod M, so each block costs one exact
+dictionary probe while the hits keep the order of the plain walk.
 
 `search_cyclotomic_unions` is different: it works in the field proper,
 testing every union of power-residue classes with the additive
 identity directly, so it also covers even extension degrees.  The
-complement identity holds there too (a union of the wrong size fails,
-and so does its complement), so one union of each complementary pair
-is tested and its verdict given to the other.
+same maps permute the classes (a union of the wrong size fails, and so
+do its images), so one union of each orbit is tested and its verdict,
+pass or fail, given to the whole orbit.
 
 A residue search is one walk over the Gray range [0, 2^orbits).  Every
 `FLUSH_EVERY` positions it flushes its progress, with the residue
@@ -322,24 +329,94 @@ def _subset_of(space: SearchSpace, position: int) -> tuple[int, ...]:
     return tuple(sorted(members))
 
 
+def _semilinear_images(space: SearchSpace):
+    """images(mask): every mask the maps x -> c x^(p^k) and the complement
+    make of mask, in the space's own orbit bits.
+
+    With c = g^s, c D(X) is D(X + s mod v) for even s and D(Z_v - (X + s))
+    for odd s, as v is odd; D(X)^p = D(pX); and the complement is c =
+    g^v.  On power-residue classes the same maps act on the exponents in
+    Z_n1.  Each map is an automorphism of (F, +), so it keeps the
+    identity's right-hand side; the complement keeps it by T' = 2F - T.
+
+    The generators are i -> p i and the least translation i -> i + s0,
+    each used only if it maps every orbit into one orbit, and the
+    complement.  Both maps are bijections of the index range, so the
+    images of the orbits then partition it into as many parts as there
+    are orbits and are the orbits: each orbit is mapped onto one.  Their
+    orbit permutations generate a group, taken whole, and the complement
+    doubles it.  The images under the whole group are formed side by
+    side in one Python integer, four mask bits per table lookup, so
+    nothing wraps at any orbit count.
+    """
+    span = space.v if space.kind != "cyclotomic_unions" else space.n1
+    n = len(space.orbits)
+    where = np.empty(span, dtype=np.int64)
+    for o, orbit in enumerate(space.orbits):
+        where[list(orbit)] = o
+    first = np.array([orbit[0] for orbit in space.orbits])
+
+    def orbit_permutation(image: np.ndarray) -> Optional[tuple[int, ...]]:
+        perm = where[image[first]]
+        if np.array_equal(where[image], perm[where]):
+            return tuple(perm.tolist())
+        return None
+
+    i = np.arange(span, dtype=np.int64)
+    shifts = (orbit_permutation((i + s) % span) for s in range(1, span))
+    gens = [g for g in (orbit_permutation(i * space.p % span),
+                        next((g for g in shifts if g is not None), None))
+            if g is not None]
+    group = {tuple(range(n))}
+    frontier = group
+    while frontier:
+        frontier = {tuple(g[o] for o in f) for f in frontier
+                    for g in gens} - group
+        group |= frontier
+    # image g of a mask sits at bits [g * stride, (g + 1) * stride) of one
+    # integer; table j maps a value of the mask's j-th nibble to where its
+    # bits land in every image at once
+    width = (n + 7) // 8
+    stride, size = 8 * width, len(group) * width
+    perms = list(group)
+    spread = [sum(1 << (g * stride + perm[o]) for g, perm in enumerate(perms))
+              for o in range(n)] + [0] * (-n % 4)
+    tables = [[sum(spread[j + b] for b in range(4) if value >> b & 1)
+               for value in range(16)] for j in range(0, n, 4)]
+    full = (1 << n) - 1
+
+    def images(mask: int) -> set[int]:
+        joint = 0
+        for table in tables:
+            joint |= table[mask & 15]
+            mask >>= 4
+        packed = joint.to_bytes(size, "little")
+        out = {int.from_bytes(packed[k:k + width], "little")
+               for k in range(0, size, width)}
+        return out | {full ^ x for x in out}
+
+    return images
+
+
 def _verified_hit(space: SearchSpace, position: int, field,
-                  proven: set[int]) -> tuple[int, ...]:
+                  proven: set[int], images) -> tuple[int, ...]:
     """The X at a hit position, proven a scheme before it is recorded.
 
-    A hit whose complement mask is in `proven` is a scheme by the
-    complement identity and costs no product; any other goes through
-    the additive identity, and its mask joins `proven` once it passes.
+    A hit whose mask is in `proven` is the image of a proven scheme under
+    a map that keeps the identity and costs no product; any other goes
+    through the additive identity, and once it passes every image of its
+    mask joins `proven`.
     """
     X = _subset_of(space, position)
     mask = _gray(position)
-    if mask ^ (space.candidates - 1) not in proven:
+    if mask not in proven:
         rec = build_DX(space.p, space.e, space.l, X, field=field,
                        provenance="search")
         if not verify_additive(rec):
             raise InternalInconsistencyError(
                 f"the residue filter emitted X of size {len(X)} that fails "
                 "the additive identity; the incremental arithmetic is broken")
-    proven.add(mask)
+        proven.update(images(mask))
     return X
 
 
@@ -405,6 +482,7 @@ def _run_residue_search(space: SearchSpace, *,
     records: list[dict] = []
     found: list[tuple[int, ...]] = []
     proven: set[int] = set()
+    images = _semilinear_images(space)
     pos = 0
     if checkpoint_dir is not None:
         path = Path(checkpoint_dir) / "search.jsonl"
@@ -420,7 +498,7 @@ def _run_residue_search(space: SearchSpace, *,
             if not isinstance(upto, int) or not pos < upto <= total:
                 raise ParameterError(
                     "checkpoint positions must increase inside the Gray range")
-        new = [_verified_hit(space, g, field, proven)
+        new = [_verified_hit(space, g, field, proven, images)
                for g in _scan_range(contrib, M, index, B, pos, upto)]
         found.extend(new)
         start, pos = pos, upto
@@ -438,6 +516,13 @@ def _run_residue_search(space: SearchSpace, *,
             _atomic_write(path, records)
         else:
             _check_record(claim, rec, start)
+    # every hit's mask is in `proven`; every image of a scheme passes the
+    # filter, which is a necessary condition, so the two sets are equal
+    if len(proven) != len(found):
+        raise InternalInconsistencyError(
+            f"{len(proven) - len(found)} images of proven schemes were not "
+            "emitted by the residue filter; the incremental arithmetic is "
+            "broken")
     return SearchResult(space=space, found=tuple(sorted(found)),
                         note=_coverage_note(space))
 
@@ -473,24 +558,23 @@ def search_cyclotomic_unions(p: int, m: int, n_classes: int, *,
 
     Works for any extension degree, even ones included, because it never
     leaves the field; the price is that only 2^n_classes candidates are
-    seen.  Each complementary pair of unions gets one test, as D and
-    F* - D pass or fail together.  Found entries are the unions'
-    exponent sets.
+    seen.  Each orbit of unions under the maps x -> c x^(p^k) and the
+    complement gets one test, whose verdict every union of the orbit
+    shares.  Found entries are the unions' exponent sets.
     """
     space = cyclotomic_space(p, m, n_classes, max_classes=max_classes)
     field = get_field(p, m)
-    full = space.candidates - 1
+    images = _semilinear_images(space)
     verdicts: dict[int, bool] = {}
     found = []
     for position in range(space.candidates):
-        D = _subset_of(space, position)
         mask = _gray(position)
-        ok = verdicts.pop(mask ^ full, None)
-        if ok is None:
-            rec = SchemeRecord(field=field, e=1, l=m, D=D,
+        if mask not in verdicts:
+            rec = SchemeRecord(field=field, e=1, l=m,
+                               D=_subset_of(space, position),
                                provenance="search", verified_by=frozenset())
-            ok = verdicts[mask] = verify_additive(rec)
-        if ok:
-            found.append(D)
+            verdicts.update(dict.fromkeys(images(mask), verify_additive(rec)))
+        if verdicts[mask]:
+            found.append(_subset_of(space, position))
     return SearchResult(space=space, found=tuple(sorted(found)),
                         note=_coverage_note(space))

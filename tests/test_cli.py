@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from paleyschemes import schemes
-from paleyschemes.cli import main
+from paleyschemes.cli import _json_text, main
 from paleyschemes.constructions import (adp_half_power_family,
                                         adp_power_family, cyclotomic_scheme,
                                         langevin_scheme, scheme_from_adp)
@@ -422,3 +422,26 @@ def test_version_and_usage():
     assert run("--version") == 0
     assert run() == 1
     assert run("bogus") == 1
+
+
+JSON_INPUTS = {
+    "empty": [{}, [], (), [[]], {"a": {}, "b": [], "c": [{}]}],
+    "nested int lists": [[[0, 1, 2], [], [3]], [[[1], [2, [3, []]]], 4],
+                         {"found": [[0, 5, 7], [1]], "tower": (3, 1, 5)},
+                         search_all_X(3, 1, 3).to_json()],
+    "escaped and non-ASCII strings": [
+        "plain", "quote \" backslash \\ slash /", "\n\t\r\b\f\x00\x1f",
+        "é ü ☃ \U0001d11e", {"ké\ty": ["välue", "\u2028"]}, ["a, b", ",\n  "]],
+    "bools, None and floats": [
+        True, False, None, 0.0, -0.0, 1.5, 1e300, 1e-300, 2.5e-7,
+        float("nan"), float("inf"), -float("inf"),
+        [True, None, 3, 1.25, "x"], {"t": True, "f": False, "n": None}],
+}
+
+
+@pytest.mark.parametrize("name", sorted(JSON_INPUTS))
+def test_json_writer_matches_the_indent_encoder(name):
+    for data in JSON_INPUTS[name]:
+        assert _json_text(data) == json.dumps(data, indent=2)
+    assert _json_text(JSON_INPUTS[name]) == json.dumps(JSON_INPUTS[name],
+                                                       indent=2)

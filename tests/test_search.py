@@ -5,13 +5,14 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from paleyschemes import search
-from paleyschemes.classify import make_configuration, iso_test
+from paleyschemes.classify import canonical_hash, iso_test, make_configuration
 from paleyschemes.errors import (BudgetExceededError,
                                  InternalInconsistencyError, ParameterError,
                                  PreconditionError)
@@ -28,6 +29,7 @@ from paleyschemes.search import (ENGINE_VERSION, SearchSpace, _contributions,
                                  search_galois_invariant)
 from paleyschemes.singer import singer_bundle
 
+STRETCH = bool(os.environ.get("PALEY_STRETCH"))
 _memo = {}
 
 
@@ -206,7 +208,7 @@ def test_one_contributions_call_per_search(monkeypatch, tmp_path):
         assert len(calls) == 1
 
 
-# -- one additive product per complementary pair of hits -------------------------
+# -- one additive product per semilinear class of hits ----------------------------
 
 # sha256 of the JSON found list; the 5^3 and 7^3 ones are also frozen in
 # perfbench/expected.json (classify hits, sweep output)
@@ -214,11 +216,15 @@ FOUND_SHA256 = {
     "galois 5^3": "4f5f035335183819d3752c7a868171442f436693693e5a2157a78c68ef6d48b6",
     "galois 7^3": "ebab2fd01b2e30d11a5ee164fc487d27e27c65808927d278a7c79844a251015a",
     "all X 3^3": "8f3b6cbcbaeff7a05451f44b1847dc01a64acfc4126ef9c3cf39a81db58a1e43",
+    "all X 5^3": "b4fb4b6c2b150a6d454c1beb24a8152a1eaef63bb915530dcb313fff97d25b1e",
 }
+# run, tower, hits, additive products (= semilinear classes)
 SWEEPS = {
-    "galois 5^3": (lambda: search_galois_invariant(5, 1, 3), (5, 1, 3), 96),
-    "galois 7^3": (lambda: search_galois_invariant(7, 1, 3), (7, 1, 3), 1520),
-    "all X 3^3": (lambda: search_all_X(3, 1, 3), (3, 1, 3), 288),
+    "galois 5^3": (lambda: search_galois_invariant(5, 1, 3), (5, 1, 3), 96,
+                   48),
+    "galois 7^3": (lambda: search_galois_invariant(7, 1, 3), (7, 1, 3), 1520,
+                   260),
+    "all X 3^3": (lambda: search_all_X(3, 1, 3), (3, 1, 3), 288, 8),
 }
 
 
@@ -236,9 +242,7 @@ def position_of(mask):
     return pos
 
 
-@pytest.mark.parametrize("name", sorted(SWEEPS))
-def test_one_product_per_complementary_pair_of_hits(monkeypatch, name):
-    run, tower, hits = SWEEPS[name]
+def spy_on_products(monkeypatch):
     checked = []
 
     def spy(rec):
@@ -246,17 +250,75 @@ def test_one_product_per_complementary_pair_of_hits(monkeypatch, name):
         return verify_additive(rec)
 
     monkeypatch.setattr(search, "verify_additive", spy)
+    return checked
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_one_product_per_semilinear_class_of_hits(monkeypatch, name):
+    run, tower, hits, products = SWEEPS[name]
+    checked = spy_on_products(monkeypatch)
     res = run()
     monkeypatch.undo()
     assert len(res.found) == hits
     assert found_sha256(res.found) == FOUND_SHA256[name]
-    assert len(checked) == len(set(checked)) == hits // 2
-    full = set(range(res.space.v))
-    unchecked = set(res.found) - set(checked)
-    assert len(unchecked) == hits // 2
-    for X in unchecked:
-        assert tuple(sorted(full - set(X))) in checked
-        assert verify_additive(build_DX(*tower, X))
+    assert len(checked) == len(set(checked)) == products
+    field = get_field(tower[0], tower[1] * tower[2])
+    cls = {X: canonical_hash(build_DX(*tower, X, field=field))
+           for X in res.found}
+    assert len(set(cls.values())) == products
+    proven_classes = {cls[X] for X in checked}
+    assert len(proven_classes) == products
+    for X in set(res.found) - set(checked):
+        assert cls[X] in proven_classes
+        assert verify_additive(build_DX(*tower, X, field=field))
+
+
+@pytest.mark.skipif(not STRETCH, reason="enable with PALEY_STRETCH=1")
+def test_stretch_all_X_census_at_5_3(monkeypatch):
+    checked = spy_on_products(monkeypatch)
+    start = time.perf_counter()
+    res = search_all_X(5, 1, 3, max_v=31)
+    print(f"search_all_X(5, 1, 3, max_v=31): {time.perf_counter() - start:.2f} s")
+    assert len(res.found) == 94800
+    assert len(checked) == len(set(checked)) == 542
+    assert found_sha256(res.found) == FOUND_SHA256["all X 5^3"]
+
+
+def semilinear_orbit(S, p, m, span):
+    """Every image of an index set under i -> p^k i + s mod span and the
+    complement: x -> c x^(p^k) on exponents in Z_n1, or on X in Z_v."""
+    every = set(range(span))
+    out = set()
+    for k in range(m):
+        scaled = [x * p ** k for x in S]
+        for s in range(span):
+            image = {(x + s) % span for x in scaled}
+            out.add(tuple(sorted(image)))
+            out.add(tuple(sorted(every - image)))
+    return out
+
+
+@pytest.mark.parametrize("space", [
+    all_subsets_space(3, 1, 5, max_v=121), galois_space(7, 1, 3),
+    galois_space(3, 1, 5), cyclotomic_space(3, 4, 16)],
+    ids=["all X 3^5", "galois 7^3", "galois 3^5", "cyclotomic 81/16"])
+def test_semilinear_images_are_the_field_maps_that_keep_the_space(space):
+    span = space.n1 if space.kind == "cyclotomic_unions" else space.v
+    n = len(space.orbits)
+    where = {x: o for o, orbit in enumerate(space.orbits) for x in orbit}
+    images = search._semilinear_images(space)
+    rng = np.random.default_rng(24)
+    masks = [0, (1 << n) - 1] + [
+        int("".join(map(str, rng.integers(0, 2, n))), 2) for _ in range(6)]
+    for mask in masks:
+        S = [x for o, orbit in enumerate(space.orbits) if mask >> o & 1
+             for x in orbit]
+        want = set()
+        for T in semilinear_orbit(S, space.p, space.e * space.l, span):
+            bits = {where[x] for x in T}
+            if sum(len(space.orbits[o]) for o in bits) == len(T):
+                want.add(sum(1 << o for o in bits))
+        assert images(mask) == want
 
 
 def test_complementary_unions_share_one_test(monkeypatch):
@@ -267,12 +329,41 @@ def test_complementary_unions_share_one_test(monkeypatch):
         return verify_additive(rec)
 
     monkeypatch.setattr(search, "verify_additive", spy)
-    for args in ((7, 2, 4), (3, 2, 4)):
+    for p, m, n in ((7, 2, 4), (3, 2, 4), (7, 2, 8)):
         calls.clear()
-        res = search_cyclotomic_unions(*args)
-        assert len(calls) == len(set(calls)) == res.space.candidates // 2
-        units = set(range(res.space.n1))
-        assert all(tuple(sorted(units - set(D))) not in calls for D in calls)
+        res = search_cyclotomic_unions(p, m, n)
+        n1 = res.space.n1
+        unions = [subset_at(res.space, g) for g in range(res.space.candidates)]
+        orbits = {min(semilinear_orbit(D, p, m, n1)) for D in unions}
+        assert len(calls) == len(set(calls)) == len(orbits)
+        for D in calls:
+            assert set(calls) & semilinear_orbit(D, p, m, n1) == {D}
+        field = get_field(p, m)
+        assert set(res.found) == {D for D in unions if verify_additive(
+            SchemeRecord(field=field, e=1, l=m, D=D, provenance="search",
+                         verified_by=frozenset()))}
+
+
+@pytest.mark.parametrize("which", [0, -1])
+def test_a_filter_that_drops_a_hit_is_caught(monkeypatch, which):
+    real = search._scan_range
+    emitted = []
+
+    def recording(*args):
+        hits = real(*args)
+        emitted.extend(hits)
+        return hits
+
+    monkeypatch.setattr(search, "_scan_range", recording)
+    assert len(search_galois_invariant(7, 1, 3).found) == len(emitted) == 1520
+    dropped = emitted[which]
+
+    def broken(*args):
+        return [g for g in real(*args) if g != dropped]
+
+    monkeypatch.setattr(search, "_scan_range", broken)
+    with pytest.raises(InternalInconsistencyError, match="not emitted"):
+        search_galois_invariant(7, 1, 3)
 
 
 @pytest.mark.parametrize("with_complement", [False, True])
