@@ -19,9 +19,9 @@ import numpy as np
 from .errors import (InternalInconsistencyError, ParameterError,
                      PreconditionError)
 from .fields import is_prime
-from .groupring import (CyclicGroup, GroupRingElement, ds_quotient,
-                        is_difference_set)
-from .schemes import SchemeRecord, build_DX, certify, verify_quotient
+from .groupring import CyclicGroup, GroupRingElement, ds_quotient
+from .schemes import (SchemeRecord, _normal_X, build_DX, certify,
+                      verify_quotient)
 from .singer import gmw_components, singer_bundle
 
 ADP_ORIGINS = ("power", "half_power", "lifted", "quotient")
@@ -98,9 +98,6 @@ def adp_check(p: int, e: int, l: int, A: Iterable[int],
     v, k, lam = bundle.ds_params()
     A = tuple(sorted({int(x) for x in A}))
     Ael = _as_element(v, A)
-    if not is_difference_set(Ael, v, k, lam):
-        raise ParameterError(
-            f"A is not a ({v},{k},{lam}) difference set; not eligible")
     Sel = _as_element(v, bundle.S)
     target = Sel.power_map(-1) * Sel.power_map(2)
     B = ds_quotient(target, Ael, (v, k, lam))
@@ -255,9 +252,7 @@ def cyclotomic_scheme(p: int, e: int, l: int, n: int,
     if not validate_cyclotomic_params(p, e, l, n):
         raise PreconditionError(
             f"(p={p}, n={n}) fails the subgroup membership test")
-    X = sorted({int(x) for x in X})
-    if X and (X[0] < 0 or X[-1] >= n):
-        raise ParameterError(f"X must lie in 0..{n - 1}")
+    X = list(_normal_X(X, n))
     q = p ** e
     v = (q ** l - 1) // (q - 1)
     pullback = np.flatnonzero(np.isin(np.arange(v) % n, X))
@@ -431,10 +426,7 @@ def gmw_lift_scheme(p: int, e: int, t: int, s: int,
     X is read in the standalone layer-t presentation, exactly like the
     scheme it is checked against, then re-expressed for the embedding.
     """
-    v_t = ((p ** e) ** t - 1) // (p ** e - 1)
-    X = sorted({int(x) for x in X})
-    if X and (X[0] < 0 or X[-1] >= v_t):
-        raise ParameterError(f"X must lie in 0..{v_t - 1}")
+    X = _normal_X(X, ((p ** e) ** t - 1) // (p ** e - 1))
     lifts = _lift(p, e, t, s, X)
     if not verify_quotient(p, e, t, X):
         raise PreconditionError("X does not define a scheme at the base layer")
@@ -449,11 +441,8 @@ def union_scheme(p: int, e: int, l: int, X1: Iterable[int],
     """Union of disjoint scheme sets, or intersection of covering ones."""
     q = p ** e
     v = (q ** l - 1) // (q - 1)
-    X1 = {int(x) for x in X1}
-    X2 = {int(x) for x in X2}
+    X1, X2 = set(_normal_X(X1, v)), set(_normal_X(X2, v))
     for X in (X1, X2):
-        if X and (min(X) < 0 or max(X) >= v):
-            raise ParameterError(f"X must lie in 0..{v - 1}")
         if not verify_quotient(p, e, l, X):
             raise PreconditionError("both inputs must define schemes")
     if not (X1 & X2):

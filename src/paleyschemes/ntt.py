@@ -5,12 +5,12 @@ coefficient is at most min(|a|_1 |b|_inf, |b|_1 |a|_inf) in size.
 
 `convolve_exact` is the linear (hence, folded, the cyclic) product.  It
 runs modulo the fewest primes whose product exceeds twice the bound (one
-for every product the package makes), and the CRT recovers each
-coefficient exactly.  Its transform is a radix-2 Stockham NTT on uint64
-residues below 2^30, written stage by stage into a ping-pong buffer.
-Output is int64 below 2^62 and Python integers past it.  A bound past
-three primes (~3.9e25) or a padded length past 2^23 raises
-`ParameterError` before any transform runs.
+for most products; some of `ds_quotient`'s, of bound about k^2, need two
+at 3^11), and the CRT recovers each coefficient exactly.  Its transform
+is a radix-2 Stockham NTT on uint64 residues below 2^30, written stage
+by stage into a ping-pong buffer.  Output is int64 below 2^62 and Python
+integers past it.  A bound past three primes (~3.9e25) or a padded length
+past 2^23 raises `ParameterError` before any transform runs.
 
 `convolve_elementary` is the product over (Z_p)^m: the characters of that
 group are x -> w^(j.x) for w of order p, so the transform is the p x p

@@ -10,9 +10,9 @@ character transform of (F, +) modulo a prime, or through three routes
 that exploit the trace structure of the field: divisibility of D^(-1) * R
 by q^((l-1)/2) in the unit group (`multiplicative`), the same divisibility
 for X^(-1) * W down in Z_v (`quotient`), and integrality of the dual
-construction (`dual`).  D^(-1) * R is read off X^(-1) * W, so the routes
-make two independent computations: the additive identity, and the one
-product X^(-1) * W that the three trace routes share.
+construction (`dual`).  All three read their verdicts in Z_v, off one
+product X^(-1) * W, of which D^(-1) * R is a fold; so the routes make
+two independent computations: the additive identity, and X^(-1) * W.
 
 `certify` is where routes run: every applicable route it is asked for
 runs, their verdicts must agree, and those that pass are stamped on the
@@ -65,7 +65,10 @@ class SchemeRecord:
         bad = self.verified_by - set(METHODS)
         if bad:
             raise ParameterError(f"unknown verification tokens {sorted(bad)}")
-        D = np.asarray(self.D, dtype=np.int64)
+        try:
+            D = np.asarray(self.D, dtype=np.int64)
+        except OverflowError:
+            raise ParameterError("exponent out of range") from None
         increasing = bool(np.all(D[1:] > D[:-1]))
         if len(D):
             # a strictly increasing D is in range iff its ends are
@@ -124,6 +127,10 @@ class SchemeRecord:
         entries = [fd["p"], fd["e"], fd["l"], *data["D"], *data.get("X", ())]
         if not all(type(x) is int for x in entries):
             raise ParameterError("field, D and X entries must be integers")
+        if not all(type(c) is int and 0 <= c < fd["p"]
+                   for c in fd["modulus"]):
+            raise ParameterError(
+                f"modulus entries must be integers in 0..{fd['p'] - 1}")
         if set(_TRACE_ROUTES).intersection(data["verified_by"]):
             # a trace route needs the bundle: refuse before the field
             check_transform_cap(fd["p"], fd["e"], fd["l"])
@@ -173,6 +180,14 @@ def _parity_pattern(n1: int, v: int) -> tuple[np.ndarray, np.ndarray]:
     return even, residue
 
 
+def _normal_X(X: Iterable[int], bound: int) -> tuple[int, ...]:
+    """X as a sorted, duplicate-free tuple of ints in 0..bound - 1."""
+    X = tuple(sorted({int(x) for x in X}))
+    if X and (X[0] < 0 or X[-1] >= bound):
+        raise ParameterError(f"X must lie in 0..{bound - 1}")
+    return X
+
+
 def build_DX(p: int, e: int, l: int, X: Iterable[int],
              field: Optional[FiniteField] = None,
              provenance: str = "manual") -> SchemeRecord:
@@ -182,9 +197,7 @@ def build_DX(p: int, e: int, l: int, X: Iterable[int],
     q = p ** e
     n1 = q ** l - 1
     v = n1 // (q - 1)
-    X = tuple(sorted({int(x) for x in X}))
-    if X and (X[0] < 0 or X[-1] >= v):
-        raise ParameterError(f"X must lie in 0..{v - 1}")
+    X = _normal_X(X, v)
     if l % 2 == 0:
         warnings.warn("even l: the half-size guarantee does not apply",
                       stacklevel=2)
@@ -304,19 +317,15 @@ def _inverse_times_W(p: int, e: int, l: int, X: tuple[int, ...],
     return memo[key]
 
 
-def _inverse_times_R(rec: SchemeRecord) -> GroupRingElement:
-    """D^(-1) * R in the unit group Z_n1; defined for half-point sets, odd l.
+def _signed_product(rec: SchemeRecord) -> tuple[np.ndarray, int]:
+    """Y = 2 X^(-1) W - sum W in Z_v, and Q = q^((l-1)/2), so |R| = Q^2.
 
     A half-point set meets every class of Z_n1 mod 2v in all or none of
-    its (q - 1)/2 elements, so D^(-1) * R depends on x mod 2v only.  As v
-    is odd, Z_2v = Z_2 x Z_v, and the signed ring map
-    f -> (-1)^y (f(y) - f(y + v)) into Z[Z_v] sends D mod 2v to 2X - G_v
-    and R mod 2v to W, while the unsigned one sends D^(-1) R to |R| G_v.
-    Hence
-
-        (D^(-1) R)(x) = (|R| + (-1)^x (2 X^(-1) W - sum W)(x mod v)) / 2,
-
-    which is tiled from Z_2v to Z_n1, since 2v divides n1.
+    its (q - 1)/2 elements.  As v is odd, Z_2v = Z_2 x Z_v, and the signed
+    ring map f -> (-1)^y (f(y) - f(y + v)) into Z[Z_v] sends D to 2X - G_v
+    and R to W, so (D^(-1) R)(x) = (Q^2 + (-1)^x Y(x mod v)) / 2.  Each
+    residue mod v occurs at both parities (n1 / v = q - 1 is even), so
+    the unit-group routes read their verdicts off Y.
     """
     if rec.l % 2 == 0:
         raise PreconditionError("route needs odd l")
@@ -326,22 +335,18 @@ def _inverse_times_R(rec: SchemeRecord) -> GroupRingElement:
         raise PreconditionError(
             "route applies to half-point sets only") from None
     bundle = _bundle(rec.p, rec.e, rec.l, rec.field)
-    v = rec.v
     XW = _inverse_times_W(rec.p, rec.e, rec.l, X, rec.field).coeffs
-    sign = 1 - 2 * (np.arange(2 * v, dtype=np.int64) % 2)  # (-1)^x
-    twice = len(bundle.R) + sign * np.tile(2 * XW - sum(bundle.W), 2)
-    if np.any(twice % 2):
-        raise InternalInconsistencyError(
-            "D^(-1) * R has an odd entry at twice its value; the "
-            "Z_2 x Z_v fold does not apply to this record")
-    return GroupRingElement(CyclicGroup(rec.n1),
-                            np.tile(twice // 2, rec.n1 // (2 * v)))
+    return 2 * XW - sum(bundle.W), rec.q ** ((rec.l - 1) // 2)
 
 
 def verify_multiplicative(rec: SchemeRecord) -> bool:
-    """Divisibility of D^(-1) * R by q^((l-1)/2) in the unit group."""
-    return _inverse_times_R(rec).scalar_divisible(
-        rec.q ** ((rec.l - 1) // 2))
+    """Divisibility of D^(-1) * R by Q = q^((l-1)/2) in the unit group.
+
+    Q is odd and sum W = +-Q, so this holds iff Q divides X^(-1) * W: it
+    is the quotient route's predicate, not an independent witness.
+    """
+    Y, Q = _signed_product(rec)
+    return bool(np.all(Y % Q == 0))
 
 
 def verify_quotient(p: int, e: int, l: int, X: Iterable[int],
@@ -354,25 +359,17 @@ def verify_quotient(p: int, e: int, l: int, X: Iterable[int],
     if l % 2 == 0:
         raise PreconditionError("route needs odd l")
     if not _is_run_X(X):
-        v = ((p ** e) ** l - 1) // (p ** e - 1)
-        X = tuple(sorted({int(x) for x in X}))
-        if X and (X[0] < 0 or X[-1] >= v):
-            raise ParameterError(f"X must lie in 0..{v - 1}")
+        X = _normal_X(X, ((p ** e) ** l - 1) // (p ** e - 1))
     return _inverse_times_W(p, e, l, X, field).scalar_divisible(
         (p ** e) ** ((l - 1) // 2))
 
 
-def _dual_coefficients(rec: SchemeRecord) -> tuple[np.ndarray, int]:
-    """Coefficients of D^(-1) * R - c F*, and Q; 0/1 times Q iff dual."""
-    Q = rec.q ** ((rec.l - 1) // 2)
-    c = (rec.q ** (rec.l - 1) - Q) // 2
-    return _inverse_times_R(rec).coeffs - c, Q
-
-
 def verify_dual(rec: SchemeRecord) -> bool:
-    """True iff the dual construction lands on a genuine 0/1 subset."""
-    shifted, Q = _dual_coefficients(rec)
-    return bool(np.all((shifted == 0) | (shifted == Q)))
+    """True iff the dual construction lands on a genuine 0/1 subset:
+    D^(-1) * R - ((Q^2 - Q)/2) F* is (Q + (-1)^x Y(x mod v)) / 2, all 0
+    or Q iff every entry of Y is +-Q."""
+    Y, Q = _signed_product(rec)
+    return bool(np.all(np.abs(Y) == Q))
 
 
 def verify_scheme(rec: SchemeRecord, method: str = "additive") -> bool:
@@ -453,15 +450,17 @@ def certify(rec: SchemeRecord, methods=("additive",),
 
 
 def dual_scheme(rec: SchemeRecord) -> SchemeRecord:
-    """The subset D-hat defined by D^(-1) * R = Q D-hat + c F*."""
+    """The subset D-hat defined by D^(-1) * R = Q D-hat + c F*: g^x is in
+    it iff (-1)^x Y(x mod v) = Q, the parity rule on {r : Y(r) = Q}."""
     if not rec.verified_by:
         raise PreconditionError("dual of an unverified record is not defined")
-    shifted, Q = _dual_coefficients(rec)
-    if not np.all((shifted == 0) | (shifted == Q)):
+    Y, Q = _signed_product(rec)
+    if not np.all(np.abs(Y) == Q):
         raise InternalInconsistencyError(
             "verified record produced a non 0/1 dual; verification stamps "
             "and the dual identity disagree")
-    D = tuple(int(t) for t in np.flatnonzero(shifted == Q))
+    D = build_DX(rec.p, rec.e, rec.l, np.flatnonzero(Y == Q),
+                 field=rec.field).D
     return replace(rec, D=D, verified_by=frozenset())
 
 

@@ -191,6 +191,12 @@ def galois_space(p: int, e: int, l: int, *,
     _check_tower(p, e, l)
     q = p ** e
     v = (q ** l - 1) // (q - 1)
+    # p^(el) = q^l = 1 (mod v): no orbit but {0} has more than e l members
+    least = 1 + -(-(v - 1) // (e * l))
+    if least > max_orbits:
+        raise BudgetExceededError(
+            f"at least {least} multiplier orbits exceed the sweep budget "
+            f"(<= {max_orbits})", spent=least)
     orbits = orbits_under_multiplier(v, p)
     if len(orbits) > max_orbits:
         raise BudgetExceededError(

@@ -167,6 +167,22 @@ def test_verify_refuses_bad_tower_fields(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def test_verify_refuses_an_exponent_or_modulus_entry_out_of_range(
+        tmp_path, capsys):
+    data = load(make_paley27(tmp_path))
+    del data["X"]
+    bad = tmp_path / "bad.json"
+    for field, D, message in (
+            ({}, [0, 2 ** 70], "exponent out of range"),
+            ({}, [-2 ** 70, 0], "exponent out of range"),
+            ({"modulus": [4, 3, 5, 1]}, data["D"], "modulus entries")):
+        bad.write_text(json.dumps(
+            dict(data, field=dict(data["field"], **field), D=D)))
+        capsys.readouterr()
+        assert run("verify", bad, "--method", "all") == 1
+        assert message in capsys.readouterr().err
+
+
 def test_stored_X_that_D_does_not_give_is_refused(tmp_path, capsys):
     data = load(make_paley27(tmp_path))
     data["X"] = [0, 1]

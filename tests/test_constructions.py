@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from paleyschemes import constructions, groupring
 from paleyschemes.constructions import (AdpRecord, adp_check, adp_dual,
                                         adp_half_power_family, adp_lift,
                                         adp_power_family, class_number,
@@ -14,7 +15,7 @@ from paleyschemes.constructions import (AdpRecord, adp_check, adp_dual,
 from paleyschemes.errors import (InternalInconsistencyError, ParameterError,
                                  PreconditionError)
 from paleyschemes.groupring import CyclicGroup, GroupRingElement
-from paleyschemes.schemes import verify_additive, verify_quotient
+from paleyschemes.schemes import build_DX, verify_additive, verify_quotient
 from paleyschemes.singer import singer_bundle
 
 
@@ -128,6 +129,49 @@ def test_exponent_orbit_dedup():
 def test_adp_check_rejects_non_difference_set():
     with pytest.raises(ParameterError):
         adp_check(3, 1, 3, range(9))
+
+
+def test_adp_check_checks_each_difference_set_once(monkeypatch):
+    b = singer_bundle(3, 1, 7)
+    rec = adp_power_family(3, 1, 7, 1)
+    calls = []
+    real = groupring.is_difference_set
+
+    def spy(D, *params):
+        calls.append(D.subset_indices())
+        return real(D, *params)
+
+    monkeypatch.setattr(groupring, "is_difference_set", spy)
+    monkeypatch.setattr(constructions, "is_difference_set", spy,
+                        raising=False)
+    assert adp_power_family(3, 1, 7, 1) == rec
+    # A in the quotient route, S^(2) in the cross route
+    assert calls == [rec.A, power_set(b.S, 2, b.v)]
+    G = CyclicGroup(b.v)
+    S = GroupRingElement.from_indices(G, b.S)
+    assert rec.A == power_set(b.S, 4, b.v)
+    assert GroupRingElement.from_indices(G, rec.dual) * \
+        GroupRingElement.from_indices(G, rec.A) == \
+        S.power_map(-1) * S.power_map(2)
+    with pytest.raises(ParameterError, match="difference set"):
+        adp_check(3, 1, 7, range(9))
+
+
+@pytest.mark.parametrize("entry, bound, X", [
+    (lambda X: build_DX(3, 1, 3, X).D, 13, range(13)),
+    (lambda X: verify_quotient(3, 1, 3, X), 13, range(13)),
+    (lambda X: union_scheme(3, 1, 3, X, ()).D, 13, range(13)),
+    (lambda X: [r.D for r in gmw_lift_scheme(3, 1, 1, 3, X)], 1, [0]),
+    (lambda X: cyclotomic_scheme(11, 1, 3, 7, X).D, 7, [0, 3]),
+], ids=["build_DX", "verify_quotient", "union_scheme", "gmw_lift_scheme",
+        "cyclotomic_scheme"])
+def test_every_X_entry_point_takes_one_normal_form(entry, bound, X):
+    X = list(X)
+    assert entry(X[::-1] + X[:1]) == entry(X)
+    for outside in (-1, bound):
+        with pytest.raises(ParameterError,
+                           match=f"^X must lie in 0\\.\\.{bound - 1}$"):
+            entry(X + [outside])
 
 
 def test_scheme_from_adp_in_125_and_343():

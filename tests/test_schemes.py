@@ -307,6 +307,28 @@ def test_record_checks_range_before_order():
                         verified_by=frozenset()).D == (0, 25)
 
 
+def test_record_refuses_an_exponent_past_int64_as_out_of_range():
+    F = get_field(3, 3)
+    for D in ((0, 2 ** 70), (-2 ** 70, 0)):
+        with pytest.raises(ParameterError, match="exponent out of range"):
+            SchemeRecord(field=F, e=1, l=3, D=D, provenance="manual",
+                         verified_by=frozenset())
+
+
+def test_from_json_refuses_a_modulus_entry_to_json_does_not_write():
+    data = certify(build_DX(3, 1, 3, range(13)), "all").to_json()
+    # each of these reduces mod 3 to the non-default modulus (1, 0, 2, 1)
+    for modulus in (["1", 0, 2, 1], [1.7, 0, 2.2, 1], [True, 0, 2, True],
+                    [4, 3, 5, 1]):
+        with pytest.raises(ParameterError, match="modulus entries"):
+            SchemeRecord.from_json(
+                dict(data, field=dict(data["field"], modulus=modulus)))
+    data = certify(build_DX(3, 1, 3, range(13),
+                            field=FiniteField(3, 3, (1, 0, 2, 1))),
+                   "all").to_json()
+    assert SchemeRecord.from_json(data).to_json() == data
+
+
 def test_record_json_round_trip():
     rec = certify(build_DX(3, 1, 3, [0, 2, 3]), strict=False)
     data = rec.to_json()
@@ -370,8 +392,8 @@ def test_from_json_refuses_a_trace_claim_past_the_cap_before_the_field(
 
 
 def _direct_inverse_times_R(rec):
-    """D^(-1) * R formed in Z_n1 itself, the oracle for the product that is
-    read off X^(-1) * W in Z_v and tiled from Z_2v."""
+    """D^(-1) * R formed in Z_n1 itself, the oracle for the multiplicative
+    and dual verdicts and the dual set read off X^(-1) * W in Z_v."""
     R = build_singer_bundle(rec.p, rec.e, rec.l, field=rec.field,
                             verify=False).R
     G = CyclicGroup(rec.n1)
@@ -401,12 +423,23 @@ def test_product_pulled_back_from_Z_2v_matches_the_direct_product(
     assert field is None or field != get_field(p, e * l)
     rng = np.random.default_rng(p * 100 + e * 10 + l)
     v = ((p ** e) ** l - 1) // (p ** e - 1)
+    duals = 0
     # X = Z_v is the Paley record and X = {} its complement
     for X in [np.flatnonzero(rng.random(v) < 0.5) for _ in range(3)] + [
             range(v), ()]:
         rec = build_DX(p, e, l, X, field=field)
-        assert schemes._inverse_times_R(rec) == \
-            _direct_inverse_times_R(rec)
+        direct = _direct_inverse_times_R(rec)
+        Q = (p ** e) ** ((l - 1) // 2)
+        shifted = direct.coeffs - (Q * Q - Q) // 2
+        is_dual = bool(np.all((shifted == 0) | (shifted == Q)))
+        assert verify_multiplicative(rec) == direct.scalar_divisible(Q)
+        assert verify_dual(rec) == is_dual
+        if is_dual:
+            stamped = certify(rec, ("dual",))
+            assert dual_scheme(stamped).D == \
+                tuple(np.flatnonzero(shifted == Q).tolist())
+        duals += is_dual
+    assert duals >= 2  # the Paley record and its complement at least
 
 
 def test_multiplicative_and_dual_share_one_product(monkeypatch):

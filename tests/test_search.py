@@ -677,6 +677,18 @@ def test_space_budgets():
     assert all_subsets_space(5, 1, 3, max_v=31).candidates == 2 ** 31
 
 
+def test_an_over_budget_galois_space_is_refused_before_the_orbit_walk(
+        monkeypatch):
+    def walk(v, t):
+        raise AssertionError("the orbit walk ran")
+
+    monkeypatch.setattr(search, "orbits_under_multiplier", walk)
+    # v = 7174453 and no orbit but {0} has more than 15 members
+    with pytest.raises(BudgetExceededError, match="at least") as err:
+        galois_space(3, 1, 15)
+    assert err.value.spent == 1 + -(-7174452 // 15)
+
+
 def test_even_degree_is_rejected():
     with pytest.raises(PreconditionError):
         all_subsets_space(3, 1, 2)
