@@ -19,7 +19,6 @@ layers of comparison are provided, from cheapest to most precise:
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -161,22 +160,6 @@ def fingerprint(C: Configuration) -> tuple:
 
 # -- development designs without the incidence matrix --------------------------
 
-@functools.lru_cache(maxsize=1)
-def _add_table(F) -> np.ndarray:
-    """Padded addition table: entry [x+1, y+1] is the id of x + y, ZERO at 0.
-
-    Only the last field's table is held: it has q^2 int64 entries for a
-    field of order q, 134 MB at the configuration cap. Fields hash by p,
-    m and modulus, and the table depends on all three. It is shared, so
-    read-only.
-    """
-    _check_order(F)
-    elems = _elements(F)
-    table = F.add_array(elems[:, None], elems[None, :]) + 1
-    table.flags.writeable = False
-    return table
-
-
 def _triple_table(rec: SchemeRecord) -> np.ndarray:
     """T[x, y] = #{a in D : a + x in D and a + y in D}, padded element ids.
 
@@ -231,11 +214,17 @@ def affine_link(rec1: SchemeRecord, rec2: SchemeRecord) -> Optional[np.ndarray]:
     of the first design onto those of the second, or None when the
     exhaustive scan proves no affine link exists.
 
-    Candidate basis images are bucketed by their triple count row
-    (N(Lu, Lw) = N(u, w) holds for every linear L, whatever the
-    translate), and surviving translates are tracked alongside the
-    span, so the tree stays narrow. A found map is re-verified by
-    direct image comparison before it is returned.
+    The scan works in code coordinates, where (F, +) = (Z_p)^m: code j
+    has the digits of j in base p as its coefficients on x^0 ... x^(m-1),
+    and F.powers[j] + 1 is its point. The span of x^0 ... x^(k-1) is the
+    codes below p^k, so a partial map L is the k x m matrix of the digit
+    rows of its basis images, code j < p^k goes to digits(j) L mod p, and
+    addition is digit-wise mod p. Candidates for L(x^k) are bucketed by
+    their triple count row (N(Lu, Lw) = N(u, w) holds for every linear L,
+    whatever the translate) and must match the triple counts on the span
+    so far; the live translates c are those with L(y) + c in D2 exactly
+    when y is in D1 on the span, so the tree stays narrow. A found map is
+    re-verified by direct image comparison before it is returned.
     """
     F = rec1.field
     if rec2.field != F:
@@ -244,89 +233,74 @@ def affine_link(rec1: SchemeRecord, rec2: SchemeRecord) -> Optional[np.ndarray]:
         raise ParameterError("affine links are defined for designs")
     if len(rec1.D) != len(rec2.D):
         return None
-    table = _add_table(F)
-    n = table.shape[0]
     T1 = _triple_table(rec1)
     T2 = _triple_table(rec2)
     if _profile_rows(T1).tobytes() != _profile_rows(T2).tobytes():
         return None
 
-    m2 = np.zeros(n, dtype=bool)
-    m2[np.asarray(rec2.D, dtype=np.int64) + 1] = True
+    p, m, n = F.p, F.m, F.n1 + 1
+    point = F.powers.astype(np.int64) + 1      # code -> point
+    code = np.empty(n, dtype=np.int64)
+    code[point] = np.arange(n)
+    base = p ** np.arange(m)
+    digits = np.arange(n)[:, None] // base % p  # row j: digits of code j
     m1 = np.zeros(n, dtype=bool)
     m1[np.asarray(rec1.D, dtype=np.int64) + 1] = True
-    shifted2 = m2[table]                       # [c, y] = (y + c) in D2
+    m2 = np.zeros(n, dtype=bool)
+    m2[np.asarray(rec2.D, dtype=np.int64) + 1] = True
+    in1, in2 = m1[point], m2[point]            # membership in code order
 
     buckets: dict[bytes, list[int]] = {}
     for g in range(1, n):
         buckets.setdefault(np.bincount(T2[g], minlength=n).tobytes(),
                            []).append(g)
 
-    # spans of the basis prefix, in a fixed construction order
-    deg = F.m
-    span = np.array([0], dtype=np.int64)
-    new_src: list[np.ndarray] = []
-    for b in range(1, deg + 1):
-        chunk = []
-        mult = b
-        while mult != 0:                       # k b for k = 1 .. p-1
-            chunk.append(table[span, mult])
-            mult = int(table[mult, b])
-        new_src.append(np.concatenate(chunk))
-        span = np.concatenate([span, new_src[-1]])
-    if len(set(span.tolist())) != n:
-        raise InternalInconsistencyError("basis prefix failed to span")
-    prefix = []
-    sofar = 1
-    for c in new_src:
-        prefix.append(span[:sofar])
-        sofar += len(c)
-    want = [m1[c] for c in new_src]
-    row_keys = [np.bincount(T1[b], minlength=n).tobytes()
-                for b in range(1, deg + 1)]
+    def survivors(alive: np.ndarray, img: np.ndarray,
+                  want: np.ndarray) -> np.ndarray:
+        """The translates c in alive with y + c in D2 exactly where want is
+        set, for the rows y of the image digits img."""
+        # at most min(n^2, 2^20) digit sums at once, n x m for one row
+        rows = max(1, min(n * n, 1 << 20) // (len(want) * m))
+        keep = []
+        for start in range(0, len(alive), rows):
+            c = digits[alive[start:start + rows], None]
+            keep.append((in2[(img + c) % p @ base] == want).all(axis=1))
+        return alive[np.concatenate(keep)]
 
-    def extend(level: int, img_span: np.ndarray, in_img: np.ndarray,
-               alive: np.ndarray) -> Optional[np.ndarray]:
-        if level == deg:
-            c = int(np.flatnonzero(alive)[0])
-            full = np.empty(n, dtype=np.int64)
-            full[span] = img_span
-            perm = table[full, c]
+    def extend(L: np.ndarray, alive: np.ndarray) -> Optional[np.ndarray]:
+        k = len(L)
+        if k == m:
+            image = (digits @ L + digits[alive[0]]) % p @ base
+            perm = np.empty(n, dtype=np.int64)
+            perm[point] = point[image]
             if not np.array_equal(m2[perm], m1) or \
-                    len(set(perm.tolist())) != n:
+                    len(np.unique(perm)) != n:
                 raise InternalInconsistencyError(
                     "affine link survived the scan but fails re-verification")
             return perm
-        b = level + 1
-        src_pref = prefix[level]
-        for g in buckets.get(row_keys[level], ()):
-            if in_img[g]:
-                continue
-            if T2[g, g] != T1[b, b]:
-                continue
-            if not np.array_equal(T2[g, img_span], T1[b, src_pref]):
-                continue
-            chunk = []
-            mult = g
-            while mult != 0:
-                chunk.append(table[img_span, mult])
-                mult = int(table[mult, g])
-            grown = np.concatenate(chunk)
-            ok = alive & (shifted2[:, grown] == want[level]).all(axis=1)
-            if not ok.any():
-                continue
-            nxt = in_img.copy()
-            nxt[grown] = True
-            hit = extend(level + 1, np.concatenate([img_span, grown]),
-                         nxt, ok)
-            if hit is not None:
-                return hit
+        span = p ** k
+        src = point[:span]
+        dst = point[digits[:span, :k] @ L % p @ base]
+        b = point[span]                        # the point of x^k
+        g = np.array(buckets.get(np.bincount(T1[b], minlength=n).tobytes(),
+                                 []), dtype=np.int64)
+        taken = np.zeros(n, dtype=bool)
+        taken[dst] = True
+        g = g[~taken[g] & (T2[g, g] == T1[b, b])
+              & (T2[g[:, None], dst] == T1[b, src]).all(axis=1)]
+        for x in g:
+            grown = np.vstack([L, digits[code[x]]])
+            ok = survivors(alive, digits[span:p * span, :k + 1] @ grown % p,
+                           in1[span:p * span])
+            if len(ok):
+                hit = extend(grown, ok)
+                if hit is not None:
+                    return hit
         return None
 
-    start = np.zeros(n, dtype=bool)
-    start[0] = True
-    return extend(0, np.array([0], dtype=np.int64), start,
-                  np.ones(n, dtype=bool))
+    # code 0 is the point 0, which goes to c itself
+    return extend(np.zeros((0, m), dtype=np.int64),
+                  np.flatnonzero(in2 == in1[0]))
 
 
 # -- semilinear canonical form ------------------------------------------------

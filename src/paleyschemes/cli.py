@@ -43,9 +43,8 @@ from .fields import get_field
 from .graph6 import design_to_json, encode_graph6
 from .schemes import (METHODS, SchemeRecord, certify, recover_X,
                       route_verdicts)
-from .search import (DEFAULT_MAX_CLASSES, DEFAULT_MAX_ORBITS, DEFAULT_MAX_V,
-                     search_all_X, search_cyclotomic_unions,
-                     search_galois_invariant)
+from .search import (DEFAULT_MAX_CLASSES, DEFAULT_MAX_ORBITS, search_all_X,
+                     search_cyclotomic_unions, search_galois_invariant)
 
 
 def _parse_residues(text: str) -> tuple[int, ...]:
@@ -101,6 +100,17 @@ def _json_text(data, pad: str = "\n") -> str:
 
 def _write_json(path: Path, data: dict) -> None:
     path.write_text(_json_text(data) + "\n")
+
+
+def _emit(args, text: str, run: str, fields: list[dict],
+          inputs: Sequence[Path], t0: float) -> int:
+    """Write a primary output to stdout, or to --out with its manifest."""
+    if args.out is None:
+        sys.stdout.write(text)
+        return 0
+    args.out.write_text(text)
+    _write_manifest(args._argv, run, fields, inputs, [args.out], t0)
+    return 0
 
 
 def _write_manifest(argv: Sequence[str], run: str, fields: list[dict],
@@ -232,19 +242,15 @@ def cmd_search(args) -> int:
             args.p, args.e, args.degree, checkpoint_dir=args.checkpoint,
             max_orbits=args.max_orbits)
     elif args.engine == "all":
-        result = search_all_X(args.p, args.e, args.degree, max_v=args.max_v)
+        result = search_all_X(args.p, args.e, args.degree,
+                              max_orbits=args.max_orbits)
     else:
         result = search_cyclotomic_unions(
             args.p, args.m, args.classes, max_classes=args.max_classes)
     data = result.to_json()
     run = _run_digest(args._argv, [])
     data["run"] = run
-    if args.out is None:
-        print(json.dumps(data, indent=2))
-        return 0
-    _write_json(args.out, data)
-    _write_manifest(args._argv, run, [], [], [args.out], t0)
-    return 0
+    return _emit(args, _json_text(data) + "\n", run, [], [], t0)
 
 
 # -- classify --------------------------------------------------------------------
@@ -304,12 +310,7 @@ def cmd_classify(args) -> int:
         report["classes"] = [sorted(v) for _, v in sorted(classes.items())]
     run = _run_digest(args._argv, inputs)
     report["run"] = run
-    if args.out is None:
-        print(json.dumps(report, indent=2))
-        return 0
-    _write_json(args.out, report)
-    _write_manifest(args._argv, run, [], inputs, [args.out], t0)
-    return 0
+    return _emit(args, _json_text(report) + "\n", run, [], inputs, t0)
 
 
 # -- export ----------------------------------------------------------------------
@@ -326,23 +327,14 @@ def cmd_export(args) -> int:
             raise ParameterError(
                 "graph6 export needs the graph case (field size 1 mod 4)")
         text = encode_graph6(cfg.matrix) + "\n"
-        if args.out is None:
-            sys.stdout.write(text)
-            return 0
-        args.out.write_text(text)
     else:
         if cfg.kind != "hadamard_design":
             raise ParameterError(
                 "design export needs the design case (field size 3 mod 4)")
         data = design_to_json(cfg.matrix.shape[0], cfg.matrix, cfg.params)
         data["run"] = run
-        if args.out is None:
-            print(json.dumps(data, indent=2))
-            return 0
-        _write_json(args.out, data)
-    _write_manifest(args._argv, run, [_field_descriptor(rec)], [source],
-                    [args.out], t0)
-    return 0
+        text = _json_text(data) + "\n"
+    return _emit(args, text, run, [_field_descriptor(rec)], [source], t0)
 
 
 # -- parser ----------------------------------------------------------------------
@@ -429,7 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--e", type=int, default=1)
     sp.add_argument("--degree", type=int, required=True)
-    sp.add_argument("--max-v", type=int, default=DEFAULT_MAX_V)
+    sp.add_argument("--max-orbits", type=int, default=DEFAULT_MAX_ORBITS)
     sp.add_argument("--out", type=Path, default=None)
 
     sp = ss.add_parser("cyclotomic")

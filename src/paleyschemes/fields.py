@@ -93,17 +93,23 @@ def _default_modulus(p: int, m: int) -> tuple[int, ...]:
     raise ParameterError(f"no primitive polynomial of degree {m} over F_{p}")
 
 
+def _check_field(p: int, m: int) -> None:
+    """Refuse p and m unless F_{p^m} is a field this module builds, without
+    building it: p an odd prime, m >= 1 and p^m within the order cap."""
+    if not is_prime(p) or p == 2:
+        raise ParameterError(f"p = {p} is not an odd prime")
+    if m < 1:
+        raise ParameterError(f"extension degree m = {m} must be >= 1")
+    if p ** m > MAX_FIELD_ORDER:
+        raise ParameterError(
+            f"field order {p}^{m} exceeds the cap {MAX_FIELD_ORDER}")
+
+
 class FiniteField:
     """Immutable F_{p^m} with Zech-logarithm addition tables."""
 
     def __init__(self, p: int, m: int, modulus: Optional[Sequence[int]] = None):
-        if not is_prime(p) or p == 2:
-            raise ParameterError(f"p = {p} is not an odd prime")
-        if m < 1:
-            raise ParameterError(f"extension degree m = {m} must be >= 1")
-        if p ** m > MAX_FIELD_ORDER:
-            raise ParameterError(
-                f"field order {p}^{m} exceeds the cap {MAX_FIELD_ORDER}")
+        _check_field(p, m)
         self.p = p
         self.m = m
         self.order = p ** m

@@ -158,9 +158,11 @@ class GroupRingElement:
         c = np.zeros(group.order, dtype=np.int64)
         if not isinstance(indices, (list, tuple, np.ndarray)):
             indices = list(indices)
-        idx = np.asarray(indices, dtype=np.int64)
+        # range check before the int64 cast, which overflows past 2^63
+        idx = np.asarray(indices)
         if len(idx) and (idx.min() < 0 or idx.max() >= group.order):
             raise ParameterError("subset index out of range")
+        idx = idx.astype(np.int64, copy=False)
         c[idx] = 1
         if c.sum() != len(idx):
             raise ParameterError("subset indices must be distinct")

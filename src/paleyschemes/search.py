@@ -64,13 +64,12 @@ import numpy as np
 
 from .errors import (BudgetExceededError, InternalInconsistencyError,
                      ParameterError, PreconditionError)
-from .fields import get_field
+from .fields import _check_field, get_field
 from .groupring import CyclicGroup, GroupRingElement
 from .schemes import SchemeRecord, build_DX, verify_additive
 from .singer import singer_bundle
 
 ENGINE_VERSION = "gray-block/2"
-DEFAULT_MAX_V = 16
 DEFAULT_MAX_ORBITS = 26
 DEFAULT_MAX_CLASSES = 16
 FLUSH_EVERY = 1 << 20
@@ -173,15 +172,20 @@ def orbits_under_multiplier(v: int, t: int) -> tuple[tuple[int, ...], ...]:
 
 
 def all_subsets_space(p: int, e: int, l: int, *,
-                      max_v: int = DEFAULT_MAX_V) -> SearchSpace:
-    """Every subset of Z_v as its own candidate (2^v of them)."""
+                      max_orbits: int = DEFAULT_MAX_ORBITS) -> SearchSpace:
+    """Every subset of Z_v as its own candidate (2^v of them).
+
+    Each point is its own orbit, so v is held to the orbit budget of
+    `galois_space`: both kinds run on the same engine at the same cost
+    per candidate.
+    """
     _check_tower(p, e, l)
     q = p ** e
     v = (q ** l - 1) // (q - 1)
-    if v > max_v:
+    if v > max_orbits:
         raise BudgetExceededError(
-            f"2^{v} subsets of Z_{v} exceed the sweep budget (v <= {max_v})",
-            spent=v)
+            f"2^{v} subsets of Z_{v} exceed the sweep budget "
+            f"(<= {max_orbits} orbits)", spent=v)
     return SearchSpace("all_X", p, e, l, tuple((i,) for i in range(v)))
 
 
@@ -208,7 +212,7 @@ def galois_space(p: int, e: int, l: int, *,
 def cyclotomic_space(p: int, m: int, n_classes: int, *,
                      max_classes: int = DEFAULT_MAX_CLASSES) -> SearchSpace:
     """Unions of the n-th power classes C_j = {g^i : i = j mod n} in F_{p^m}."""
-    get_field(p, m)
+    _check_field(p, m)
     n1 = p ** m - 1
     if n_classes < 2 or n1 % n_classes != 0:
         raise ParameterError(
@@ -227,7 +231,7 @@ def cyclotomic_space(p: int, m: int, n_classes: int, *,
 def _check_tower(p: int, e: int, l: int) -> None:
     if e < 1 or l < 1:
         raise ParameterError("tower exponents must be positive")
-    get_field(p, 1)
+    _check_field(p, 1)
     if l % 2 == 0:
         raise PreconditionError("the divisibility filter needs odd l")
 
@@ -537,9 +541,10 @@ def _run_residue_search(space: SearchSpace, *,
 
 
 def search_all_X(p: int, e: int, l: int, *,
-                 max_v: int = DEFAULT_MAX_V) -> SearchResult:
+                 max_orbits: int = DEFAULT_MAX_ORBITS) -> SearchResult:
     """Complete sweep of every X in Z_v; sorted list of the valid ones."""
-    return _run_residue_search(all_subsets_space(p, e, l, max_v=max_v))
+    return _run_residue_search(
+        all_subsets_space(p, e, l, max_orbits=max_orbits))
 
 
 def search_galois_invariant(p: int, e: int, l: int, *, checkpoint_dir=None,

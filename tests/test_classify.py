@@ -1002,12 +1002,97 @@ def test_affine_link_parameter_errors():
         affine_link(paley(3, 3), paley(3, 3, field=other))
 
 
-def test_add_table_holds_one_field():
+def test_affine_link_on_prime_fields():
     for rec in (paley(7, 1), paley(11, 1), paley(7, 1)):
         perm = affine_link(rec, rec)
         assert perm is not None and sorted(perm.tolist()) == list(range(
             rec.n1 + 1))
-    assert classify._add_table.cache_info().currsize == 1
+
+
+def gl3_over_f3():
+    """All 11232 invertible 3 x 3 matrices over F_3, acting on digit rows."""
+    entries = np.arange(3 ** 9)[:, None] // 3 ** np.arange(9) % 3
+    M = entries.reshape(-1, 3, 3)
+    det = (M[:, 0, 0] * (M[:, 1, 1] * M[:, 2, 2] - M[:, 1, 2] * M[:, 2, 1])
+           - M[:, 0, 1] * (M[:, 1, 0] * M[:, 2, 2] - M[:, 1, 2] * M[:, 2, 0])
+           + M[:, 0, 2] * (M[:, 1, 0] * M[:, 2, 1] - M[:, 1, 1] * M[:, 2, 0]))
+    return M[det % 3 != 0]
+
+
+def test_affine_link_against_brute_force_over_gl3_at_27(monkeypatch):
+    """Every L in GL(3, 3) and every translate, against the search with
+    the profile pre-check disabled, on 48 pairs of 13-subsets of F*."""
+    F = get_field(3, 3)
+    GL = gl3_over_f3()
+    assert len(GL) == 11232
+    base = 3 ** np.arange(3)
+    exps = np.arange(F.n1)
+    code_of = np.empty(F.n1, dtype=np.int64)
+    code_of[F.powers[1:]] = np.arange(1, 27)
+    digits_of = code_of[:, None] // base % 3     # exponent -> digit row
+
+    def images(L, D):                            # exponents of L(D)
+        return F.powers[digits_of[np.asarray(D)] @ L % 3 @ base]
+
+    def bits(points):                            # a point set as a bitmask
+        return (np.int64(1) << points).sum(axis=-1)
+
+    def brute(D1, D2):
+        # L(D1) + t = D2 iff L(D1) = D2 - t, for one of the 27 t
+        shifts = F.add_array(np.asarray(D2)[None, :],
+                             [[F.neg(t)] for t in [ZERO, *range(F.n1)]])
+        return bool(np.isin(bits(images(GL, D1) + 1), bits(shifts + 1)).any())
+
+    rng = np.random.default_rng(2026)
+    pairs = []
+    while len(pairs) < 48:
+        D1 = rng.choice(exps, 13, replace=False)
+        L = GL[rng.integers(len(GL))]
+        t = int(rng.integers(-1, F.n1))
+        D2 = F.add_array(images(L, D1), t)
+        if (D2 == ZERO).any():
+            continue
+        kind = len(pairs) % 4
+        if kind == 1:                            # one point moved
+            D2[0] = rng.choice(np.setdiff1d(exps, D2))
+        elif kind == 2:                          # unrelated
+            D2 = rng.choice(exps, 13, replace=False)
+        pairs.append((D1, D2))
+
+    monkeypatch.setattr(classify, "_profile_rows",
+                        lambda T: np.zeros(1, dtype=np.int64))
+    verdicts = []
+    for D1, D2 in pairs:
+        a, b = raw_record(F, D1.tolist()), raw_record(F, D2.tolist())
+        perm = affine_link(a, b)
+        verdicts.append(perm is not None)
+        assert verdicts[-1] == brute(D1, D2)
+        if perm is not None:
+            assert sorted(perm.tolist()) == list(range(27))
+            assert sorted(perm[D1 + 1].tolist()) == sorted((D2 + 1).tolist())
+    assert 24 <= sum(verdicts) < 48
+
+
+def test_affine_links_merge_the_343_census():
+    """1520 hits at 7^3: 260 semilinear classes, 13 development profiles,
+    and each class links to the first class of its profile."""
+    found = search_galois_invariant(7, 1, 3).found
+    assert len(found) == 1520
+    reps = {}
+    for X in found:
+        rec = build_DX(7, 1, 3, X)
+        reps.setdefault(canonical_hash(rec), rec)
+    assert len(reps) == 260
+    groups = {}
+    for _, rec in sorted(reps.items()):
+        groups.setdefault(development_profile(rec), []).append(rec)
+    assert len(groups) == 13
+    for head, *members in groups.values():
+        for rec in members:
+            perm = affine_link(head, rec)
+            assert perm is not None
+            assert set(perm[np.asarray(head.D) + 1].tolist()) == \
+                set((np.asarray(rec.D) + 1).tolist())
 
 
 def test_design_helpers_refuse_orders_past_the_cap(monkeypatch):

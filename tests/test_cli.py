@@ -264,6 +264,19 @@ def test_search_cyclotomic_via_cli(tmp_path):
 def test_search_budget_exit_code():
     assert run("search", "all", "--p", 5, "--degree", 3) == 3
     assert run("search", "galois", "--p", 3, "--degree", 7) == 3
+    # refused before F_(3^15) is built
+    assert run("search", "cyclotomic", "--p", 3, "--m", 15,
+               "--classes", 26) == 3
+
+
+def test_search_all_takes_the_orbit_budget(tmp_path):
+    out = tmp_path / "r.json"
+    assert run("search", "all", "--p", 3, "--degree", 3,
+               "--max-orbits", 12, "--out", out) == 3
+    assert run("search", "all", "--p", 3, "--degree", 3,
+               "--max-orbits", 13, "--out", out) == 0
+    assert run("search", "all", "--p", 3, "--degree", 3,
+               "--max-v", 13) == 1
 
 
 def test_search_max_orbits_flag(tmp_path):
@@ -380,6 +393,21 @@ def test_export_design_json(tmp_path):
     assert data["params"] == [27, 13, 6]
     assert len(data["blocks"]) == 27
     assert all(len(b) == 13 for b in data["blocks"])
+
+
+def test_stdout_carries_the_file_bytes(tmp_path, capsys):
+    out27 = make_paley27(tmp_path)
+    for i, argv in enumerate((("search", "galois", "--p", 5, "--degree", 3),
+                              ("classify", "--in", out27, "--aut"),
+                              ("export", "--design-json", out27))):
+        capsys.readouterr()
+        assert run(*argv) == 0
+        text = capsys.readouterr().out
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        dest = tmp_path / f"out{i}.json"
+        assert run(*argv, "--out", dest) == 0
+        assert load(dest) == {**json.loads(text), "run": load(dest)["run"]}
+        assert (tmp_path / f"out{i}.json.manifest.json").exists()
 
 
 def test_export_kind_mismatches(tmp_path):

@@ -96,6 +96,12 @@ def test_half_power_family_members():
         adp_half_power_family(5, 5)
 
 
+def test_adp_check_refuses_indices_past_z_v():
+    for bad in ([13], [2 ** 70], [-2 ** 70], [2 ** 63]):
+        with pytest.raises(ParameterError, match="out of range"):
+            adp_check(3, 1, 3, bad)
+
+
 def test_power_family_gcd_guard():
     # v = 4 at the even tower shares a factor with 1 + 3
     with pytest.raises(ParameterError):

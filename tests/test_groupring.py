@@ -166,6 +166,9 @@ def test_from_indices_inputs_and_rejections():
     assert GroupRingElement.from_indices(g, iter(())).coeff_sum() == 0
     for bad, message in (([1, -1], "out of range"), ([0, 9], "out of range"),
                          (np.array([3, 12]), "out of range"),
+                         ([2 ** 70], "out of range"),
+                         ([1, -2 ** 70], "out of range"),
+                         ([2 ** 63], "out of range"),
                          ([2, 5, 2], "distinct"),
                          ((i for i in (4, 4)), "distinct"),
                          (np.array([8, 0, 8]), "distinct")):

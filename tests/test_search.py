@@ -277,8 +277,9 @@ def test_one_product_per_semilinear_class_of_hits(monkeypatch, name):
 def test_stretch_all_X_census_at_5_3(monkeypatch):
     checked = spy_on_products(monkeypatch)
     start = time.perf_counter()
-    res = search_all_X(5, 1, 3, max_v=31)
-    print(f"search_all_X(5, 1, 3, max_v=31): {time.perf_counter() - start:.2f} s")
+    res = search_all_X(5, 1, 3, max_orbits=31)
+    print(f"search_all_X(5, 1, 3, max_orbits=31): "
+          f"{time.perf_counter() - start:.2f} s")
     assert len(res.found) == 94800
     assert len(checked) == len(set(checked)) == 542
     assert found_sha256(res.found) == FOUND_SHA256["all X 5^3"]
@@ -299,7 +300,7 @@ def semilinear_orbit(S, p, m, span):
 
 
 @pytest.mark.parametrize("space", [
-    all_subsets_space(3, 1, 5, max_v=121), galois_space(7, 1, 3),
+    all_subsets_space(3, 1, 5, max_orbits=121), galois_space(7, 1, 3),
     galois_space(3, 1, 5), cyclotomic_space(3, 4, 16)],
     ids=["all X 3^5", "galois 7^3", "galois 3^5", "cyclotomic 81/16"])
 def test_semilinear_images_are_the_field_maps_that_keep_the_space(space):
@@ -664,6 +665,25 @@ def test_cyclotomic_parameter_checks():
         cyclotomic_space(7, 2, 24, max_classes=16)
 
 
+def test_spaces_refuse_without_building_a_field(monkeypatch):
+    def build(p, m):
+        raise AssertionError(f"F_{p}^{m} was built")
+
+    monkeypatch.setattr(search, "get_field", build)
+    for args, error, message in (
+            ((3, 15, 26), BudgetExceededError, "sweep budget"),
+            ((3, 14, 5), ParameterError, "does not divide"),
+            ((7, 2, 3), PreconditionError, "odd class count"),
+            ((4, 2, 4), ParameterError, "not an odd prime"),
+            ((3, 16, 2), ParameterError, "exceeds the cap")):
+        with pytest.raises(error, match=message):
+            cyclotomic_space(*args)
+    with pytest.raises(ParameterError, match="not an odd prime"):
+        galois_space(9, 1, 3)
+    with pytest.raises(ParameterError, match="not an odd prime"):
+        all_subsets_space(2, 1, 3)
+
+
 # -- budgets, metadata, space invariants --------------------------------------------
 
 
@@ -674,7 +694,7 @@ def test_space_budgets():
     with pytest.raises(BudgetExceededError) as err:
         galois_space(3, 1, 7)
     assert err.value.spent == 157
-    assert all_subsets_space(5, 1, 3, max_v=31).candidates == 2 ** 31
+    assert all_subsets_space(5, 1, 3, max_orbits=31).candidates == 2 ** 31
 
 
 def test_an_over_budget_galois_space_is_refused_before_the_orbit_walk(
