@@ -12,6 +12,14 @@ C^((q-1)/r) != I for each prime r | q-1 (Lidl & Niederreiter, *Finite
 Fields*, Thm 3.16; full order implies irreducibility); this one test serves
 default and supplied moduli.  The tables take x^0, ..., x^(q-2) as row
 vectors times powers of C, by doubling and then in fixed-size blocks.
+
+The field keeps both directions between exponents and codes, the integers
+sum c_i p^i over an element's coefficients on x^0, ..., x^(m-1): `codes`
+(exponent -> code) and `powers` (code -> exponent), both read-only.  Code
+order is the coordinate order of (F, +) = (Z_p)^m, so an F_p-linear map
+such as a relative trace is a map on base-p digits (Lidl & Niederreiter,
+ch. 2): `trace_exponents` tabulates it over all codes and reads it back
+through `codes` and `powers`, with no Zech additions.
 """
 
 from __future__ import annotations
@@ -142,16 +150,18 @@ class FiniteField:
         while len(rows) < min(n1, _BLOCK):
             rows = np.concatenate((rows, rows @ step % p))
             step = step @ step % p
-        codes = np.empty(n1, dtype=np.int32)  # exponent -> poly code
+        # codes[exponent] = code = sum c_i p^i over the coefficients of the
+        # element, and powers[code] = exponent; both are kept, because code
+        # order is the coordinate order of (F, +) = (Z_p)^m
+        codes = np.empty(n1, dtype=np.int32)
         shift = np.eye(m, dtype=np.int64)     # C^start
         for start in range(0, n1, len(rows)):
             block = rows @ shift % p
             codes[start:start + len(rows)] = (block @ base)[:n1 - start]
             shift = shift @ step % p
+        codes.setflags(write=False)
+        self.codes = codes
 
-        # powers[code] = exponent, where code = sum c_i p^i over the
-        # coefficients of the element; kept, because code order is the
-        # coordinate order of (F, +) = (Z_p)^m
         powers = np.full(self.order, ZERO, dtype=np.int32)
         powers[codes] = np.arange(n1, dtype=np.int32)
         if (powers[1:] == ZERO).any():
@@ -257,17 +267,34 @@ class FiniteField:
         return acc
 
     def trace_exponents(self, e: int) -> np.ndarray:
-        """dlog of tr_{p^m/p^e}(g^i) for every i, vectorized (-1 for 0)."""
+        """dlog of tr_{p^m/p^e}(g^i) for every i (-1 for 0), as a digit map.
+
+        The trace is F_p-linear, so digit k of the code of tr(x) is
+        sum_j c_j t_jk mod p, over the digits c_j of the code of x and the
+        digits t_jk of the code of tr(x^j).  Each such digit is tabulated
+        over all codes one input digit at a time, and one gather through
+        `codes` and `powers` reads the table in exponent order.
+        """
         if self.m % e != 0:
             raise ParameterError(f"no trace layer: {e} does not divide {self.m}")
-        q = self.p ** e
-        layers = self.m // e
-        exps = np.arange(self.n1, dtype=np.int64)
-        acc = exps.copy()
-        for i in range(1, layers):
-            acc = self.add_array(acc, (exps * pow(q, i, self.n1)) % self.n1)
+        p, m = self.p, self.m
+        tau = [self.rel_trace(e, j) for j in range(m)]  # tr(x^j)
+        tau_codes = np.array([0 if b == ZERO else self.codes[b] for b in tau])
+        t = tau_codes[:, None] // p ** np.arange(m) % p  # t[j, k]
+        table = np.zeros(self.order, dtype=np.int32)  # code -> code of tr
+        for k in np.flatnonzero(t.any(axis=0)):
+            digit = np.zeros(1, dtype=np.int32)
+            for c in t[:, k]:
+                # digit at d p^j + i is digit at i plus d c, mod p; the
+                # table spans the values the digit holds so far, so it is
+                # never longer than the next digit (for m = 1, p is large)
+                values = np.arange(min(p, len(digit)))
+                plus = (np.arange(p)[:, None] * c + values) % p
+                digit = np.take(plus.astype(np.int32), digit, axis=1).ravel()
+            table += digit * np.int32(p ** k)
+        acc = self.powers[table[self.codes]]
         step = self.subfield_step(e)
-        bad = (acc != ZERO) & (acc % step != 0)
+        bad = (acc != ZERO) & (acc // step * step != acc)
         if bad.any():
             raise ParameterError("trace landed outside the target subfield")
         return acc

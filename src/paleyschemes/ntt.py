@@ -7,10 +7,16 @@ coefficient is at most min(|a|_1 |b|_inf, |b|_1 |a|_inf) in size.
 runs modulo the fewest primes whose product exceeds twice the bound (one
 for most products; some of `ds_quotient`'s, of bound about k^2, need two
 at 3^11), and the CRT recovers each coefficient exactly.  Its transform
-is a radix-2 Stockham NTT on uint64 residues below 2^30, written stage
-by stage into a ping-pong buffer.  Output is int64 below 2^62 and Python
-integers past it.  A bound past three primes (~3.9e25) or a padded length
-past 2^23 raises `ParameterError` before any transform runs.
+is a radix-2 Stockham NTT on uint64 words, written stage by stage into a
+ping-pong buffer.  The stages are lazy: a twiddle product is reduced as
+t - (t // p) p, sums and differences are not, and the entries are reduced
+again only before a stage whose twiddle product could pass 2^64 (for
+998244353, entries stay below 19p between reductions).  Output is int64
+below 2^62 and Python integers past it.  A bound past three primes
+(~3.9e25) or a padded length past 2^23 raises `ParameterError` before any
+transform runs.  The cyclic product A * A^(-1) takes one forward
+transform: an exact compare spots b = (a0, a_(n-1), ..., a_1), which is
+a0 (1 - x^n) + x^n a(1/x), and the transform of a(1/x) at k is a's at -k.
 
 `convolve_elementary` is the product over (Z_p)^m: the characters of that
 group are x -> w^(j.x) for w of order p, so the transform is the p x p
@@ -28,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -68,6 +75,15 @@ def _roots(p: int, size: int) -> np.ndarray:
     return roots
 
 
+def _reduce(t: np.ndarray, p: int, scratch: np.ndarray) -> None:
+    """t mod p in place as t - (t // p) p, through `scratch` of t's shape:
+    numpy divides uint64 by a scalar as a multiply and shift, several
+    times faster than its remainder."""
+    np.floor_divide(t, p, out=scratch)
+    np.multiply(scratch, p, out=scratch)
+    np.subtract(t, scratch, out=t)
+
+
 def _transform(x: np.ndarray, p: int, roots: np.ndarray) -> np.ndarray:
     """NTT of each row of x in Stockham form, natural order in and out: row
     j of the (m, size/m) view holds the length-m transforms at frequency j
@@ -75,45 +91,83 @@ def _transform(x: np.ndarray, p: int, roots: np.ndarray) -> np.ndarray:
 
     x holds uint64 residues in [0, p) and is not written.  Each stage
     writes its sums and differences straight into the two halves of a
-    ping-pong buffer.  With p < 2^30 every twiddle product is below 2^60,
-    and a sum in [0, 2p) or a difference in (-p, p) that wrapped comes
-    back to [0, p) as min(s, s - p) or min(d, d + p) in uint64.
+    ping-pong buffer, lazily (Harvey, *Faster arithmetic for
+    number-theoretic transforms*, JSC 60, 2014): the twiddle product t is
+    reduced to [0, p), and even + t and even + p - t go unreduced, so the
+    entry bound grows by p per stage.  The entries are reduced only
+    before a stage whose twiddle product could pass 2^64, and at the end.
+    Once the frequency axis is the longer one, one transpose puts it
+    innermost in memory, so no stage loops over short rows; the last
+    stage, with rows of one, leaves natural order.
     """
     lead, size = x.shape[:-1], x.shape[-1]
     if size == 1:
         return x.copy()
-    buffers = np.empty((2, *lead, size), dtype=np.uint64)
-    scratch = np.empty((*lead, size // 2), dtype=np.uint64)
-    src, m = x, 1
+    bufs = np.empty((2, *lead, size), dtype=np.uint64)
+    scratch = np.empty((2, *lead, size // 2), dtype=np.uint64)
+    src, m, top = x, 1, p  # entries of src are below top
+    k, flipped = 0, False  # the stages take turns writing the two buffers
     while m < size:
         half = size // (2 * m)
-        rows = src.reshape(*lead, m, 2 * half)
+        if (top - 1) * (p - 1) >= 2 ** 64:
+            # src is a buffer here (x, below p, never needs this)
+            _reduce(src.reshape(*lead, size), p, bufs[k])
+            top = p
+        if half < m and not flipped:
+            np.copyto(bufs[k].reshape(*lead, 2 * half, m),
+                      src.reshape(*lead, m, 2 * half).swapaxes(-1, -2))
+            src, k, flipped = bufs[k], 1 - k, True
+        if flipped:
+            rows = src.reshape(*lead, 2 * half, m).swapaxes(-1, -2)
+            dst = bufs[k].reshape(*lead, half, 2, m).swapaxes(-1, -3)
+            s, d = dst[..., 0, :], dst[..., 1, :]
+            t, q = scratch.reshape(2, *lead, half, m).swapaxes(-1, -2)
+        else:
+            rows = src.reshape(*lead, m, 2 * half)
+            dst = bufs[k].reshape(*lead, 2, m, half)
+            s, d = dst[..., 0, :, :], dst[..., 1, :, :]
+            t, q = scratch.reshape(2, *lead, m, half)
         even, odd = rows[..., :half], rows[..., half:]
-        # the stages take turns writing the two buffers
-        dst = buffers[m.bit_length() % 2].reshape(*lead, 2, m, half)
-        s, d = dst[..., 0, :, :], dst[..., 1, :, :]
-        t = scratch.reshape(*lead, m, half)
         np.multiply(odd, roots[::half, None], out=t)
-        np.remainder(t, p, out=t)
+        _reduce(t, p, q)
         np.add(even, t, out=s)
         np.subtract(even, t, out=d)
-        np.subtract(s, p, out=t)
-        np.minimum(s, t, out=s)
-        np.add(d, p, out=t)
-        np.minimum(d, t, out=d)
-        src, m = dst, 2 * m
-    return src.reshape(*lead, size)
+        np.add(d, p, out=d)  # wraps back: even + p - t >= 1
+        src, m, top, k = bufs[k], 2 * m, top + p, 1 - k
+    out = src.reshape(*lead, size)
+    _reduce(out, p, bufs[k])
+    return out
 
 
-def _conv_mod(a: np.ndarray, b: np.ndarray, p: int, size: int) -> np.ndarray:
+def _conv_mod(a: np.ndarray, b: Optional[np.ndarray], p: int,
+              size: int) -> np.ndarray:
+    """a * b mod p as int64, its len(a) + len(b) - 1 coefficients first.
+    For b None the product is a * a^(-1), a^(-1) = (a0, a_(n-1), ..., a_1),
+    which takes one forward transform."""
     roots = _roots(p, size)
-    x = np.zeros((2, size), dtype=np.uint64)
+    x = np.zeros((1 if b is None else 2, size), dtype=np.uint64)
     x[0, :len(a)] = a % p
-    x[1, :len(b)] = b % p
-    fa, fb = _transform(x, p, roots)
+    if b is None:
+        fa = _transform(x, p, roots)[0]
+        fb = np.concatenate((fa[:1], fa[:0:-1]))  # a(1/x) at k is a at -k
+    else:
+        x[1, :len(b)] = b % p
+        fa, fb = _transform(x, p, roots)
+    fa *= fb
+    _reduce(fa, p, fb)
     # the forward transform at -k is size times the inverse at k
-    y = _transform(fa * fb % p, p, roots)
-    y = np.concatenate((y[:1], y[:0:-1])) * pow(size, -1, p) % p
+    y = _transform(fa, p, roots)
+    if b is None:
+        # y(j) is size times the coefficient of a(x) a(1/x) at -j, and at
+        # j by symmetry; a^(-1) = a0 (1 - x^n) + x^n a(1/x)
+        n, r = len(a), x[0, :len(a)]
+        y = np.concatenate((y[size - n:], y[:n - 1]))
+        c = r * (int(r[0]) * size % p) % p  # size a0 a
+        y[:n] += c
+        y[n:] += p - c[:n - 1]
+    else:
+        y = np.concatenate((y[:1], y[:0:-1]))
+    y = y * pow(size, -1, p) % p
     # the CRT subtracts residues, which must not wrap
     return y.view(np.int64)
 
@@ -145,14 +199,18 @@ def convolve_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a, b = np.asarray(a), np.asarray(b)
     out_len = len(a) + len(b) - 1
     size = transform_size(out_len)
-    (a1, a_top), (b1, b_top) = _norms(a), _norms(b)
+    inverse = (len(a) == len(b) > 1 and a[0] == b[0]
+               and np.array_equal(b[1:], a[:0:-1]))
+    a1, a_top = _norms(a)
+    b1, b_top = (a1, a_top) if inverse else _norms(b)
     bound = min(a1 * b_top, b1 * a_top)
     primes = next((_PRIMES[:k] for k in range(1, len(_PRIMES) + 1)
                    if math.prod(_PRIMES[:k]) > 2 * bound), None)
     if primes is None:
         raise ParameterError(
             f"coefficient bound {bound} exceeds the range of the NTT primes")
-    lin = _crt([_conv_mod(a, b, p, size)[:out_len] for p in primes], primes)
+    lin = _crt([_conv_mod(a, None if inverse else b, p, size)[:out_len]
+                for p in primes], primes)
     return lin.astype(np.int64) if bound < INT64_SAFE else lin
 
 

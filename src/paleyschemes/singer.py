@@ -148,10 +148,9 @@ def build_singer_bundle(p: int, e: int, l: int,
     S = _residues(R, v)
     if len(S) != len(R):
         raise InternalInconsistencyError("projection lost elements")
-    W = tuple(int(x) for x in _weighing_from_R(R, v)) if l % 2 == 1 else None
+    W = tuple(_weighing_from_R(R, v).tolist()) if l % 2 == 1 else None
     bundle = SingerBundle(p=p, e=e, l=l, field=field,
-                          R=tuple(int(x) for x in R),
-                          S=tuple(int(x) for x in S),
+                          R=tuple(R.tolist()), S=tuple(S.tolist()),
                           W=W, verified=verify)
     if verify:
         _verify_bundle(bundle)
@@ -237,9 +236,9 @@ def gmw_components(p: int, e: int, t: int, s: int) -> GmwComponents:
     w_sub = _weighing_from_R(R_sub, v_t) if t % 2 == 1 else np.zeros(0, np.int64)
 
     comps = GmwComponents(p=p, e=e, t=t, s=s, field=field,
-                          rtilde=tuple(int(x) for x in rtilde),
-                          s_sub=tuple(int(x) for x in s_sub),
-                          w_sub=tuple(int(x) for x in w_sub),
+                          rtilde=tuple(rtilde.tolist()),
+                          s_sub=tuple(s_sub.tolist()),
+                          w_sub=tuple(w_sub.tolist()),
                           s_big=singer_bundle(p, e, s * t).S)
     _verify_gmw(comps)
     return comps

@@ -233,6 +233,37 @@ def test_trace_exponents_vectorized_matches_scalar():
         assert te[a] == F.rel_trace(1, a)
 
 
+@pytest.mark.parametrize("p,m,e", [
+    (3, 1, 1), (3, 4, 1), (3, 4, 2), (5, 2, 1), (5, 3, 1), (5, 4, 2),
+    (7, 3, 1), (3, 6, 1), (3, 6, 2), (3, 6, 3), (13, 2, 2), (10007, 1, 1)])
+def test_trace_digit_map_matches_the_scalar_trace(p, m, e):
+    F = get_field(p, m)
+    te = F.trace_exponents(e)
+    assert te.shape == (F.n1,)
+    assert te.tolist() == [F.rel_trace(e, a) for a in range(F.n1)]
+
+
+@pytest.mark.parametrize("p,m,e", [(5, 7, 1), (3, 9, 1), (3, 9, 3)])
+def test_trace_digit_map_matches_the_scalar_trace_sampled(p, m, e):
+    F = get_field(p, m)
+    te = F.trace_exponents(e)
+    for a in np.random.default_rng(p * m + e).integers(0, F.n1, size=500):
+        assert te[a] == F.rel_trace(e, int(a))
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (3, 3), (5, 2), (7, 3),
+                                 (3, 5), (5, 4)])
+def test_codes_are_the_coefficient_codes_and_invert_powers(p, m):
+    F = get_field(p, m)
+    assert not F.codes.flags.writeable
+    assert np.array_equal(F.powers[F.codes], np.arange(F.n1))
+    assert np.array_equal(F.codes[F.powers[1:]], np.arange(1, F.order))
+    if F.order <= 125:
+        base = p ** np.arange(m)
+        pw = poly_powers_of_x(F.modulus, p, F.n1)
+        assert F.codes.tolist() == [int(np.dot(v, base)) for v in pw]
+
+
 def test_tower_trace_composition():
     F = FiniteField(3, 6)
     rng = np.random.default_rng(3)

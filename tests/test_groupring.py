@@ -119,6 +119,35 @@ def test_product_with_the_inverse_transforms_one_operand(monkeypatch):
     assert rows == [2, 1]
 
 
+@pytest.mark.parametrize("n,mag,primes", [(2, 3, 1), (13, 3, 1),
+                                           (200, 10 ** 6, 2), (20011, 3, 1)])
+def test_cyclic_product_with_the_inverse_transforms_one_row(monkeypatch, n,
+                                                             mag, primes):
+    rows = []
+    transform = ntt._transform
+
+    def spy(x, *args):
+        rows.append(int(np.prod(x.shape[:-1])))
+        return transform(x, *args)
+
+    monkeypatch.setattr(ntt, "_transform", spy)
+    g = CyclicGroup(n)
+    rng = np.random.default_rng(n)
+    A = GroupRingElement(g, rng.integers(-mag, mag + 1, size=n))
+    # b differs from A^(-1) in one coefficient, so both rows are transformed
+    near = A.power_map(-1).coeffs.copy()
+    near[rng.integers(n)] += 1
+    for b, forward in ((A.power_map(-1).coeffs, 1), (near, 2)):
+        rows.clear()
+        got = (A * GroupRingElement(g, b)).coeffs
+        assert rows == [forward, 1] * primes  # forward rows, one inverse
+        lin = np.convolve(A.coeffs, b)
+        want = lin[:n].copy()
+        want[: n - 1] += lin[n:]
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
 def test_transform_reduces_where_int64_would_wrap():
     group = FieldAdditiveGroup(get_field(3, 4))
     rng = np.random.default_rng(8)
@@ -291,6 +320,14 @@ def test_transform_matches_the_concatenating_oracle():
                     assert got.shape == shape and got.dtype == np.uint64
                     assert np.array_equal(got, loop_transform(x, p, roots))
                     assert np.array_equal(x, before)
+    # entries grow by p per lazy stage, so 998244353 reduces them before
+    # stage 19: 2^19 is the shortest transform that does
+    p, size = ntt._PRIMES[0], 1 << 19
+    roots = ntt._roots(p, size)
+    for x in (rng.integers(0, p, size=size), np.full(size, p - 1)):
+        x = x.astype(np.uint64)
+        assert np.array_equal(ntt._transform(x, p, roots),
+                              loop_transform(x, p, roots))
 
 
 def test_ntt_refuses_lengths_past_its_roots_of_unity(monkeypatch):
