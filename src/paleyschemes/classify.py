@@ -53,23 +53,23 @@ def _check_order(F: FiniteField) -> None:
         raise ParameterError(f"order {F.n1 + 1} is past the configuration cap")
 
 
-def _elements(F: FiniteField) -> np.ndarray:
-    """All field elements in point order: ZERO, then g^0, g^1, ..."""
-    return np.concatenate(([ZERO], np.arange(F.n1, dtype=np.int64)))
+def _point_codes(F: FiniteField) -> np.ndarray:
+    """Codes in point order: the zero element, then g^0, g^1, ..."""
+    return np.insert(F.codes, 0, 0)  # int32, as the codes
 
 
 def _difference_matrix(rec: SchemeRecord, blocks: np.ndarray) -> np.ndarray:
-    """entry[x, j] = 1 iff x - blocks[j] lands in D, x over _elements.
+    """entry[x, j] = 1 iff x - blocks[j], a digit sum of codes, is in D.
 
-    Column j is the incidence of the block D + blocks[j].
+    Column j is the incidence of the block D + blocks[j], x over the points.
     """
     F = rec.field
     _check_order(F)
-    n1 = F.n1
-    negs = np.where(blocks == ZERO, ZERO, (blocks + n1 // 2) % n1)
-    member = np.zeros(n1 + 1, dtype=np.uint8)
-    member[np.asarray(rec.D, dtype=np.int64) + 1] = 1  # shift: ZERO -> 0
-    return member[F.add_array(_elements(F)[:, None], negs[None, :]) + 1]
+    code = _point_codes(F)
+    negs = np.where(blocks == ZERO, ZERO, (blocks + F.n1 // 2) % F.n1)
+    member = np.zeros(F.order, dtype=np.uint8)  # D in code order
+    member[F.codes[np.asarray(rec.D, dtype=np.int64)]] = 1
+    return member[F.code_sum(code[:, None], code[negs + 1])]
 
 
 def make_configuration(rec: SchemeRecord) -> Configuration:
@@ -84,7 +84,7 @@ def make_configuration(rec: SchemeRecord) -> Configuration:
     """
     if not rec.verified_by:
         raise PreconditionError("configuration wants a verified scheme")
-    M = _difference_matrix(rec, _elements(rec.field))
+    M = _difference_matrix(rec, np.arange(ZERO, rec.n1))  # all points
     order = M.shape[0]
     k = (order - 1) // 2
     A = M.astype(np.float64)
@@ -654,8 +654,8 @@ def scheme_seeds(rec: SchemeRecord) -> list[np.ndarray]:
     """
     F = rec.field
     n1 = F.n1
-    elems = _elements(F)
-    seeds = [np.asarray(F.add_array(elems, t), dtype=np.int64) + 1
+    code = _point_codes(F)  # x^t has code p^t: translate by adding it
+    seeds = [F.powers[F.code_sum(code, F.p ** t)].astype(np.int64) + 1
              for t in range(F.m)]
     member = np.zeros(n1, dtype=bool)
     member[list(rec.D)] = True

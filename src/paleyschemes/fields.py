@@ -2,24 +2,24 @@
 
 A field element is an integer exponent e standing for g^e, where g is the
 residue of x modulo the (primitive) defining polynomial; the zero element is
-the sentinel ZERO = -1.  Multiplication is exponent addition, and addition
-goes through a Zech logarithm table Z with g^{Z(i)} = 1 + g^i, so every
+the sentinel ZERO = -1.  Multiplication is exponent addition.
+
+Addition has one representation, the code: the integer sum c_i p^i over an
+element's coefficients on x^0, ..., x^(m-1).  Code order is the coordinate
+order of (F, +) = (Z_p)^m, so a sum is the digit-wise sum mod p of two
+codes (`code_sum`), with no carry, and an F_p-linear map such as a relative
+trace is a map on base-p digits (Lidl & Niederreiter, *Finite Fields*,
+ch. 2).  The field keeps both directions between exponents and codes,
+`codes` (exponent -> code) and `powers` (code -> exponent), both read-only;
+they are its only per-element tables, and there is no Zech table.  Every
 operation is exact integer arithmetic.
 
 The modulus and the tables both come from C, the companion matrix of
 "multiply by x" over F_p.  A monic f is primitive iff C^(q-1) = I and
-C^((q-1)/r) != I for each prime r | q-1 (Lidl & Niederreiter, *Finite
-Fields*, Thm 3.16; full order implies irreducibility); this one test serves
-default and supplied moduli.  The tables take x^0, ..., x^(q-2) as row
-vectors times powers of C, by doubling and then in fixed-size blocks.
-
-The field keeps both directions between exponents and codes, the integers
-sum c_i p^i over an element's coefficients on x^0, ..., x^(m-1): `codes`
-(exponent -> code) and `powers` (code -> exponent), both read-only.  Code
-order is the coordinate order of (F, +) = (Z_p)^m, so an F_p-linear map
-such as a relative trace is a map on base-p digits (Lidl & Niederreiter,
-ch. 2): `trace_exponents` tabulates it over all codes and reads it back
-through `codes` and `powers`, with no Zech additions.
+C^((q-1)/r) != I for each prime r | q-1 (Lidl & Niederreiter, Thm 3.16;
+full order implies irreducibility); this one test serves default and
+supplied moduli.  The tables take x^0, ..., x^(q-2) as row vectors times
+powers of C, by doubling and then in fixed-size blocks.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ def _check_field(p: int, m: int) -> None:
 
 
 class FiniteField:
-    """Immutable F_{p^m} with Zech-logarithm addition tables."""
+    """Immutable F_{p^m} with its exponent <-> code tables."""
 
     def __init__(self, p: int, m: int, modulus: Optional[Sequence[int]] = None):
         _check_field(p, m)
@@ -169,30 +169,30 @@ class FiniteField:
                 f"powers of x repeat modulo the primitive {self.modulus}")
         powers.setflags(write=False)
         self.powers = powers
-        # The code of a constant t < p is t itself.
-        self._dlog_small = powers[:p].copy()
-
-        # Zech table: zech[i] = dlog(1 + g^i), ZERO sentinel when 1+g^i = 0.
-        c0 = codes % p
-        plus_one = codes - c0 + (c0 + 1) % p
-        self.zech = powers[plus_one]
-
-        sentinels = np.flatnonzero(self.zech == ZERO)
-        if len(sentinels) != 1 or sentinels[0] != n1 // 2:
+        # the constant -1 has code p - 1
+        if codes[n1 // 2] != p - 1:
             raise InternalInconsistencyError(
-                "Zech table self-check failed: -1 is not g^{(q-1)/2}")
+                "table self-check failed: -1 is not g^{(q-1)/2}")
 
     # -- scalar ops --------------------------------------------------------
+
+    def code_sum(self, x, y):
+        """Code of the sum of the elements of codes x and y (integers or
+        arrays): their base-p digits added mod p, with no carry."""
+        p, out, stride = self.p, 0, 1
+        for _ in range(self.m):
+            # x // stride is the digit of x at stride plus a multiple of p
+            out = out + (x // stride + y // stride) % p * stride
+            stride *= p
+        return out
 
     def add(self, a: int, b: int) -> int:
         if a == ZERO:
             return b
         if b == ZERO:
             return a
-        z = int(self.zech[(b - a) % self.n1])
-        if z == ZERO:
-            return ZERO
-        return (a + z) % self.n1
+        return int(self.powers[self.code_sum(int(self.codes[a]),
+                                             int(self.codes[b]))])
 
     def neg(self, a: int) -> int:
         if a == ZERO:
@@ -224,28 +224,6 @@ class FiniteField:
         if a == ZERO:
             raise ParameterError("is_square is undefined at 0")
         return a % 2 == 0
-
-    # -- vector ops --------------------------------------------------------
-
-    def add_array(self, a, b) -> np.ndarray:
-        """Element-wise field addition of exponent arrays (ZERO = -1)."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        a, b = np.broadcast_arrays(a, b)
-        out = np.empty(a.shape, dtype=np.int64)
-        az = a == ZERO
-        bz = b == ZERO
-        out[az] = b[az]
-        out[bz] = a[bz]
-        both = ~(az | bz)
-        if both.any():
-            aa = a[both]
-            bb = b[both]
-            z = self.zech[(bb - aa) % self.n1].astype(np.int64)
-            res = (aa + z) % self.n1
-            res[z == ZERO] = ZERO
-            out[both] = res
-        return out
 
     def subfield_step(self, e: int) -> int:
         """Exponent step of the subfield F_{p^e} inside this field."""
@@ -303,7 +281,7 @@ class FiniteField:
 
     def dlog_of_int(self, t: int) -> int:
         """dlog of the prime-field element t (t = 0 maps to ZERO)."""
-        return int(self._dlog_small[t % self.p])
+        return int(self.powers[t % self.p])  # the code of t is t
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FiniteField)

@@ -38,15 +38,8 @@ class CyclicGroup:
             raise ParameterError(f"cyclic group order must be positive, got {n}")
         self.order = n
 
-    def invert_indices(self, idx):
-        return (-np.asarray(idx, dtype=np.int64)) % self.order
-
     def power_indices(self, idx, t: int):
         return (np.asarray(idx, dtype=np.int64) * (t % self.order)) % self.order
-
-    def op_table_row(self, i: int) -> np.ndarray:
-        """Permutation j -> i + j of coefficient indices."""
-        return (np.arange(self.order, dtype=np.int64) + i) % self.order
 
     def __eq__(self, other):
         return isinstance(other, CyclicGroup) and other.order == self.order
@@ -69,11 +62,6 @@ class FieldAdditiveGroup:
 
     # Since ZERO = -1, coefficient index = exponent + 1 in both directions.
 
-    def invert_indices(self, idx):
-        F = self.field
-        e = np.asarray(idx, dtype=np.int64) - 1
-        return np.where(e == ZERO, ZERO, (e + F.n1 // 2) % F.n1) + 1
-
     def power_indices(self, idx, t: int):
         # g^t in an additive group is the scalar multiple t*g
         F = self.field
@@ -82,14 +70,6 @@ class FieldAdditiveGroup:
         if t_exp == ZERO:
             return np.zeros_like(e)
         return np.where(e == ZERO, ZERO, (e + t_exp) % F.n1) + 1
-
-    def op_table_row(self, i: int) -> np.ndarray:
-        """Permutation j -> (element_i + element_j) of coefficient indices."""
-        F = self.field
-        all_exps = np.concatenate(([ZERO], np.arange(F.n1, dtype=np.int64)))
-        if i == 0:
-            return np.arange(self.order, dtype=np.int64)
-        return F.add_array(np.int64(i - 1), all_exps) + 1
 
     def __eq__(self, other):
         return isinstance(other, FieldAdditiveGroup) and other.field == self.field
@@ -138,10 +118,6 @@ class GroupRingElement:
         self.coeffs = arr
 
     # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def zero(cls, group):
-        return cls(group, np.zeros(group.order, dtype=np.int64))
 
     @classmethod
     def identity(cls, group):

@@ -155,7 +155,9 @@ class SchemeRecord:
 def _bundle(p: int, e: int, l: int,
             field: Optional[FiniteField] = None) -> SingerBundle:
     """The cached, verified bundle of the tower over `field` (by default,
-    and for an equal field, the shared default-modulus bundle)."""
+    and for an equal field, the shared default-modulus bundle).  A tower
+    past the transform cap is refused before the default field is built."""
+    check_transform_cap(p, e, l)
     if field is None or field == get_field(p, e * l):
         return singer_bundle(p, e, l)
     return _field_bundle(p, e, l, field)

@@ -71,8 +71,10 @@ def _weighing_from_R(R: np.ndarray, v: int) -> np.ndarray:
     return W
 
 
-def _verify_bundle(b: SingerBundle) -> None:
-    """Check the one identity the bundle rests on; the rest follows.
+def _verify_bundle(b: SingerBundle, R: np.ndarray, S: np.ndarray,
+                   W: Optional[np.ndarray]) -> None:
+    """Check the one identity the bundle of tower b rests on, on the arrays
+    R, S and W that b's tuples hold; the rest follows.
 
     The runtime checks are: |R| = q^(l-1); the trace-one elements lie in
     distinct cosets of N = <v> (the order-(q-1) subgroup) and S is their
@@ -98,16 +100,13 @@ def _verify_bundle(b: SingerBundle) -> None:
     * p*S = S mod v is the projection of p*R = R mod n1.
     """
     q, l, v, n1 = b.q, b.l, b.v, b.n1
-    R = np.array(b.R, dtype=np.int64)
-    S = np.array(b.S, dtype=np.int64)
-
     if len(R) != q ** (l - 1):
         raise InternalInconsistencyError("trace-one set has wrong size")
     if len(S) != len(R) or not np.array_equal(S, _residues(R, v)):
         raise InternalInconsistencyError(
             "S is not the coset-distinct projection of R")
-    W_ok = (np.array_equal(b.W, _weighing_from_R(R, v)) if l % 2 == 1
-            else b.W is None)
+    W_ok = (np.array_equal(W, _weighing_from_R(R, v)) if l % 2 == 1
+            else W is None)
     if not W_ok:
         raise InternalInconsistencyError("W is not the signed projection of R")
     # sorted, in range and closed under the multiplier p in one compare
@@ -148,12 +147,13 @@ def build_singer_bundle(p: int, e: int, l: int,
     S = _residues(R, v)
     if len(S) != len(R):
         raise InternalInconsistencyError("projection lost elements")
-    W = tuple(_weighing_from_R(R, v).tolist()) if l % 2 == 1 else None
+    W = _weighing_from_R(R, v) if l % 2 == 1 else None
     bundle = SingerBundle(p=p, e=e, l=l, field=field,
                           R=tuple(R.tolist()), S=tuple(S.tolist()),
-                          W=W, verified=verify)
+                          W=None if W is None else tuple(W.tolist()),
+                          verified=verify)
     if verify:
-        _verify_bundle(bundle)
+        _verify_bundle(bundle, R, S, W)
     return bundle
 
 
@@ -224,12 +224,12 @@ def gmw_components(p: int, e: int, t: int, s: int) -> GmwComponents:
     if len(rtilde) != len(R_top):
         raise InternalInconsistencyError("top-layer projection lost elements")
 
-    # Singer set of the middle layer built inside the subfield F_{q^t}
-    sub_exps = np.arange(q ** t - 1, dtype=np.int64) * u
-    acc = sub_exps.copy()
-    for i in range(1, t):
-        acc = field.add_array(acc, (sub_exps * pow(q, i, n1)) % n1)
-    R_sub = np.flatnonzero(acc == 0).astype(np.int64)  # small exponents j
+    # the middle layer's Singer set, off the trace-one set R of the tower:
+    # for r in R_top and y in F_{q^t}, tr_{q^(st)/q}(y g^r) = tr_{q^t/q}(y),
+    # as tr_{q^(st)/q^t}(g^r) = 1; so g^(j u) has trace one iff j u + r in R
+    big = singer_bundle(p, e, s * t)
+    in_R = np.bincount(big.R, minlength=n1)
+    R_sub = np.flatnonzero(in_R[(np.arange(q ** t - 1) * u + R_top[0]) % n1])
     s_sub = _residues(R_sub, v_t)
     if len(s_sub) != len(R_sub):
         raise InternalInconsistencyError("sub-layer projection lost elements")
@@ -239,7 +239,7 @@ def gmw_components(p: int, e: int, t: int, s: int) -> GmwComponents:
                           rtilde=tuple(rtilde.tolist()),
                           s_sub=tuple(s_sub.tolist()),
                           w_sub=tuple(w_sub.tolist()),
-                          s_big=singer_bundle(p, e, s * t).S)
+                          s_big=big.S)
     _verify_gmw(comps)
     return comps
 

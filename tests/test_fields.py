@@ -1,7 +1,7 @@
 """Field-layer tests against a small independent polynomial oracle.
 
 The oracle below does plain coefficient-vector arithmetic modulo the
-defining polynomial, with no Zech tables, so table bugs cannot hide.
+defining polynomial, with no code tables, so table bugs cannot hide.
 """
 
 import numpy as np
@@ -120,7 +120,7 @@ def test_supplied_modulus_accepted_iff_primitive(p, m):
         code = {tuple(v): i for i, v in enumerate(pw)}
         for i, v in enumerate(pw):
             one_plus = tuple([(v[0] + 1) % p] + v[1:])
-            assert F.zech[i] == code.get(one_plus, ZERO)
+            assert F.add(i, 0) == code.get(one_plus, ZERO)
         for t in range(1, p):
             assert F.dlog_of_int(t) == code[tuple([t] + [0] * (m - 1))]
 
@@ -129,7 +129,7 @@ def test_construction_is_deterministic():
     a = FiniteField(3, 3)
     b = FiniteField(3, 3)
     assert a.modulus == b.modulus
-    assert np.array_equal(a.zech, b.zech)
+    assert np.array_equal(a.codes, b.codes)
 
 
 def test_rejects_bad_characteristic():
@@ -158,7 +158,7 @@ def test_rejects_oversized_field():
 
 
 # --------------------------------------------------------------------------
-# Zech addition vs polynomial oracle
+# addition vs polynomial oracle
 # --------------------------------------------------------------------------
 
 def test_f9_one_plus_g_example():
@@ -168,6 +168,8 @@ def test_f9_one_plus_g_example():
 
 @pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (5, 2), (7, 1), (11, 1), (3, 5)])
 def test_zech_addition_matches_polynomials(p, m):
+    """Addition in log form, g^a + g^b = g^(a + Z(b - a)) for the Zech
+    logarithm Z, against the polynomial oracle."""
     F = get_field(p, m)
     pw = poly_powers_of_x(F.modulus, p, F.n1)
     code = {tuple(v): i for i, v in enumerate(pw)}
@@ -179,14 +181,18 @@ def test_zech_addition_matches_polynomials(p, m):
         assert F.add(int(a), int(b)) == expect
 
 
-def test_add_array_agrees_with_scalar_add():
-    F = get_field(3, 3)
+@pytest.mark.parametrize("p,m", [(3, 3), (11, 1), (5, 4)])
+def test_code_sum_of_arrays_agrees_with_scalar_add(p, m):
+    F = get_field(p, m)
     rng = np.random.default_rng(5)
     a = rng.integers(-1, F.n1, size=500)
     b = rng.integers(-1, F.n1, size=500)
-    got = F.add_array(a, b)
+    code = np.concatenate(([0], F.codes))  # exponent + 1 -> code
+    got = F.powers[F.code_sum(code[a + 1], code[b[:, None] + 1])]
+    assert got.shape == (500, 500)
     for i in range(len(a)):
-        assert got[i] == F.add(int(a[i]), int(b[i]))
+        assert got[i, i] == F.add(int(a[i]), int(b[i]))
+        assert got[i, -1 - i] == F.add(int(a[-1 - i]), int(b[i]))
 
 
 def test_additive_inverses():

@@ -12,13 +12,42 @@ from paleyschemes.groupring import (CyclicGroup, FieldAdditiveGroup,
                                     is_relative_difference_set)
 
 
+def index_digits(F):
+    """Row j: the base-p digits of the code of the element at coefficient
+    index j, the element of exponent j - 1 (ZERO = -1)."""
+    codes = np.concatenate(([0], F.codes))
+    return codes[:, None] // F.p ** np.arange(F.m) % F.p
+
+
+def digits_index(F, digits):
+    """The coefficient index of each row of digits, taken mod p."""
+    return F.powers[digits % F.p @ F.p ** np.arange(F.m)] + 1
+
+
+def op_table_row(group, i):
+    """Permutation j -> i + j of coefficient indices; in (F, +) the sum is
+    digit-wise on the codes."""
+    if isinstance(group, CyclicGroup):
+        return (np.arange(group.order) + i) % group.order
+    digits = index_digits(group.field)
+    return digits_index(group.field, digits[i] + digits)
+
+
+def invert_indices(group, idx):
+    """Index of -x for the index of each x."""
+    idx = np.asarray(idx, dtype=np.int64)
+    if isinstance(group, CyclicGroup):
+        return -idx % group.order
+    return digits_index(group.field, -index_digits(group.field)[idx])
+
+
 def brute_convolve(group, a, b):
     """O(n^2) reference convolution using only op_table_row."""
     n = group.order
     out = [0] * n
     for i in range(n):
         if a[i]:
-            row = group.op_table_row(i)
+            row = op_table_row(group, i)
             for j in range(n):
                 if b[j]:
                     out[int(row[j])] += int(a[i]) * int(b[j])
@@ -29,9 +58,9 @@ def brute_difference_counts(group, subset):
     """Multiset of differences d1 - d2 counted per group index."""
     n = group.order
     counts = [0] * n
-    inv = group.invert_indices(np.arange(n))
+    inv = invert_indices(group, np.arange(n))
     for d1 in subset:
-        row = group.op_table_row(int(d1))
+        row = op_table_row(group, int(d1))
         for d2 in subset:
             counts[int(row[int(inv[int(d2)])])] += 1
     return counts
@@ -328,6 +357,24 @@ def test_transform_matches_the_concatenating_oracle():
         x = x.astype(np.uint64)
         assert np.array_equal(ntt._transform(x, p, roots),
                               loop_transform(x, p, roots))
+
+
+def test_transform_reduces_between_stages_below_2_31():
+    # 2013265921 = 15 2^27 + 1, primitive root 31: entries below (k + 1) p
+    # after k lazy stages could pass 2^64 from stage 4 on, so the rule
+    # reduces them there; the oracle's int64 products stay exact below 2^31
+    p = 2013265921
+    assert 4 * p * (p - 1) < 2 ** 64 <= (5 * p - 1) * (p - 1)
+    rng = np.random.default_rng(31)
+    for k in range(8, 13):
+        size = 1 << k
+        w = pow(31, (p - 1) // size, p)
+        roots = np.array([pow(w, j, p) for j in range(size // 2)],
+                         dtype=np.uint64)
+        for x in (rng.integers(0, p, size=size), np.full(size, p - 1)):
+            x = x.astype(np.uint64)
+            assert np.array_equal(ntt._transform(x, p, roots),
+                                  loop_transform(x, p, roots))
 
 
 def test_ntt_refuses_lengths_past_its_roots_of_unity(monkeypatch):

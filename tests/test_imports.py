@@ -1,8 +1,11 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+private function, class and method is read somewhere in the package.
 
 No linter ships with the package, so this parses each module with `ast`
-and reports an imported name that no expression of the module reads.
-`__init__.py` is left out: its imports are the public re-exports.
+and reports an imported name that no expression of the module reads, and
+a `_`-prefixed definition that no name or attribute of the package reads.
+`__init__.py` is left out of the import check: its imports are the public
+re-exports.
 """
 
 import ast
@@ -48,3 +51,54 @@ def test_the_guard_sees_an_unused_import():
               "from typing import Optional\n"
               "x: 'Optional[int]' = np.zeros(1)\n")
     assert unused_imports(source) == [("functools", 1)]
+
+
+# -- private code that nothing reads ------------------------------------------
+
+
+def private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of each `_`-prefixed module-level function or class and
+    each `_`-prefixed method; a dunder is not private."""
+    nodes = list(tree.body)
+    nodes += [n for c in tree.body if isinstance(c, ast.ClassDef)
+              for n in c.body]
+    return [(n.name, n.lineno) for n in nodes
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef))
+            and n.name.startswith("_")
+            and not (n.name.startswith("__") and n.name.endswith("__"))]
+
+
+def unread_private_code(sources: dict) -> list[tuple[str, str, int]]:
+    """(module, name, line) for each private definition that no name or
+    attribute in any of the modules reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    return [(module, name, line) for module, tree in trees.items()
+            for name, line in private_definitions(tree) if name not in read]
+
+
+def test_no_unread_private_code():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    unread = unread_private_code(sources)
+    assert not unread, "; ".join(f"{module}:{line} defines {name}, never read"
+                                 for module, name, line in unread)
+
+
+def test_the_guard_sees_unread_private_code():
+    sources = {
+        "a.py": ("def _used():\n    pass\n\n\ndef _dead():\n    pass\n\n\n"
+                 "class _Dead:\n    pass\n\n\n"
+                 "class Box:\n    def _kept(self):\n        pass\n\n"
+                 "    def _idle(self):\n        pass\n\n"
+                 "    def __eq__(self, other):\n        return True\n"),
+        "b.py": "from a import _used, Box\n_used()\nBox()._kept()\n",
+    }
+    assert unread_private_code(sources) == [
+        ("a.py", "_dead", 5), ("a.py", "_Dead", 9), ("a.py", "_idle", 17)]

@@ -388,6 +388,20 @@ def test_from_json_refuses_a_trace_claim_past_the_cap_before_the_field(
     assert built == [(3, 15), (3, 15)]
 
 
+def test_a_trace_route_past_the_cap_refuses_before_the_default_field(
+        monkeypatch):
+    rec = build_DX(3, 1, 3, [0, 1], field=FiniteField(3, 3, (1, 0, 2, 1)))
+    called = []
+    monkeypatch.setattr(schemes, "get_field",
+                        lambda *args: called.append(args))
+    # R R^(-1) at 3^3 needs a transform of length 64
+    monkeypatch.setattr(ntt, "_MAX_SIZE", 32)
+    for route in METHODS[1:]:
+        with pytest.raises(ParameterError, match="NTT length 64"):
+            certify(rec, (route,))
+    assert called == []
+
+
 # -- D^(-1) * R: read off X^(-1) * W in Z_v, once per run ----------------------
 
 

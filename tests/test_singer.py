@@ -160,6 +160,13 @@ def mutant(b, R):
                    S=tuple(np.unique(R % b.v).tolist()), W=W)
 
 
+def verify(b):
+    """`_verify_bundle` on arrays of b's R, S and W, as the builder holds."""
+    W = None if b.W is None else np.array(b.W, dtype=np.int64)
+    _verify_bundle(b, np.array(b.R, dtype=np.int64),
+                   np.array(b.S, dtype=np.int64), W)
+
+
 def orbit(r, p, n):
     out = [r]
     while (nxt := out[-1] * p % n) != r:
@@ -186,10 +193,10 @@ def test_single_replacements_in_R_are_rejected(p, e, l):
         for x in ((r + b.v) % b.n1, free_coset):
             mut = mutant(b, R - {r} | {x})
             if is_consistent(b, mut.R):
-                _verify_bundle(mut)
+                verify(mut)
             else:
                 with pytest.raises(InternalInconsistencyError):
-                    _verify_bundle(mut)
+                    verify(mut)
                 rejected += 1
     assert rejected >= len(b.R)
 
@@ -213,11 +220,11 @@ def test_frobenius_stable_orbit_swaps_meet_the_rds_check(p, e, l):
             mut = mutant(b, R - set(O) | set(moved))
             assert mut.S == b.S
             if is_singer_rds(b, mut.R):
-                _verify_bundle(mut)
+                verify(mut)
             else:
                 with pytest.raises(InternalInconsistencyError,
                                    match="relative difference set"):
-                    _verify_bundle(mut)
+                    verify(mut)
                 rejected += 1
     assert rejected or b.n1 == 8  # in F_9 both swaps are RDSs again
 
@@ -226,16 +233,16 @@ def test_frobenius_stable_orbit_swaps_meet_the_rds_check(p, e, l):
 def test_broken_S_W_or_frobenius_is_rejected(p, e, l):
     b = singer_bundle(p, e, l)
     with pytest.raises(InternalInconsistencyError, match="projection"):
-        _verify_bundle(replace(b, S=b.S[1:]))
+        verify(replace(b, S=b.S[1:]))
     if l % 2 == 1:
         W = list(b.W)
         W[b.S[0]] = -W[b.S[0]]
         with pytest.raises(InternalInconsistencyError, match="signed"):
-            _verify_bundle(replace(b, W=tuple(W)))
+            verify(replace(b, W=tuple(W)))
     r = next(r for r in b.R if len(orbit(r, p, b.n1)) > 1)
     mut = mutant(b, set(b.R) - {r} | {(r + b.v) % b.n1})
     with pytest.raises(InternalInconsistencyError, match="multiplier p"):
-        _verify_bundle(mut)
+        verify(mut)
 
 
 def test_weighing_autocorrelation_oracle():
@@ -350,6 +357,27 @@ def test_gmw_even_middle_layer_has_no_weighing():
 def test_gmw_needs_two_layers():
     with pytest.raises(ParameterError):
         gmw_components(3, 1, 2, 1)
+
+
+@pytest.mark.parametrize("p,e,t,s", [
+    (3, 1, 2, 2), (3, 1, 3, 2), (3, 1, 3, 3), (3, 1, 1, 3), (5, 1, 1, 3),
+    (3, 2, 1, 3), (5, 1, 3, 2), (7, 1, 1, 3), (3, 1, 2, 3)])
+def test_gmw_sub_layer_matches_the_scalar_trace(p, e, t, s):
+    # oracle: tr_{q^t/q}(y) = y + y^q + ... + y^(q^(t-1)) for each y = g^(j u)
+    # of F_{q^t}^*, by scalar field additions
+    c = gmw_components(p, e, t, s)
+    F, q = c.field, c.q
+    u = (q ** (s * t) - 1) // (q ** t - 1)
+    R_sub = []
+    for j in range(q ** t - 1):
+        acc = ZERO
+        for i in range(t):
+            acc = F.add(acc, F.pow(j * u, q ** i))
+        if acc == 0:
+            R_sub.append(j)
+    assert c.s_sub == tuple(sorted(j % c.v_t for j in R_sub))
+    if t % 2 == 1:
+        assert c.w_sub == tuple(_weighing_from_R(np.array(R_sub), c.v_t))
 
 
 def test_gmw_flagship_tower():
