@@ -28,7 +28,7 @@ import numpy as np
 from .errors import (BudgetExceededError, InternalInconsistencyError,
                      ParameterError, PreconditionError)
 from .fields import ZERO, FiniteField
-from .schemes import SchemeRecord
+from .schemes import SchemeRecord, _D_array
 
 DEFAULT_NODE_BUDGET = 1_000_000
 
@@ -68,7 +68,7 @@ def _difference_matrix(rec: SchemeRecord, blocks: np.ndarray) -> np.ndarray:
     code = _point_codes(F)
     negs = np.where(blocks == ZERO, ZERO, (blocks + F.n1 // 2) % F.n1)
     member = np.zeros(F.order, dtype=np.uint8)  # D in code order
-    member[F.codes[np.asarray(rec.D, dtype=np.int64)]] = 1
+    member[F.codes[_D_array(rec)]] = 1
     return member[F.code_sum(code[:, None], code[negs + 1])]
 
 
@@ -168,7 +168,7 @@ def _triple_table(rec: SchemeRecord) -> np.ndarray:
     difference matrix at those k columns only. The float64 product runs
     through BLAS and is exact: every entry is at most k.
     """
-    minus_D = (np.asarray(rec.D, dtype=np.int64) + rec.n1 // 2) % rec.n1
+    minus_D = (_D_array(rec) + rec.n1 // 2) % rec.n1
     pencil = _difference_matrix(rec, minus_D).astype(np.float64)
     return (pencil @ pencil.T).astype(np.int32)
 
@@ -245,9 +245,9 @@ def affine_link(rec1: SchemeRecord, rec2: SchemeRecord) -> Optional[np.ndarray]:
     base = p ** np.arange(m)
     digits = np.arange(n)[:, None] // base % p  # row j: digits of code j
     m1 = np.zeros(n, dtype=bool)
-    m1[np.asarray(rec1.D, dtype=np.int64) + 1] = True
+    m1[_D_array(rec1) + 1] = True
     m2 = np.zeros(n, dtype=bool)
-    m2[np.asarray(rec2.D, dtype=np.int64) + 1] = True
+    m2[_D_array(rec2) + 1] = True
     in1, in2 = m1[point], m2[point]            # membership in code order
 
     buckets: dict[bytes, list[int]] = {}
@@ -332,7 +332,7 @@ def semilinear_canonical(rec: SchemeRecord) -> bytes:
     automorphisms) least-rotation problems.
     """
     n1 = rec.n1
-    D = np.asarray(rec.D, dtype=np.int64)
+    D = _D_array(rec)
     best = None
     for k in range(rec.field.m):
         mult = pow(rec.p, k, n1)
@@ -658,7 +658,7 @@ def scheme_seeds(rec: SchemeRecord) -> list[np.ndarray]:
     seeds = [F.powers[F.code_sum(code, F.p ** t)].astype(np.int64) + 1
              for t in range(F.m)]
     member = np.zeros(n1, dtype=bool)
-    member[list(rec.D)] = True
+    member[_D_array(rec)] = True
     D = np.flatnonzero(member)
     j = np.arange(n1, dtype=np.int64)
     for k in range(F.m):

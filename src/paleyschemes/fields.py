@@ -18,13 +18,17 @@ The modulus and the tables both come from C, the companion matrix of
 "multiply by x" over F_p.  A monic f is primitive iff C^(q-1) = I and
 C^((q-1)/r) != I for each prime r | q-1 (Lidl & Niederreiter, Thm 3.16;
 full order implies irreducibility); this one test serves default and
-supplied moduli.  The tables take x^0, ..., x^(q-2) as row vectors times
-powers of C, by doubling and then in fixed-size blocks.
+supplied moduli.  The tables come from one shift-register sequence, the
+top coefficients of x^0, x^1, ...: it is extended by jumps read off
+C^(2^k), one m x m squaring each, and every lower digit is read off it,
+so the build is O(m q) passes over narrow unsigned integers (Lidl &
+Niederreiter, ch. 8; Golomb, *Shift Register Sequences*, 1967).
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -34,10 +38,9 @@ from .errors import InternalInconsistencyError, ParameterError
 
 ZERO = -1
 
-# fits the int32 tables and keeps the int64 matrix products exact
-# (m (p-1)^2 < 2^63)
+# fits the int32 tables and keeps the m x m int64 products of C exact
+# (m (p-1)^2 < 2^63), in the primitivity test and the table build's jumps
 MAX_FIELD_ORDER = 3 ** 15
-_BLOCK = 1 << 14  # rows of coefficient digits held at once by the table build
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -58,6 +61,19 @@ def is_prime(n: int) -> bool:
     return n >= 2 and _prime_divisors(n) == [n]
 
 
+def _reduce(t: np.ndarray, p: int, scratch: np.ndarray) -> None:
+    """t mod p in place as t - (t // p) p, for unsigned t, through
+    `scratch` of t's shape: numpy divides unsigned integers by a scalar
+    as a multiply and shift, several times faster than its remainder,
+    except on short arrays, where one call costs less than three."""
+    if t.size < 1024:
+        np.remainder(t, p, out=t)
+        return
+    np.floor_divide(t, p, out=scratch)
+    np.multiply(scratch, p, out=scratch)
+    np.subtract(t, scratch, out=t)
+
+
 def _companion(modulus: Sequence[int], p: int) -> np.ndarray:
     """Matrix of a -> x*a mod f on little-endian coefficient row vectors."""
     m = len(modulus) - 1
@@ -74,6 +90,73 @@ def _mat_pow(C: np.ndarray, k: int, p: int) -> np.ndarray:
         C = C @ C % p
         k >>= 1
     return out
+
+
+def _top_coefficients(modulus: Sequence[int], p: int, count: int,
+                      dtype: np.dtype) -> np.ndarray:
+    """s[i], the coefficient of x^(m-1) in x^i mod f, for i < count.
+
+    s is a linear recurring sequence with characteristic polynomial f
+    (Lidl & Niederreiter, ch. 8).  Row m - 1 of C^N holds x^(N + m - 1) =
+    sum a_j x^j, so s[i + N + m - 1] = sum a_j s[i + j]: from s on
+    [0, N + m - 1), one jump gives the next N terms, and N doubles with
+    one squaring of C^N.  The terms before N = 8 come one at a time from
+    x^m = -sum f_j x^j.  `dtype` holds m (p - 1)^2, a jump's sum before
+    it is reduced.
+    """
+    m = len(modulus) - 1
+    seed = [0] * (m - 1) + [1]
+    while len(seed) < min(count, m + 7):
+        seed.append(-sum(map(operator.mul, modulus, seed[-m:])) % p)
+    s = np.empty(count, dtype=dtype)
+    scratch = np.empty(count, dtype=dtype)
+    s[:len(seed)] = seed
+    N, jump, done = 4, _companion(modulus, p), len(seed)
+    for _ in range(2):  # C^4; each jump squares first
+        jump = jump @ jump % p
+    while done < count:
+        N, jump = 2 * N, jump @ jump % p
+        new, a = min(N, count - done), jump[-1].tolist()
+        out, tmp = s[done:done + new], scratch[:new]
+        np.multiply(s[:new], a[0], out=out)
+        for j in range(1, m):
+            if a[j]:
+                np.multiply(s[j:j + new], a[j], out=tmp)
+                out += tmp
+        _reduce(out, p, tmp)
+        done += new
+    return s
+
+
+def _code_table(modulus: Sequence[int], p: int, n1: int) -> np.ndarray:
+    """The code sum c_k p^k of x^i mod f for each i < n1, as int32.
+
+    Digit k - 1 of x^i is digit k of x^(i+1) plus f_k s[i] (mod p), for
+    s the top digits, so s on [0, n1 + m - 1) gives every digit; a zero
+    f_k makes it a shift.  The code is formed by Horner's rule from the
+    top digit.  The digits are held in the narrowest unsigned dtype that
+    holds m (p - 1)^2 + p.
+    """
+    m = len(modulus) - 1
+    dtype = np.min_scalar_type(m * (p - 1) ** 2 + p)
+    s = _top_coefficients(modulus, p, n1 + m - 1, dtype)
+    codes = s[:n1].astype(np.int32)
+    # digit k - 1 goes to the buffer that does not hold digit k, and is
+    # reduced through the other one, where digit k is spent
+    digit, bufs, free = s, (np.empty_like(s), np.empty_like(s)), 0
+    for k in range(m - 1, 0, -1):
+        n = n1 + k - 1  # digit k - 1 is needed on [0, n)
+        if modulus[k]:
+            out = bufs[free][:n]
+            np.multiply(s[:n], modulus[k], out=out)
+            out += digit[1:n + 1]
+            _reduce(out, p, bufs[1 - free][:n])
+            digit, free = out, 1 - free
+        else:
+            digit = digit[1:]
+        codes *= p
+        codes += digit[:n1]
+    return codes
 
 
 def _is_primitive(modulus: Sequence[int], p: int) -> bool:
@@ -140,25 +223,11 @@ class FiniteField:
     # -- construction ------------------------------------------------------
 
     def _build_tables(self) -> None:
-        p, m, n1 = self.p, self.m, self.n1
-        C = _companion(self.modulus, p)
-        base = p ** np.arange(m, dtype=np.int64)
-
-        # rows[i] = coefficients of x^i for i < len(rows); step = C^len(rows)
-        rows = np.eye(1, m, dtype=np.int64)
-        step = C
-        while len(rows) < min(n1, _BLOCK):
-            rows = np.concatenate((rows, rows @ step % p))
-            step = step @ step % p
-        # codes[exponent] = code = sum c_i p^i over the coefficients of the
-        # element, and powers[code] = exponent; both are kept, because code
-        # order is the coordinate order of (F, +) = (Z_p)^m
-        codes = np.empty(n1, dtype=np.int32)
-        shift = np.eye(m, dtype=np.int64)     # C^start
-        for start in range(0, n1, len(rows)):
-            block = rows @ shift % p
-            codes[start:start + len(rows)] = (block @ base)[:n1 - start]
-            shift = shift @ step % p
+        p, n1 = self.p, self.n1
+        # codes[exponent] = code = sum c_k p^k over the coefficients of the
+        # element, and powers[code] = exponent; both are kept, because
+        # code order is the coordinate order of (F, +) = (Z_p)^m
+        codes = _code_table(self.modulus, p, n1)
         codes.setflags(write=False)
         self.codes = codes
 

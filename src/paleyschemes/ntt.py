@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError
-from .fields import is_prime
+from .fields import _reduce, is_prime
 
 # p = c * 2^k + 1 with generator 3 in every case, largest first
 _PRIMES = (998244353, 469762049, 167772161)
@@ -73,15 +73,6 @@ def _roots(p: int, size: int) -> np.ndarray:
         k *= 2
     roots.setflags(write=False)
     return roots
-
-
-def _reduce(t: np.ndarray, p: int, scratch: np.ndarray) -> None:
-    """t mod p in place as t - (t // p) p, through `scratch` of t's shape:
-    numpy divides uint64 by a scalar as a multiply and shift, several
-    times faster than its remainder."""
-    np.floor_divide(t, p, out=scratch)
-    np.multiply(scratch, p, out=scratch)
-    np.subtract(t, scratch, out=t)
 
 
 def _transform(x: np.ndarray, p: int, roots: np.ndarray) -> np.ndarray:
@@ -180,7 +171,12 @@ def _crt(residues: list, primes: tuple) -> np.ndarray:
             x = x.astype(object)
         x = x + (r - x % p) * pow(modulus, -1, p) % p * modulus
         modulus *= p
-    return np.where(x > modulus // 2, x - modulus, x)
+    # a value past modulus / 2 stands for a negative coefficient; x is
+    # fresh (the residues are), so int64 values are centred in place
+    if x.dtype == object:
+        return np.where(x > modulus // 2, x - modulus, x)
+    x -= (x > modulus // 2) * modulus
+    return x
 
 
 def transform_size(out_len: int) -> int:

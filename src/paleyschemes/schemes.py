@@ -77,6 +77,10 @@ class SchemeRecord:
                 raise ParameterError("exponent out of range")
         if not increasing:
             raise ParameterError("D must be sorted and duplicate-free")
+        # D as an array, converted once per record; not a field, so eq,
+        # hash, repr and JSON read the tuple alone
+        D.setflags(write=False)
+        object.__setattr__(self, "_D", D)
 
     @property
     def p(self) -> int:
@@ -125,7 +129,7 @@ class SchemeRecord:
         checking that a stored X is the one D gives."""
         fd = data["field"]
         entries = [fd["p"], fd["e"], fd["l"], *data["D"], *data.get("X", ())]
-        if not all(type(x) is int for x in entries):
+        if not set(map(type, entries)) <= {int}:
             raise ParameterError("field, D and X entries must be integers")
         if not all(type(c) is int and 0 <= c < fd["p"]
                    for c in fd["modulus"]):
@@ -212,25 +216,14 @@ def build_DX(p: int, e: int, l: int, X: Iterable[int],
 
 
 # While `route_verdicts` runs a route on a record, this holds the run's
-# memo, so the routes of one run convert D once, recover X once and share
-# one X^(-1) * W.  It is set only around a route call.
+# memo, so the routes of one run recover X once and share one
+# X^(-1) * W.  It is set only around a route call.
 _RUN: ContextVar[Optional[dict]] = ContextVar("_RUN", default=None)
 
 
-def _per_run(rec: SchemeRecord, name: str, make):
-    """make(rec), formed once per `route_verdicts` run on rec."""
-    memo = _RUN.get()
-    if memo is None:
-        return make(rec)
-    held = memo.get(name)
-    if held is None or held[0] is not rec:
-        held = memo[name] = (rec, make(rec))
-    return held[1]
-
-
 def _D_array(rec: SchemeRecord) -> np.ndarray:
-    return _per_run(rec, "D",
-                    lambda r: np.asarray(r.D, dtype=np.int64))
+    """D as a read-only int64 array, the one the record converted."""
+    return rec._D
 
 
 def is_half_point(rec: SchemeRecord) -> bool:
@@ -264,7 +257,14 @@ def _recover_or_refuse(rec: SchemeRecord):
 def _run_X(rec: SchemeRecord) -> tuple[int, ...]:
     """recover_X(rec), once per `route_verdicts` run; where X is
     undefined, every call raises recover_X's PreconditionError afresh."""
-    X = _per_run(rec, "X", _recover_or_refuse)
+    memo = _RUN.get()
+    if memo is None:
+        X = _recover_or_refuse(rec)
+    else:
+        held = memo.get("X")
+        if held is None or held[0] is not rec:
+            held = memo["X"] = (rec, _recover_or_refuse(rec))
+        X = held[1]
     if isinstance(X, PreconditionError):
         raise PreconditionError(*X.args)
     return X
@@ -394,9 +394,9 @@ def route_verdicts(rec: SchemeRecord, methods: Iterable[str]
     The verdict is a bool, or the PreconditionError of a route that does
     not apply to this record.  Applicable routes must agree: a verdict
     that differs from an earlier one raises InternalInconsistencyError.
-    The routes of one run convert D to an array once, and the three trace
-    routes share one recovered X and one X^(-1) * W; all of it is
-    dropped when the run ends.  Only the additive route computes apart.
+    The three trace routes of one run share one recovered X and one
+    X^(-1) * W; both are dropped when the run ends.  Only the additive
+    route computes apart.
     """
     first = None
     memo: dict = {}

@@ -2,7 +2,12 @@
 
 The oracle below does plain coefficient-vector arithmetic modulo the
 defining polynomial, with no code tables, so table bugs cannot hide.
+The code tables are also compared with a reference construction that
+shares nothing with the shift-register build: x^i as coefficient rows
+times powers of the companion matrix.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -10,6 +15,8 @@ import pytest
 from paleyschemes import fields
 from paleyschemes.errors import InternalInconsistencyError, ParameterError
 from paleyschemes.fields import ZERO, FiniteField, get_field
+
+STRETCH = bool(os.environ.get("PALEY_STRETCH"))
 
 
 # --------------------------------------------------------------------------
@@ -268,6 +275,68 @@ def test_codes_are_the_coefficient_codes_and_invert_powers(p, m):
         base = p ** np.arange(m)
         pw = poly_powers_of_x(F.modulus, p, F.n1)
         assert F.codes.tolist() == [int(np.dot(v, base)) for v in pw]
+
+
+def reference_tables(p, modulus):
+    """(codes, powers) with x^0, ..., x^(q-2) as int64 coefficient rows
+    times powers of the companion matrix C: a block of rows by doubling,
+    then the block times C^start for each start, 2^14 rows at a time."""
+    m = len(modulus) - 1
+    n1 = p ** m - 1
+    C = np.eye(m, m, 1, dtype=np.int64)
+    C[-1] = [(-c) % p for c in modulus[:m]]
+    rows, step = np.eye(1, m, dtype=np.int64), C  # step = C^len(rows)
+    while len(rows) < min(n1, 1 << 14):
+        rows = np.concatenate((rows, rows @ step % p))
+        step = step @ step % p
+    codes = np.empty(n1, dtype=np.int32)
+    shift = np.eye(m, dtype=np.int64)  # C^start
+    base = p ** np.arange(m, dtype=np.int64)
+    for start in range(0, n1, len(rows)):
+        block = rows @ shift % p @ base
+        codes[start:start + len(rows)] = block[:n1 - start]
+        shift = shift @ step % p
+    powers = np.full(p ** m, ZERO, dtype=np.int32)
+    powers[codes] = np.arange(n1, dtype=np.int32)
+    return codes, powers
+
+
+def assert_reference_tables(F):
+    codes, powers = reference_tables(F.p, F.modulus)
+    assert F.codes.dtype == codes.dtype and F.powers.dtype == powers.dtype
+    assert F.codes.tobytes() == codes.tobytes()
+    assert F.powers.tobytes() == powers.tobytes()
+
+
+@pytest.mark.parametrize("p,m,digits", [
+    (3, 9, np.uint8), (5, 7, np.uint8),        # past 2^14 elements
+    (3, 7, np.uint8), (11, 4, np.uint16), (101, 3, np.uint16),
+    (9973, 1, np.uint32), (65537, 1, np.uint64)])
+def test_tables_match_the_reference_construction(monkeypatch, p, m, digits):
+    """Byte-identical tables on every digit dtype the build picks."""
+    seen = []
+    real = fields._top_coefficients
+
+    def spy(modulus, p, count, dtype):
+        seen.append(dtype)
+        return real(modulus, p, count, dtype)
+
+    monkeypatch.setattr(fields, "_top_coefficients", spy)
+    assert_reference_tables(FiniteField(p, m))
+    assert seen == [digits]
+
+
+@pytest.mark.parametrize("p,m,modulus", [(3, 5, (1, 0, 1, 2, 2, 1)),
+                                         (5, 3, (2, 4, 4, 1))])
+def test_tables_match_the_reference_under_a_supplied_modulus(p, m, modulus):
+    F = FiniteField(p, m, modulus=modulus)
+    assert F.modulus != get_field(p, m).modulus
+    assert_reference_tables(F)
+
+
+@pytest.mark.skipif(not STRETCH, reason="enable with PALEY_STRETCH=1")
+def test_stretch_tables_match_the_reference_at_3_13():
+    assert_reference_tables(FiniteField(3, 13))
 
 
 def test_tower_trace_composition():

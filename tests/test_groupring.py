@@ -318,6 +318,22 @@ def test_ntt_matches_schoolbook(monkeypatch):
         assert np.array_equal(got, np.convolve(a, b))
 
 
+def test_one_prime_result_is_centred_just_inside_half_the_prime():
+    """Coefficients at and next to +-(P - 1)/2 for P = 998244353, the one
+    prime the bound asks for, against exact Python integers."""
+    P = ntt._PRIMES[0]
+    B = P // 4  # (1, -1) times b has coefficients b_k - b_(k-1)
+    a = np.array([1, -1])
+    b = np.array([B, -B, B, B - 1, -B, 0, -(B - 1), B])
+    assert 2 * (2 * B) < P  # |a|_1 |b|_inf: one prime
+    want = [sum(int(a[i]) * int(b[k - i]) for i in range(len(a))
+                if 0 <= k - i < len(b)) for k in range(len(a) + len(b) - 1)]
+    assert {P // 2, -(P // 2), P // 2 - 1, -(P // 2 - 1)} <= set(want)
+    got = ntt.convolve_exact(a, b)
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+
+
 def loop_transform(x, p, roots):
     """The Stockham NTT with one concatenation per stage, in int64: the
     oracle for `ntt._transform`."""

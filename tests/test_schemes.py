@@ -2,6 +2,7 @@ import itertools
 import os
 import resource
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -350,10 +351,29 @@ def test_record_refuses_bad_tower_fields_and_entries():
     del bad_tower["X"]
     with pytest.raises(ParameterError, match="tower"):
         SchemeRecord.from_json(bad_tower)
-    for key in ("D", "X"):
-        fractional = dict(good, **{key: [0.5] + good[key][1:]})
-        with pytest.raises(ParameterError, match="integers"):
-            SchemeRecord.from_json(fractional)
+    for bad in (0.5, True, "3", 2.0):
+        for key in ("D", "X"):
+            with pytest.raises(ParameterError, match="integers"):
+                SchemeRecord.from_json(
+                    dict(good, **{key: [bad] + good[key][1:]}))
+        for key in ("p", "e", "l"):
+            with pytest.raises(ParameterError, match="integers"):
+                SchemeRecord.from_json(
+                    dict(good, field=dict(good["field"], **{key: bad})))
+
+
+def test_record_keeps_one_read_only_D_array():
+    rec = build_DX(3, 1, 3, range(13))
+    D = schemes._D_array(rec)
+    assert D is schemes._D_array(rec) and not D.flags.writeable
+    assert D.dtype == np.int64 and D.tolist() == list(rec.D)
+    # not a field: eq, hash, repr and JSON read the tuple alone
+    twin = SchemeRecord(field=rec.field, e=1, l=3, D=rec.D,
+                        provenance="manual", verified_by=frozenset())
+    assert twin == rec and hash(twin) == hash(rec)
+    assert repr(twin) == repr(rec) and "_D" not in repr(rec)
+    assert SchemeRecord.from_json(rec.to_json()).to_json() == rec.to_json()
+    assert schemes._D_array(replace(rec, D=(0, 2))).tolist() == [0, 2]
 
 
 def test_from_json_refuses_a_stored_X_that_D_does_not_give():
