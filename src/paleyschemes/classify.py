@@ -270,11 +270,10 @@ def affine_link(rec1: SchemeRecord, rec2: SchemeRecord) -> Optional[np.ndarray]:
     def extend(L: np.ndarray, alive: np.ndarray) -> Optional[np.ndarray]:
         k = len(L)
         if k == m:
-            image = (digits @ L + digits[alive[0]]) % p @ base
-            perm = np.empty(n, dtype=np.int64)
-            perm[point] = point[image]
-            if not np.array_equal(m2[perm], m1) or \
-                    len(np.unique(perm)) != n:
+            # x -> L(x) + c in point order; `linear_map` refuses a singular L
+            image = np.insert(F.codes[F.linear_map(L)], 0, 0)
+            perm = F.powers[F.code_sum(image, alive[0])].astype(np.int64) + 1
+            if not np.array_equal(m2[perm], m1):
                 raise InternalInconsistencyError(
                     "affine link survived the scan but fails re-verification")
             return perm

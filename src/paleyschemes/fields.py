@@ -8,21 +8,23 @@ Addition has one representation, the code: the integer sum c_i p^i over an
 element's coefficients on x^0, ..., x^(m-1).  Code order is the coordinate
 order of (F, +) = (Z_p)^m, so a sum is the digit-wise sum mod p of two
 codes (`code_sum`), with no carry, and an F_p-linear map such as a relative
-trace is a map on base-p digits (Lidl & Niederreiter, *Finite Fields*,
-ch. 2).  The field keeps both directions between exponents and codes,
-`codes` (exponent -> code) and `powers` (code -> exponent), both read-only;
-they are its only per-element tables, and there is no Zech table.  Every
-operation is exact integer arithmetic.
+trace is a map on base-p digits (`linear_map`, `trace_exponents`; Lidl &
+Niederreiter, *Finite Fields*, ch. 2).  The field keeps both directions
+between exponents and codes, `codes` (exponent -> code) and `powers` (code
+-> exponent), both read-only; they are its only per-element tables, and
+there is no Zech table.  Every operation is exact integer arithmetic.
 
 The modulus and the tables both come from C, the companion matrix of
 "multiply by x" over F_p.  A monic f is primitive iff C^(q-1) = I and
 C^((q-1)/r) != I for each prime r | q-1 (Lidl & Niederreiter, Thm 3.16;
 full order implies irreducibility); this one test serves default and
-supplied moduli.  The tables come from one shift-register sequence, the
-top coefficients of x^0, x^1, ...: it is extended by jumps read off
-C^(2^k), one m x m squaring each, and every lower digit is read off it,
-so the build is O(m q) passes over narrow unsigned integers (Lidl &
-Niederreiter, ch. 8; Golomb, *Shift Register Sequences*, 1967).
+supplied moduli, and the default search runs it only on candidates whose
+constant term and roots in F_p allow a primitive root.  The tables come
+from one shift-register sequence, the top coefficients of x^0, x^1, ...:
+it is extended by jumps read off C^(2^k), one m x m squaring each, and
+every lower digit is read off it, so the build is O(m q) passes over
+narrow unsigned integers (Lidl & Niederreiter, ch. 8; Golomb, *Shift
+Register Sequences*, 1967).
 """
 
 from __future__ import annotations
@@ -170,15 +172,33 @@ def _is_primitive(modulus: Sequence[int], p: int) -> bool:
                         for r in _prime_divisors(n1)))
 
 
+def _is_primitive_root(c: int, p: int) -> bool:
+    """True iff c generates the units mod the prime p."""
+    return c % p != 0 and all(pow(c, (p - 1) // r, p) != 1
+                              for r in _prime_divisors(p - 1))
+
+
 def _default_modulus(p: int, m: int) -> tuple[int, ...]:
     """Lexicographically smallest monic primitive polynomial of degree m.
 
     Candidates are ordered by the integer tuple (c_{m-1}, ..., c_0)
     ascending; the first primitive one wins.  The choice is deterministic,
-    so two runs always build identical tables.
+    so two runs always build identical tables.  Two necessary conditions
+    go before the primitivity test: the norm (-1)^m c_0 of a root must
+    generate F_p^*, as the norm of a primitive element does, and for
+    m >= 2 the polynomial has no root in F_p.
     """
+    points = np.arange(p, dtype=np.int64)
     for tail in itertools.product(range(p), repeat=m):
         coeffs = tail[::-1] + (1,)
+        if not _is_primitive_root((-1) ** m * coeffs[0], p):
+            continue
+        if m >= 2:
+            value = np.zeros(p, dtype=np.int64)
+            for c in (1,) + tail:  # Horner, top coefficient first
+                value = (value * points + c) % p
+            if not value.all():
+                continue
         if _is_primitive(coeffs, p):
             return coeffs
     raise ParameterError(f"no primitive polynomial of degree {m} over F_{p}")
@@ -313,22 +333,15 @@ class FiniteField:
             raise ParameterError("trace landed outside the target subfield")
         return acc
 
-    def trace_exponents(self, e: int) -> np.ndarray:
-        """dlog of tr_{p^m/p^e}(g^i) for every i (-1 for 0), as a digit map.
+    def _digit_table(self, t: np.ndarray) -> np.ndarray:
+        """code -> code of the F_p-linear map with digit matrix t, as int32.
 
-        The trace is F_p-linear, so digit k of the code of tr(x) is
-        sum_j c_j t_jk mod p, over the digits c_j of the code of x and the
-        digits t_jk of the code of tr(x^j).  Each such digit is tabulated
-        over all codes one input digit at a time, and one gather through
-        `codes` and `powers` reads the table in exponent order.
+        Digit k of the image of the code with digits c_j is sum_j c_j t_jk
+        mod p.  Each such digit is tabulated over all codes one input digit
+        at a time, so no array is wider than one int32 per element.
         """
-        if self.m % e != 0:
-            raise ParameterError(f"no trace layer: {e} does not divide {self.m}")
-        p, m = self.p, self.m
-        tau = [self.rel_trace(e, j) for j in range(m)]  # tr(x^j)
-        tau_codes = np.array([0 if b == ZERO else self.codes[b] for b in tau])
-        t = tau_codes[:, None] // p ** np.arange(m) % p  # t[j, k]
-        table = np.zeros(self.order, dtype=np.int32)  # code -> code of tr
+        p = self.p
+        table = np.zeros(self.order, dtype=np.int32)
         for k in np.flatnonzero(t.any(axis=0)):
             digit = np.zeros(1, dtype=np.int32)
             for c in t[:, k]:
@@ -339,7 +352,40 @@ class FiniteField:
                 plus = (np.arange(p)[:, None] * c + values) % p
                 digit = np.take(plus.astype(np.int32), digit, axis=1).ravel()
             table += digit * np.int32(p ** k)
-        acc = self.powers[table[self.codes]]
+        return table
+
+    def linear_map(self, A) -> np.ndarray:
+        """Exponent permutation of the F_p-linear map with digit matrix A.
+
+        Row k of the m x m matrix A holds the digits of the image of x^k,
+        so the code with digits d goes to the code with digits d A mod p;
+        entry i of the result is the exponent of the image of g^i.  One
+        gather through `codes` and `powers` reads the digit table in
+        exponent order.  A matrix that is singular mod p is refused.
+        """
+        A = np.asarray(A, dtype=np.int64)
+        if A.shape != (self.m, self.m):
+            raise ParameterError(f"a linear map of F_{self.p}^{self.m} needs "
+                                 f"an {self.m} x {self.m} digit matrix")
+        table = self._digit_table(A % self.p)
+        if not table[1:].all():
+            raise ParameterError("the digit matrix is singular mod p")
+        return self.powers[table[self.codes]]
+
+    def trace_exponents(self, e: int) -> np.ndarray:
+        """dlog of tr_{p^m/p^e}(g^i) for every i (-1 for 0), as a digit map.
+
+        The trace is F_p-linear: its digit matrix has the digits of the
+        code of tr(x^j) as row j, and one gather through `codes` and
+        `powers` reads its digit table in exponent order.
+        """
+        if self.m % e != 0:
+            raise ParameterError(f"no trace layer: {e} does not divide {self.m}")
+        p, m = self.p, self.m
+        tau = [self.rel_trace(e, j) for j in range(m)]  # tr(x^j)
+        tau_codes = np.array([0 if b == ZERO else self.codes[b] for b in tau])
+        acc = self.powers[self._digit_table(
+            tau_codes[:, None] // p ** np.arange(m) % p)[self.codes]]
         step = self.subfield_step(e)
         bad = (acc != ZERO) & (acc // step * step != acc)
         if bad.any():

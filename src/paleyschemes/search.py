@@ -12,21 +12,29 @@ and keeps the residue vector r = X^(-1) * W mod q^((l-1)/2) up to date
 incrementally.  Each orbit o contributes a fixed vector C_o, and one
 Gray step toggles exactly one orbit, so a step costs a single vector
 add.  Candidates with r = 0 are proven before being recorded, one
-additive product per orbit of the semilinear maps x -> c x^(p^k) and
-the complement that keep the space (see `_semilinear_images`).  With
-c = g^s, c D(X) = D(X + s) for even s and D(Z_v - (X + s)) for odd s,
-D(X)^p = D(pX), and the complement X^c = Z_v - X gives D(X^c) = F* -
-D(X), so T' = 1 + 2 D(X^c) is 2F - T for T = 1 + 2 D(X) and T' T'^(-1)
-= T T^(-1).  Each map therefore carries a scheme to a scheme.  The
-first hit of an orbit is re-verified through the additive identity,
-and a failure there means the residue arithmetic is broken and raises
-instead of being swallowed; once it passes, its whole orbit is marked
-proven and later hits in it are recorded as they stand.  A filter
-that emitted a non-hit would still raise, since no non-scheme is the
-image of a scheme.  As the filter is a necessary condition, every
-image of a proven scheme must also be emitted; a walk that ends with a
-proven mask the filter never emitted raises, so a filter that drops
-part of an orbit is caught.
+additive product per orbit of a group of maps that carry a scheme of
+the space to a scheme of the space (see `_linear_images`).  Each map is
+an F_p-linear automorphism of (F, +), which keeps the additive identity,
+or the complement X^c = Z_v - X, which gives D(X^c) = F* - D(X), so T'
+= 1 + 2 D(X^c) is 2F - T for T = 1 + 2 D(X) and T' T'^(-1) = T T^(-1).
+With c = g^s, c D(X) = D(X + s) for even s and D(Z_v - (X + s)) for odd
+s, and D(X)^p = D(pX).  A Galois space also takes the normalizer of
+<sigma>, sigma: x -> x^p, in GL(m, p): such a map L sends a sigma-fixed
+D to a sigma-fixed L(D), and when its exponent permutation keeps the
+residue classes mod v with a constant parity shift on each, L(D(X)) is
+D(X') for a signed permutation X' of X.  The first hit of an orbit is
+re-verified through the additive identity, and a failure there means
+the residue arithmetic is broken and raises instead of being
+swallowed; once it passes, its whole orbit is marked proven and later
+hits in it are recorded as they stand.  A filter that emitted a
+non-hit would still raise, since no non-scheme is the image of a
+scheme.  As the filter is a necessary condition, every image of a
+proven scheme must also be emitted; a walk that ends with a proven
+mask the filter never emitted raises, so a filter that drops part of
+an orbit, or a map that acts wrongly on the masks, is caught.  (Sharing
+work along the normalizer of a prescribed automorphism group is the
+isomorph rejection of Kaski & Ostergard, *Classification Algorithms for
+Codes and Designs*, 2006.)
 
 For speed the walk is split in the middle: the low B orbits are
 indexed once by the residue of each of their 2^B patterns, and a block
@@ -37,9 +45,9 @@ dictionary probe while the hits keep the order of the plain walk.
 `search_cyclotomic_unions` is different: it works in the field proper,
 testing every union of power-residue classes with the additive
 identity directly, so it also covers even extension degrees.  The
-same maps permute the classes (a union of the wrong size fails, and so
-do its images), so one union of each orbit is tested and its verdict,
-pass or fail, given to the whole orbit.
+semilinear maps and the complement permute the classes (a union of the
+wrong size fails, and so do its images), so one union of each orbit is
+tested and its verdict, pass or fail, given to the whole orbit.
 
 A residue search is one walk over the Gray range [0, 2^orbits).  Every
 `FLUSH_EVERY` positions it flushes its progress, with the residue
@@ -339,24 +347,145 @@ def _subset_of(space: SearchSpace, position: int) -> tuple[int, ...]:
     return tuple(sorted(members))
 
 
-def _semilinear_images(space: SearchSpace):
-    """images(mask): every mask the maps x -> c x^(p^k) and the complement
-    make of mask, in the space's own orbit bits.
+def _inverse_mod_p(B: np.ndarray, p: int) -> Optional[np.ndarray]:
+    """B^(-1) mod the prime p by Gauss-Jordan elimination, or None when B
+    is singular mod p."""
+    m = len(B)
+    rows = [[int(x) % p for x in row] + [int(j == i) for j in range(m)]
+            for i, row in enumerate(B)]
+    for col in range(m):
+        pivot = next((r for r in range(col, m) if rows[r][col]), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        scale = pow(rows[col][col], -1, p)
+        rows[col] = [x * scale % p for x in rows[col]]
+        for r in range(m):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[col])]
+    return np.array([row[m:] for row in rows], dtype=np.int64)
 
+
+def _normal_basis(field) -> tuple[np.ndarray, np.ndarray]:
+    """B and B^(-1) mod p for the least i with g^i normal over F_p.
+
+    Row k of B holds the digits of g^(i p^k) = sigma^k(g^i), so sigma
+    shifts the normal coordinates a, with digits a B, by one place.
+    """
+    p, m, n1 = field.p, field.m, field.n1
+    base = p ** np.arange(m)
+    frob = np.array([pow(p, k, n1) for k in range(m)], dtype=np.int64)
+    for i in range(n1):
+        B = field.codes[i * frob % n1][:, None] // base % p
+        inverse = _inverse_mod_p(B, p)
+        if inverse is not None:
+            return B, inverse
+    raise InternalInconsistencyError(f"F_{p}^{m} has no normal element")
+
+
+def _unit_generators(p: int, m: int) -> list[np.ndarray]:
+    """Circulant matrices of units u(sigma) = sum u_k sigma^k of
+    F_p[sigma], sigma^m = 1, that generate its unit group together with
+    sigma and F_p^*; row i of the matrix of u is u(sigma) e_i.
+
+    Elements are coded as field elements are, sum u_k p^k.  In code order,
+    a unit joins when the group generated so far misses it; the group is
+    a boolean map over the codes, grown by the product maps w -> w u^(2^t)
+    until it stops growing.  A non-unit marks its multiples, so each
+    maximal ideal costs one product map, at its monic generator.
+    """
+    N = p ** m
+    base = p ** np.arange(m)
+    digits = np.arange(N)[:, None] // base % p
+    lag = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m
+    grown = np.zeros(N, dtype=bool)
+    grown[(np.arange(1, p)[:, None] * base).ravel()] = True  # c sigma^k
+    nonunit = np.zeros(N, dtype=bool)
+    gens = []
+    for u in range(1, N):
+        if grown[u] or nonunit[u]:
+            continue
+        circulant = digits[u][lag]
+        times = digits @ circulant % p @ base  # w -> w u
+        if not times[1:].all():
+            nonunit[times] = True
+            continue
+        gens.append(circulant)
+        while True:
+            image = times[np.flatnonzero(grown)]
+            if grown[image].all():
+                break
+            grown[image] = True
+            times = times[times]
+    return gens
+
+
+def _normalizer_generators(field) -> list[np.ndarray]:
+    """Digit matrices of F_p-linear maps that, with sigma and F_p^*,
+    generate the normalizer of <sigma> in GL(m, p).
+
+    In normal coordinates sigma is the cyclic shift: its centralizer is
+    F_p[sigma], whose units are the circulant matrices, and the
+    coordinate permutations e_i -> e_(j i), j a unit mod m, conjugate
+    sigma to sigma^j.  A map with matrix M in normal coordinates has the
+    digit matrix B^(-1) M B.
+    """
+    p, m = field.p, field.m
+    B, inverse = _normal_basis(field)
+    mats = _unit_generators(p, m)
+    for j in range(2, m):
+        if math.gcd(j, m) == 1:
+            M = np.zeros((m, m), dtype=np.int64)
+            M[np.arange(m), j * np.arange(m) % m] = 1
+            mats.append(M)
+    return [inverse @ M % p @ B % p for M in mats]
+
+
+def _normalizer_maps(space: SearchSpace
+                     ) -> list[Optional[tuple[np.ndarray, np.ndarray]]]:
+    """The normalizer generators as signed permutations of Z_v, or None.
+
+    A generator's exponent permutation pi of Z_n1 is kept when it sends
+    each residue class mod v into one class and pi(i) - i mod 2 is
+    constant on each class.  The image of D(X) is then D(X') with X' =
+    {pi(r) mod v : (r in X) xor (pi(r) - r odd)}, by the parity rule, and
+    the map is (image, flip) = (pi(r) mod v, pi(r) - r odd) for r < v.
+    An F_q-linear map always passes; a map that fails (only possible for
+    e > 1) is None.
+    """
+    field = get_field(space.p, space.e * space.l)
+    v, i = space.v, np.arange(space.n1)
+    out: list[Optional[tuple[np.ndarray, np.ndarray]]] = []
+    for A in _normalizer_generators(field):
+        pi = field.linear_map(A).astype(np.int64)
+        image, flip = pi[:v] % v, (pi[:v] - i[:v]) % 2
+        keeps = (np.array_equal(pi % v, image[i % v])
+                 and np.array_equal((pi - i) % 2, flip[i % v]))
+        out.append((image, flip.astype(bool)) if keeps else None)
+    return out
+
+
+def _linear_images(space: SearchSpace):
+    """images(mask): every mask that the F_p-linear maps keeping the space,
+    and the complement, make of mask, in the space's own orbit bits.
+
+    Each map is a signed permutation (image, flip) of the index range: x
+    goes to image(x), and its membership flips where flip(x) is set.
     With c = g^s, c D(X) is D(X + s mod v) for even s and D(Z_v - (X + s))
-    for odd s, as v is odd; D(X)^p = D(pX); and the complement is c =
-    g^v.  On power-residue classes the same maps act on the exponents in
-    Z_n1.  Each map is an automorphism of (F, +), so it keeps the
-    identity's right-hand side; the complement keeps it by T' = 2F - T.
+    for odd s, as v is odd; D(X)^p = D(pX); on power-residue classes the
+    same maps act on the exponents in Z_n1 with no flip.  Every space
+    takes i -> p i and the least translation that keeps its orbits; a
+    Galois space also takes the generators of the normalizer of <sigma>
+    (`_normalizer_maps`).  Each is an automorphism of (F, +), so it keeps
+    the identity's right-hand side; the complement, which flips every
+    orbit, keeps it by T' = 2F - T.
 
-    The generators are i -> p i and the least translation i -> i + s0,
-    each used only if it maps every orbit into one orbit, and the
-    complement.  Both maps are bijections of the index range, so the
-    images of the orbits then partition it into as many parts as there
-    are orbits and are the orbits: each orbit is mapped onto one.  Their
-    orbit permutations generate a group, taken whole, and the complement
-    doubles it.  The images under the whole group are formed side by
-    side in one Python integer, four mask bits per table lookup, so
+    A map is used only if it maps every orbit onto one orbit with one
+    flip; on the orbit bits it is then the affine map mask -> perm(mask)
+    xor c.  The maps generate a group, taken whole.  The images under the
+    whole group are formed side by side in one Python integer, four mask
+    bits per table lookup, and one packed xor constant holds every c, so
     nothing wraps at any orbit count.
     """
     span = space.v if space.kind != "cyclotomic_unions" else space.n1
@@ -365,45 +494,73 @@ def _semilinear_images(space: SearchSpace):
     for o, orbit in enumerate(space.orbits):
         where[list(orbit)] = o
     first = np.array([orbit[0] for orbit in space.orbits])
+    size = np.array([len(orbit) for orbit in space.orbits])[where]
 
-    def orbit_permutation(image: np.ndarray) -> Optional[tuple[int, ...]]:
+    def on_orbits(image: np.ndarray, flip: np.ndarray):
         perm = where[image[first]]
-        if np.array_equal(where[image], perm[where]):
-            return tuple(perm.tolist())
+        if (np.array_equal(where[image], perm[where])
+                and np.array_equal(flip, flip[first][where])):
+            return perm, flip[first]
         return None
 
     i = np.arange(span, dtype=np.int64)
-    shifts = (orbit_permutation((i + s) % span) for s in range(1, span))
-    gens = [g for g in (orbit_permutation(i * space.p % span),
-                        next((g for g in shifts if g is not None), None))
-            if g is not None]
-    group = {tuple(range(n))}
-    frontier = group
-    while frontier:
-        frontier = {tuple(g[o] for o in f) for f in frontier
-                    for g in gens} - group
-        group |= frontier
+    signed = space.kind != "cyclotomic_unions"
+    shifts = (on_orbits((i + s) % span, np.full(span, signed and s % 2 == 1))
+              for s in range(1, span) if size[s] == size[0])
+    maps = [on_orbits(i * space.p % span, np.zeros(span, dtype=bool)),
+            next((g for g in shifts if g is not None), None),
+            (np.arange(n), np.ones(n, dtype=bool))]
+    if space.kind == "galois_orbits":
+        maps += [on_orbits(*g) for g in _normalizer_maps(space)
+                 if g is not None]
+    gens = [g for g in maps if g is not None]
+
+    # the group, grown by composing its newest elements with each
+    # generator; (perm, flip) then (P, F) is (P[perm], flip ^ F[perm])
+    perms, flips = np.arange(n)[None, :], np.zeros((1, n), dtype=bool)
+    seen = {(perms * 2 + flips).astype(np.int32).tobytes()}
+    frontier = (perms, flips)
+    while len(frontier[0]):
+        cand_p = np.concatenate([P[frontier[0]] for P, _ in gens])
+        cand_f = np.concatenate([frontier[1] ^ F[frontier[0]]
+                                 for _, F in gens])
+        keys = (cand_p * 2 + cand_f).astype(np.int32)
+        fresh = []
+        for r, key in enumerate(keys):
+            k = key.tobytes()
+            if k not in seen:
+                seen.add(k)
+                fresh.append(r)
+        frontier = (cand_p[fresh], cand_f[fresh])
+        perms = np.concatenate([perms, frontier[0]])
+        flips = np.concatenate([flips, frontier[1]])
+
     # image g of a mask sits at bits [g * stride, (g + 1) * stride) of one
     # integer; table j maps a value of the mask's j-th nibble to where its
-    # bits land in every image at once
+    # bits land in every image at once, and `constant` holds every c
     width = (n + 7) // 8
-    stride, size = 8 * width, len(group) * width
-    perms = list(group)
-    spread = [sum(1 << (g * stride + perm[o]) for g, perm in enumerate(perms))
-              for o in range(n)] + [0] * (-n % 4)
+    stride, total = 8 * width, len(perms) * width
+    at = np.arange(len(perms))[:, None] * stride + perms
+
+    def packed(positions: np.ndarray) -> int:
+        bits = np.zeros(total * 8, dtype=bool)
+        bits[positions] = True
+        return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(),
+                              "little")
+
+    spread = [packed(at[:, o]) for o in range(n)] + [0] * (-n % 4)
+    constant = packed(at[flips])
     tables = [[sum(spread[j + b] for b in range(4) if value >> b & 1)
                for value in range(16)] for j in range(0, n, 4)]
-    full = (1 << n) - 1
 
     def images(mask: int) -> set[int]:
-        joint = 0
+        joint = constant
         for table in tables:
-            joint |= table[mask & 15]
+            joint ^= table[mask & 15]
             mask >>= 4
-        packed = joint.to_bytes(size, "little")
-        out = {int.from_bytes(packed[k:k + width], "little")
-               for k in range(0, size, width)}
-        return out | {full ^ x for x in out}
+        packed_images = joint.to_bytes(total, "little")
+        return {int.from_bytes(packed_images[k:k + width], "little")
+                for k in range(0, total, width)}
 
     return images
 
@@ -492,7 +649,7 @@ def _run_residue_search(space: SearchSpace, *,
     records: list[dict] = []
     found: list[tuple[int, ...]] = []
     proven: set[int] = set()
-    images = _semilinear_images(space)
+    images = _linear_images(space)
     pos = 0
     if checkpoint_dir is not None:
         path = Path(checkpoint_dir) / "search.jsonl"
@@ -575,7 +732,7 @@ def search_cyclotomic_unions(p: int, m: int, n_classes: int, *,
     """
     space = cyclotomic_space(p, m, n_classes, max_classes=max_classes)
     field = get_field(p, m)
-    images = _semilinear_images(space)
+    images = _linear_images(space)
     verdicts: dict[int, bool] = {}
     found = []
     for position in range(space.candidates):

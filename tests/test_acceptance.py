@@ -17,6 +17,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from paleyschemes import search
 from paleyschemes.classify import (affine_link, aut_order, canonical_hash,
                                    development_profile, iso_test,
                                    make_configuration, semilinear_canonical)
@@ -45,6 +46,7 @@ COSET_UNION_CLASSES_133 = 6
 GALOIS_VALID_5_1_3 = 96
 FLAGSHIP_FOUND = 7680
 FLAGSHIP_SEMILINEAR_REPS = 3840
+FLAGSHIP_PRODUCTS = 60
 FLAGSHIP_NON_PALEY_CLASSES = 59
 UNION_AUT_HISTOGRAM_49 = {2352: 2, 3528: 4}
 
@@ -115,8 +117,22 @@ def suite_1093():
 
 
 @pytest.fixture(scope="module")
-def flagship():
-    return search_galois_invariant(3, 1, 5)
+def flagship_run():
+    """The flagship sweep and the X of each hit it proved by a product."""
+    checked = []
+
+    def spy(rec):
+        checked.append(rec.X)
+        return verify_additive(rec)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "verify_additive", spy)
+        return search_galois_invariant(3, 1, 5), checked
+
+
+@pytest.fixture(scope="module")
+def flagship(flagship_run):
+    return flagship_run[0]
 
 
 # -- criteria --------------------------------------------------------------------
@@ -278,11 +294,14 @@ def test_10_gray_code_engine_matches_direct_verification(capsys):
         assert valid == len(found) == GALOIS_VALID_5_1_3
 
 
-def test_11_flagship_search_contents_and_closure(capsys, flagship,
+def test_11_flagship_search_contents_and_closure(capsys, flagship_run,
                                                  suite_121):
     with criterion(capsys, 11, "flagship search"):
+        flagship, checked = flagship_run
         found = set(flagship.found)
         assert len(found) == FLAGSHIP_FOUND
+        # one additive product per orbit of the Frobenius normalizer
+        assert len(checked) == len(set(checked)) == FLAGSHIP_PRODUCTS
         for X in suite_121["xsets"].values():
             assert tuple(sorted(X)) in found
         assert tuple(sorted(langevin_scheme(3, 11).record.X)) in found

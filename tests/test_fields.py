@@ -108,6 +108,26 @@ def test_default_modulus_pinned(p, m, modulus):
     assert get_field(p, m).modulus == modulus
 
 
+def every_tested_field():
+    """Every odd prime power up to 343, and the larger fields the suite
+    builds (3^5 ... 3^15, 5^4 ... 5^7, 7^4, 7^5, 11^3, 13^3, 59^2)."""
+    out = [(p, m) for p in range(3, 344, 2) if fields.is_prime(p)
+           for m in range(1, 6) if p ** m <= 343]
+    out += [(3, m) for m in range(6, 16)] + [(5, m) for m in range(4, 8)]
+    return out + [(7, 4), (7, 5), (11, 3), (13, 3), (59, 2)]
+
+
+def test_default_modulus_filters_do_not_move_the_choice():
+    """The norm and root filters only skip candidates that are not
+    primitive: the first primitive candidate of the plain loop wins."""
+    import itertools
+    for p, m in every_tested_field():
+        plain = next(tail[::-1] + (1,)
+                     for tail in itertools.product(range(p), repeat=m)
+                     if fields._is_primitive(tail[::-1] + (1,), p))
+        assert fields._default_modulus(p, m) == plain, (p, m)
+
+
 def monic_polynomials(p, m):
     for code in range(p ** m):
         yield [code // p ** j % p for j in range(m)] + [1]
@@ -389,3 +409,49 @@ def test_frobenius_is_additive():
         x, y = (int(v) for v in rng.integers(-1, F.n1, size=2))
         assert F.frobenius(F.add(x, y), 1) == F.add(F.frobenius(x, 1), F.frobenius(y, 1))
 
+
+
+# --------------------------------------------------------------------------
+# linear maps vs scalar arithmetic
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p,m", [(3, 1), (3, 2), (3, 3), (5, 3), (7, 2),
+                                 (3, 5)])
+def test_linear_map_matches_scalar_arithmetic(p, m):
+    """linear_map(A) sends g^i to sum_k d_k L(x^k), for d the digits of g^i
+    and L(x^k) the element with digits A[k]; x^k is g^k."""
+    F = get_field(p, m)
+    rng = np.random.default_rng(14)
+    done = 0
+    while done < 3:
+        A = rng.integers(0, p, (m, m))
+        rows = [int(F.powers[int(A[k] @ p ** np.arange(m))]) for k in range(m)]
+        try:
+            got = F.linear_map(A)
+        except ParameterError:
+            continue  # singular: checked below
+        want = []
+        for i in range(F.n1):
+            acc = ZERO
+            for k in range(m):
+                d = int(F.codes[i]) // p ** k % p
+                if d:
+                    acc = F.add(acc, F.mul(F.dlog_of_int(d), rows[k]))
+            want.append(acc)
+        assert got.tolist() == want
+        assert sorted(want) == list(range(F.n1))
+        done += 1
+    # the identity, and x -> x^p, whose row k is the digits of x^(p k)
+    assert F.linear_map(np.eye(m, dtype=int)).tolist() == list(range(F.n1))
+    frob = [[int(F.codes[p * k % F.n1]) // p ** j % p for j in range(m)]
+            for k in range(m)]
+    assert F.linear_map(frob).tolist() == [F.frobenius(i)
+                                           for i in range(F.n1)]
+
+
+def test_linear_map_refuses_singular_and_misshapen_matrices():
+    F = get_field(3, 3)
+    with pytest.raises(ParameterError, match="singular"):
+        F.linear_map([[1, 0, 0], [2, 0, 0], [0, 0, 1]])
+    with pytest.raises(ParameterError, match="3 x 3"):
+        F.linear_map(np.eye(2, dtype=int))

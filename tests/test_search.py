@@ -16,10 +16,10 @@ from paleyschemes.classify import canonical_hash, iso_test, make_configuration
 from paleyschemes.errors import (BudgetExceededError,
                                  InternalInconsistencyError, ParameterError,
                                  PreconditionError)
-from paleyschemes.fields import get_field
+from paleyschemes.fields import ZERO, get_field
 from paleyschemes.groupring import CyclicGroup, GroupRingElement
 from paleyschemes.schemes import (SchemeRecord, build_DX, certify,
-                                  verify_additive)
+                                  recover_X, verify_additive)
 from paleyschemes.search import (ENGINE_VERSION, SearchSpace, _contributions,
                                  _gray, _low_tables, _modulus, _residue_at,
                                  _scan_range, all_subsets_space,
@@ -208,23 +208,28 @@ def test_one_contributions_call_per_search(monkeypatch, tmp_path):
         assert len(calls) == 1
 
 
-# -- one additive product per semilinear class of hits ----------------------------
+# -- one additive product per class of hits under the space's maps --------------
 
 # sha256 of the JSON found list; the 5^3 and 7^3 ones are also frozen in
 # perfbench/expected.json (classify hits, sweep output)
 FOUND_SHA256 = {
+    "galois 3^3": "3e84e222606528dcd8e03a3e9138b9be9d4bc6b68c3c27f3e01a8ef95199d3e7",
     "galois 5^3": "4f5f035335183819d3752c7a868171442f436693693e5a2157a78c68ef6d48b6",
     "galois 7^3": "ebab2fd01b2e30d11a5ee164fc487d27e27c65808927d278a7c79844a251015a",
     "all X 3^3": "8f3b6cbcbaeff7a05451f44b1847dc01a64acfc4126ef9c3cf39a81db58a1e43",
     "all X 5^3": "b4fb4b6c2b150a6d454c1beb24a8152a1eaef63bb915530dcb313fff97d25b1e",
+    "galois 9^3": "6e350db0be49f6586dbf165482aac80023d901c09b060720a6211eab6819b3df",
 }
-# run, tower, hits, additive products (= semilinear classes)
+# run, tower, hits, least and most additive products.  A map keeps the
+# isomorphism class, so 7^3 needs at least its 13 classes.
 SWEEPS = {
+    "galois 3^3": (lambda: search_galois_invariant(3, 1, 3), (3, 1, 3), 12,
+                   1, 1),
     "galois 5^3": (lambda: search_galois_invariant(5, 1, 3), (5, 1, 3), 96,
-                   48),
+                   4, 4),
     "galois 7^3": (lambda: search_galois_invariant(7, 1, 3), (7, 1, 3), 1520,
-                   260),
-    "all X 3^3": (lambda: search_all_X(3, 1, 3), (3, 1, 3), 288, 8),
+                   13, 15),
+    "all X 3^3": (lambda: search_all_X(3, 1, 3), (3, 1, 3), 288, 8, 8),
 }
 
 
@@ -253,24 +258,148 @@ def spy_on_products(monkeypatch):
     return checked
 
 
+def scalar_linear_map(F, A):
+    """Exponent permutation of x -> sum_k d_k(x) L(x^k), by F.add and F.mul
+    one element at a time: d_k(x) is digit k of x, L(x^k) has digits A[k]."""
+    p, m = F.p, F.m
+    rows = [int(F.powers[sum(int(A[k][j]) * p ** j for j in range(m))])
+            for k in range(m)]
+    out = []
+    for i in range(F.n1):
+        acc = ZERO
+        for k in range(m):
+            d = int(F.codes[i]) // p ** k % p
+            if d:
+                acc = F.add(acc, F.mul(F.dlog_of_int(d), rows[k]))
+        out.append(acc)
+    return np.array(out)
+
+
+def oracle_maps(space, F):
+    """Exponent permutations of the maps a sweep may share proofs along:
+    x -> x^p, the least translation x -> g^s x that keeps the space and,
+    for a Galois space, the normalizer generators; each formed by scalar
+    field arithmetic."""
+    n1, span = F.n1, (space.n1 if space.kind == "cyclotomic_unions"
+                      else space.v)
+    maps = [np.array([F.frobenius(i) for i in range(n1)])]
+    orbits = {frozenset(o) for o in space.orbits}
+    for s in range(1, span):
+        if all(frozenset((x + s) % span for x in o) in orbits
+               for o in space.orbits):
+            maps.append(np.array([F.mul(i, s) for i in range(n1)]))
+            break
+    if space.kind == "galois_orbits":
+        maps += [scalar_linear_map(F, A)
+                 for A in search._normalizer_generators(F)]
+    return maps
+
+
+def hit_classes(space, found):
+    """Classes of the hits under the oracle maps that carry every hit to a
+    hit, and the complement, by union-find over the D of each hit."""
+    p, e, l = space.p, space.e, space.l
+    F = get_field(p, e * l)
+    Ds = [np.array(build_DX(p, e, l, X, field=F).D) for X in found]
+    index = {D.tobytes(): k for k, D in enumerate(Ds)}
+    parent = list(range(len(found)))
+
+    def root(k):
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    every = np.arange(F.n1)
+    for pi in oracle_maps(space, F) + [None]:
+        images = [np.setdiff1d(every, D) if pi is None else np.sort(pi[D])
+                  for D in Ds]
+        targets = [index.get(D.tobytes()) for D in images]
+        if None in targets:
+            continue  # the map leaves the space
+        for k, t in enumerate(targets):
+            parent[root(k)] = root(t)
+    classes = {}
+    for k, X in enumerate(found):
+        classes.setdefault(root(k), set()).add(X)
+    return list(classes.values())
+
+
 @pytest.mark.parametrize("name", sorted(SWEEPS))
 def test_one_product_per_semilinear_class_of_hits(monkeypatch, name):
-    run, tower, hits, products = SWEEPS[name]
+    """One product per class of hits under the maps the space takes: the
+    semilinear maps for all-X, with the normalizer of <sigma> for a Galois
+    space.  The classes come from scalar field arithmetic on each D."""
+    run, tower, hits, least, most = SWEEPS[name]
     checked = spy_on_products(monkeypatch)
     res = run()
     monkeypatch.undo()
     assert len(res.found) == hits
     assert found_sha256(res.found) == FOUND_SHA256[name]
-    assert len(checked) == len(set(checked)) == products
+    assert len(checked) == len(set(checked))
+    assert least <= len(checked) <= most
+    classes = hit_classes(res.space, res.found)
+    assert sorted(len(c & set(checked)) for c in classes) == \
+        [1] * len(checked)
     field = get_field(tower[0], tower[1] * tower[2])
-    cls = {X: canonical_hash(build_DX(*tower, X, field=field))
-           for X in res.found}
-    assert len(set(cls.values())) == products
-    proven_classes = {cls[X] for X in checked}
-    assert len(proven_classes) == products
     for X in set(res.found) - set(checked):
-        assert cls[X] in proven_classes
         assert verify_additive(build_DX(*tower, X, field=field))
+
+
+def test_9_3_shares_proofs_only_along_f9_maps(monkeypatch):
+    """At 9^3 the generators that are not F_9-linear leave the half-point
+    family and are skipped; 1 + sigma^2, x -> x + x^9, is kept."""
+    space = galois_space(3, 2, 3)
+    assert [g is not None for g in search._normalizer_maps(space)] == \
+        [True, False, False, False]
+    checked = spy_on_products(monkeypatch)
+    res = search_galois_invariant(3, 2, 3)
+    monkeypatch.undo()
+    assert len(res.found) == 408
+    assert found_sha256(res.found) == FOUND_SHA256["galois 9^3"]
+    assert len(checked) == len(set(checked)) == 70
+    classes = hit_classes(space, res.found)
+    assert sorted(len(c & set(checked)) for c in classes) == [1] * 70
+
+
+@pytest.mark.parametrize("tower", [(3, 1, 3), (5, 1, 3), (7, 1, 3),
+                                   (3, 1, 5)])
+def test_no_normalizer_generator_is_skipped_over_a_prime_field(tower):
+    """Over F_p every F_p-linear map keeps the cosets of F_p^*, and its
+    parity flip is constant on each, so every generator is used."""
+    maps = search._normalizer_maps(galois_space(*tower))
+    assert maps and all(g is not None for g in maps)
+
+
+def test_normalizer_generators_normalize_frobenius():
+    """Each generator L has L sigma L^(-1) a power of sigma, and the
+    first is a unit of F_p[sigma] outside <sigma> F_p^*."""
+    for p, m in ((3, 3), (5, 3), (7, 3), (3, 5), (3, 6)):
+        F = get_field(p, m)
+        sigma = np.array([F.frobenius(i) for i in range(F.n1)])
+        for A in search._normalizer_generators(F):
+            L = F.linear_map(A)
+            inverse = np.empty_like(L)
+            inverse[L] = np.arange(F.n1)
+            conj = L[sigma[inverse]]
+            assert any(np.array_equal(conj, p ** j * np.arange(F.n1) % F.n1)
+                       for j in range(m))
+            assert np.array_equal(L, scalar_linear_map(F, A))
+
+
+def test_a_generator_with_a_wrong_flip_is_caught(monkeypatch):
+    real = search._normalizer_maps
+
+    def broken(space):
+        maps = real(space)
+        image, flip = maps[0]
+        flip = flip.copy()
+        flip[0] ^= True  # {0} is an orbit of its own
+        return [(image, flip)] + maps[1:]
+
+    monkeypatch.setattr(search, "_normalizer_maps", broken)
+    with pytest.raises(InternalInconsistencyError, match="not emitted"):
+        search_galois_invariant(7, 1, 3)
 
 
 @pytest.mark.skipif(not STRETCH, reason="enable with PALEY_STRETCH=1")
@@ -299,23 +428,52 @@ def semilinear_orbit(S, p, m, span):
     return out
 
 
+def linear_orbit(space, X):
+    """Every X' with D(X') the image of D(X) under the group of the oracle
+    maps and the complement, by scalar field arithmetic on D."""
+    p, e, l = space.p, space.e, space.l
+    F = get_field(p, e * l)
+    maps = oracle_maps(space, F)
+    every = np.arange(F.n1)
+    seen, todo = {X}, [X]
+    while todo:
+        D = np.array(build_DX(p, e, l, todo.pop(), field=F).D)
+        for image in [np.sort(pi[D]) for pi in maps] + [
+                np.setdiff1d(every, D)]:
+            rec = SchemeRecord(field=F, e=e, l=l, D=tuple(image.tolist()),
+                               provenance="manual", verified_by=frozenset())
+            Y = recover_X(rec)
+            if Y not in seen:
+                seen.add(Y)
+                todo.append(Y)
+    return seen
+
+
 @pytest.mark.parametrize("space", [
     all_subsets_space(3, 1, 5, max_orbits=121), galois_space(7, 1, 3),
     galois_space(3, 1, 5), cyclotomic_space(3, 4, 16)],
     ids=["all X 3^5", "galois 7^3", "galois 3^5", "cyclotomic 81/16"])
 def test_semilinear_images_are_the_field_maps_that_keep_the_space(space):
+    """images(mask) is the orbit of mask under the maps the space takes:
+    the semilinear maps and the complement, which on all-X and cyclotomic
+    spaces act on the index sets directly; on a Galois space also the
+    normalizer of <sigma>, applied to D by scalar field arithmetic."""
     span = space.n1 if space.kind == "cyclotomic_unions" else space.v
     n = len(space.orbits)
     where = {x: o for o, orbit in enumerate(space.orbits) for x in orbit}
-    images = search._semilinear_images(space)
+    images = search._linear_images(space)
     rng = np.random.default_rng(24)
     masks = [0, (1 << n) - 1] + [
         int("".join(map(str, rng.integers(0, 2, n))), 2) for _ in range(6)]
     for mask in masks:
-        S = [x for o, orbit in enumerate(space.orbits) if mask >> o & 1
-             for x in orbit]
+        S = tuple(sorted(x for o, orbit in enumerate(space.orbits)
+                         if mask >> o & 1 for x in orbit))
+        if space.kind == "galois_orbits":
+            orbit = linear_orbit(space, S)
+        else:
+            orbit = semilinear_orbit(S, space.p, space.e * space.l, span)
         want = set()
-        for T in semilinear_orbit(S, space.p, space.e * space.l, span):
+        for T in orbit:
             bits = {where[x] for x in T}
             if sum(len(space.orbits[o]) for o in bits) == len(T):
                 want.add(sum(1 << o for o in bits))
