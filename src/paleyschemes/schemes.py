@@ -396,11 +396,20 @@ def route_verdicts(rec: SchemeRecord, methods: Iterable[str]
     that differs from an earlier one raises InternalInconsistencyError.
     The three trace routes of one run share one recovered X and one
     X^(-1) * W; both are dropped when the run ends.  Only the additive
-    route computes apart.
+    route computes apart.  When a requested trace route will run (odd l
+    and a half-point D), the transform cap is checked before the first
+    route, so a tower past it raises ParameterError before any route
+    works; a record whose trace routes all fail their preconditions
+    runs as it stands.
     """
+    methods = tuple(methods)
     first = None
     memo: dict = {}
     try:
+        if set(_TRACE_ROUTES).intersection(methods):
+            memo["X"] = (rec, _recover_or_refuse(rec))
+            if not isinstance(memo["X"][1], PreconditionError):
+                check_transform_cap(rec.p, rec.e, rec.l)
         for method in methods:
             ok = _run_route(rec, method, memo)
             if not isinstance(ok, PreconditionError):

@@ -12,29 +12,28 @@ and keeps the residue vector r = X^(-1) * W mod q^((l-1)/2) up to date
 incrementally.  Each orbit o contributes a fixed vector C_o, and one
 Gray step toggles exactly one orbit, so a step costs a single vector
 add.  Candidates with r = 0 are proven before being recorded, one
-additive product per orbit of a group of maps that carry a scheme of
-the space to a scheme of the space (see `_linear_images`).  Each map is
-an F_p-linear automorphism of (F, +), which keeps the additive identity,
-or the complement X^c = Z_v - X, which gives D(X^c) = F* - D(X), so T'
-= 1 + 2 D(X^c) is 2F - T for T = 1 + 2 D(X) and T' T'^(-1) = T T^(-1).
-With c = g^s, c D(X) = D(X + s) for even s and D(Z_v - (X + s)) for odd
-s, and D(X)^p = D(pX).  A Galois space also takes the normalizer of
-<sigma>, sigma: x -> x^p, in GL(m, p): such a map L sends a sigma-fixed
-D to a sigma-fixed L(D), and when its exponent permutation keeps the
-residue classes mod v with a constant parity shift on each, L(D(X)) is
-D(X') for a signed permutation X' of X.  The first hit of an orbit is
-re-verified through the additive identity, and a failure there means
-the residue arithmetic is broken and raises instead of being
-swallowed; once it passes, its whole orbit is marked proven and later
-hits in it are recorded as they stand.  A filter that emitted a
-non-hit would still raise, since no non-scheme is the image of a
-scheme.  As the filter is a necessary condition, every image of a
-proven scheme must also be emitted; a walk that ends with a proven
-mask the filter never emitted raises, so a filter that drops part of
-an orbit, or a map that acts wrongly on the masks, is caught.  (Sharing
-work along the normalizer of a prescribed automorphism group is the
-isomorph rejection of Kaski & Ostergard, *Classification Algorithms for
-Codes and Designs*, 2006.)
+additive product per orbit of a group of maps that carry a scheme of the
+space to a scheme of the space (see `_linear_images`).  Each map but the
+complement is an F_p-linear automorphism of (F, +), which keeps the
+additive identity, taken as its exponent permutation pi of Z_n1: x ->
+x^p is i -> p i, x -> g^s x is i -> i + s, and a generator of the
+normalizer of <sigma>, sigma: x -> x^p, in GL(m, p) is
+`F.linear_map(A)`.  Where pi mod v and the parity of pi(i) - i are
+constant on the residue classes mod v, pi sends D(X) to D(X') for a
+signed permutation X' of X (`_action`).  The complement X^c = Z_v - X
+gives D(X^c) = F* - D(X), so T' = 1 + 2 D(X^c) is 2F - T for
+T = 1 + 2 D(X) and T' T'^(-1) = T T^(-1).  The first hit of an orbit is
+re-verified through the additive identity, and a failure there means the
+residue arithmetic is broken and raises instead of being swallowed; once
+it passes, its whole orbit is marked proven and later hits in it are
+recorded as they stand.  A filter that emitted a non-hit would still
+raise, since no non-scheme is the image of a scheme.  As the filter is a
+necessary condition, every image of a proven scheme must also be
+emitted; a walk that ends with a proven mask the filter never emitted
+raises, so a filter that drops part of an orbit, or a map that acts
+wrongly on the masks, is caught.  (Sharing work along the normalizer of
+a prescribed automorphism group is the isomorph rejection of Kaski &
+Ostergard, *Classification Algorithms for Codes and Designs*, 2006.)
 
 For speed the walk is split in the middle: the low B orbits are
 indexed once by the residue of each of their 2^B patterns, and a block
@@ -105,8 +104,7 @@ class SearchSpace:
         if self.kind not in KINDS:
             raise ParameterError(f"unknown search kind {self.kind!r}")
         flat = sorted(x for orbit in self.orbits for x in orbit)
-        span = self.v if self.kind != "cyclotomic_unions" else self.n1
-        if flat != list(range(span)):
+        if flat != list(range(self.span)):
             raise ParameterError("orbits do not partition the index range")
 
     @property
@@ -120,6 +118,10 @@ class SearchSpace:
     @property
     def n1(self) -> int:
         return self.q ** self.l - 1
+
+    @property
+    def span(self) -> int:
+        return self.v if self.kind != "cyclotomic_unions" else self.n1
 
     @property
     def candidates(self) -> int:
@@ -347,40 +349,25 @@ def _subset_of(space: SearchSpace, position: int) -> tuple[int, ...]:
     return tuple(sorted(members))
 
 
-def _inverse_mod_p(B: np.ndarray, p: int) -> Optional[np.ndarray]:
-    """B^(-1) mod the prime p by Gauss-Jordan elimination, or None when B
-    is singular mod p."""
-    m = len(B)
-    rows = [[int(x) % p for x in row] + [int(j == i) for j in range(m)]
-            for i, row in enumerate(B)]
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if rows[r][col]), None)
-        if pivot is None:
-            return None
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        scale = pow(rows[col][col], -1, p)
-        rows[col] = [x * scale % p for x in rows[col]]
-        for r in range(m):
-            if r != col and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[col])]
-    return np.array([row[m:] for row in rows], dtype=np.int64)
-
-
 def _normal_basis(field) -> tuple[np.ndarray, np.ndarray]:
     """B and B^(-1) mod p for the least i with g^i normal over F_p.
 
     Row k of B holds the digits of g^(i p^k) = sigma^k(g^i), so sigma
-    shifts the normal coordinates a, with digits a B, by one place.
+    shifts the normal coordinates a, with digits a B, by one place.  B's
+    digit table, code -> code of d B, is a permutation exactly when B is
+    invertible mod p, and row k of B^(-1) holds the digits of the code
+    that the table sends to p^k.
     """
     p, m, n1 = field.p, field.m, field.n1
-    base = p ** np.arange(m)
-    frob = np.array([pow(p, k, n1) for k in range(m)], dtype=np.int64)
+    base = p ** np.arange(m)  # also the exponents p^k of sigma^k
+    digits = np.arange(field.order)[:, None] // base % p
     for i in range(n1):
-        B = field.codes[i * frob % n1][:, None] // base % p
-        inverse = _inverse_mod_p(B, p)
-        if inverse is not None:
-            return B, inverse
+        B = digits[field.codes[i * base % n1]]
+        table = digits @ B % p @ base
+        if table[1:].all():
+            inverse = np.empty_like(table)
+            inverse[table] = np.arange(field.order)
+            return B, digits[inverse[base]]
     raise InternalInconsistencyError(f"F_{p}^{m} has no normal element")
 
 
@@ -434,85 +421,74 @@ def _normalizer_generators(field) -> list[np.ndarray]:
     p, m = field.p, field.m
     B, inverse = _normal_basis(field)
     mats = _unit_generators(p, m)
-    for j in range(2, m):
-        if math.gcd(j, m) == 1:
-            M = np.zeros((m, m), dtype=np.int64)
-            M[np.arange(m), j * np.arange(m) % m] = 1
-            mats.append(M)
+    mats += [np.eye(m, dtype=np.int64)[j * np.arange(m) % m]
+             for j in range(2, m) if math.gcd(j, m) == 1]
     return [inverse @ M % p @ B % p for M in mats]
 
 
-def _normalizer_maps(space: SearchSpace
-                     ) -> list[Optional[tuple[np.ndarray, np.ndarray]]]:
-    """The normalizer generators as signed permutations of Z_v, or None.
+def _action(space: SearchSpace, pi: np.ndarray
+            ) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The map with exponent permutation pi of Z_n1 on the orbit bits:
+    (perm, flip), orbit o going onto orbit perm[o] with its bit flipped
+    where flip[o] is set, or None when the map does not keep the space.
 
-    A generator's exponent permutation pi of Z_n1 is kept when it sends
-    each residue class mod v into one class and pi(i) - i mod 2 is
-    constant on each class.  The image of D(X) is then D(X') with X' =
-    {pi(r) mod v : (r in X) xor (pi(r) - r odd)}, by the parity rule, and
-    the map is (image, flip) = (pi(r) mod v, pi(r) - r odd) for r < v.
-    An F_q-linear map always passes; a map that fails (only possible for
-    e > 1) is None.
+    On power-residue classes the map acts on the exponents as they stand.
+    On a residue space it is read on Z_v: it needs pi mod v = image(i mod
+    v) and pi(i) - i mod 2 = flip(i mod v), each constant on the residue
+    classes mod v.  The image of D(X) is then D(X') with X' = {image(r) :
+    (r in X) xor flip(r)}, by the parity rule.  Either way the map is used
+    only if it carries every orbit onto one orbit with one flip.
     """
-    field = get_field(space.p, space.e * space.l)
-    v, i = space.v, np.arange(space.n1)
-    out: list[Optional[tuple[np.ndarray, np.ndarray]]] = []
-    for A in _normalizer_generators(field):
-        pi = field.linear_map(A).astype(np.int64)
-        image, flip = pi[:v] % v, (pi[:v] - i[:v]) % 2
-        keeps = (np.array_equal(pi % v, image[i % v])
-                 and np.array_equal((pi - i) % 2, flip[i % v]))
-        out.append((image, flip.astype(bool)) if keeps else None)
-    return out
+    if space.kind == "cyclotomic_unions":
+        image, flip = pi, np.zeros(space.n1, dtype=bool)
+    else:
+        v, i = space.v, np.arange(space.n1)
+        image, flip = pi[:v] % v, (pi[:v] - i[:v]) % 2 == 1
+        if not (np.array_equal(pi % v, image[i % v])
+                and np.array_equal((pi - i) % 2 == 1, flip[i % v])):
+            return None
+    where = np.empty(space.span, dtype=np.int64)
+    where[np.concatenate(space.orbits)] = np.repeat(
+        np.arange(len(space.orbits)), [len(o) for o in space.orbits])
+    first = np.array([orbit[0] for orbit in space.orbits])
+    perm = where[image[first]]
+    if (np.array_equal(where[image], perm[where])
+            and np.array_equal(flip, flip[first][where])):
+        return perm, flip[first]
+    return None
 
 
 def _linear_images(space: SearchSpace):
     """images(mask): every mask that the F_p-linear maps keeping the space,
     and the complement, make of mask, in the space's own orbit bits.
 
-    Each map is a signed permutation (image, flip) of the index range: x
-    goes to image(x), and its membership flips where flip(x) is set.
-    With c = g^s, c D(X) is D(X + s mod v) for even s and D(Z_v - (X + s))
-    for odd s, as v is odd; D(X)^p = D(pX); on power-residue classes the
-    same maps act on the exponents in Z_n1 with no flip.  Every space
-    takes i -> p i and the least translation that keeps its orbits; a
-    Galois space also takes the generators of the normalizer of <sigma>
-    (`_normalizer_maps`).  Each is an automorphism of (F, +), so it keeps
-    the identity's right-hand side; the complement, which flips every
-    orbit, keeps it by T' = 2F - T.
+    Every map but the complement is an exponent permutation pi of Z_n1,
+    read on the space by `_action`: x -> x^p is i -> p i, x -> g^s x is i
+    -> i + s, and a generator L of the normalizer of <sigma> in GL(m, p)
+    is `F.linear_map(A)`.  Every space takes i -> p i and the least
+    translation that keeps its orbits; a Galois space also takes the
+    normalizer generators (`_normalizer_generators`).  Each is an
+    automorphism of (F, +), so it keeps the identity's right-hand side;
+    the complement, which flips every orbit, keeps it by T' = 2F - T.
 
-    A map is used only if it maps every orbit onto one orbit with one
-    flip; on the orbit bits it is then the affine map mask -> perm(mask)
-    xor c.  The maps generate a group, taken whole.  The images under the
-    whole group are formed side by side in one Python integer, four mask
-    bits per table lookup, and one packed xor constant holds every c, so
-    nothing wraps at any orbit count.
+    On the orbit bits a map is mask -> perm(mask) xor flip.  The maps
+    generate a group, taken whole as (perms, flips) arrays; images(mask)
+    gathers the mask's bits through every element at once and packs each
+    image into bytes, so nothing wraps at any orbit count.
     """
-    span = space.v if space.kind != "cyclotomic_unions" else space.n1
-    n = len(space.orbits)
-    where = np.empty(span, dtype=np.int64)
-    for o, orbit in enumerate(space.orbits):
-        where[list(orbit)] = o
-    first = np.array([orbit[0] for orbit in space.orbits])
-    size = np.array([len(orbit) for orbit in space.orbits])[where]
-
-    def on_orbits(image: np.ndarray, flip: np.ndarray):
-        perm = where[image[first]]
-        if (np.array_equal(where[image], perm[where])
-                and np.array_equal(flip, flip[first][where])):
-            return perm, flip[first]
-        return None
-
-    i = np.arange(span, dtype=np.int64)
-    signed = space.kind != "cyclotomic_unions"
-    shifts = (on_orbits((i + s) % span, np.full(span, signed and s % 2 == 1))
-              for s in range(1, span) if size[s] == size[0])
-    maps = [on_orbits(i * space.p % span, np.zeros(span, dtype=bool)),
+    n1, n = space.n1, len(space.orbits)
+    i = np.arange(n1, dtype=np.int64)
+    # a translation carries the orbit of 0, orbits[0], onto the orbit of s
+    shifts = (_action(space, (i + s) % n1) for s in sorted(
+        x for o in space.orbits if len(o) == len(space.orbits[0]) for x in o)
+        if s)
+    maps = [_action(space, i * space.p % n1),
             next((g for g in shifts if g is not None), None),
             (np.arange(n), np.ones(n, dtype=bool))]
     if space.kind == "galois_orbits":
-        maps += [on_orbits(*g) for g in _normalizer_maps(space)
-                 if g is not None]
+        field = get_field(space.p, space.e * space.l)
+        maps += [_action(space, field.linear_map(A))
+                 for A in _normalizer_generators(field)]
     gens = [g for g in maps if g is not None]
 
     # the group, grown by composing its newest elements with each
@@ -524,43 +500,26 @@ def _linear_images(space: SearchSpace):
         cand_p = np.concatenate([P[frontier[0]] for P, _ in gens])
         cand_f = np.concatenate([frontier[1] ^ F[frontier[0]]
                                  for _, F in gens])
-        keys = (cand_p * 2 + cand_f).astype(np.int32)
-        fresh = []
-        for r, key in enumerate(keys):
-            k = key.tobytes()
-            if k not in seen:
-                seen.add(k)
-                fresh.append(r)
+        keys = {key.tobytes(): r for r, key in
+                enumerate((cand_p * 2 + cand_f).astype(np.int32))}
+        fresh = [r for k, r in keys.items() if k not in seen]
+        seen.update(keys)
         frontier = (cand_p[fresh], cand_f[fresh])
         perms = np.concatenate([perms, frontier[0]])
         flips = np.concatenate([flips, frontier[1]])
 
-    # image g of a mask sits at bits [g * stride, (g + 1) * stride) of one
-    # integer; table j maps a value of the mask's j-th nibble to where its
-    # bits land in every image at once, and `constant` holds every c
+    # bit o of image g is bit source[g, o] of the mask, xor toggle[g, o]
+    source = np.argsort(perms, axis=1)
+    toggle = np.take_along_axis(flips, source, axis=1)
     width = (n + 7) // 8
-    stride, total = 8 * width, len(perms) * width
-    at = np.arange(len(perms))[:, None] * stride + perms
-
-    def packed(positions: np.ndarray) -> int:
-        bits = np.zeros(total * 8, dtype=bool)
-        bits[positions] = True
-        return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(),
-                              "little")
-
-    spread = [packed(at[:, o]) for o in range(n)] + [0] * (-n % 4)
-    constant = packed(at[flips])
-    tables = [[sum(spread[j + b] for b in range(4) if value >> b & 1)
-               for value in range(16)] for j in range(0, n, 4)]
 
     def images(mask: int) -> set[int]:
-        joint = constant
-        for table in tables:
-            joint ^= table[mask & 15]
-            mask >>= 4
-        packed_images = joint.to_bytes(total, "little")
-        return {int.from_bytes(packed_images[k:k + width], "little")
-                for k in range(0, total, width)}
+        bits = np.unpackbits(np.frombuffer(mask.to_bytes(width, "little"),
+                                           dtype=np.uint8), bitorder="little")
+        packed = np.packbits(bits[source] ^ toggle, axis=1,
+                             bitorder="little").tobytes()
+        return {int.from_bytes(packed[k:k + width], "little")
+                for k in range(0, len(packed), width)}
 
     return images
 

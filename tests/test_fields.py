@@ -7,16 +7,12 @@ shares nothing with the shift-register build: x^i as coefficient rows
 times powers of the companion matrix.
 """
 
-import os
-
 import numpy as np
 import pytest
 
 from paleyschemes import fields
 from paleyschemes.errors import InternalInconsistencyError, ParameterError
 from paleyschemes.fields import ZERO, FiniteField, get_field
-
-STRETCH = bool(os.environ.get("PALEY_STRETCH"))
 
 
 # --------------------------------------------------------------------------
@@ -354,8 +350,7 @@ def test_tables_match_the_reference_under_a_supplied_modulus(p, m, modulus):
     assert_reference_tables(F)
 
 
-@pytest.mark.skipif(not STRETCH, reason="enable with PALEY_STRETCH=1")
-def test_stretch_tables_match_the_reference_at_3_13():
+def test_tables_match_the_reference_at_3_13():
     assert_reference_tables(FiniteField(3, 13))
 
 

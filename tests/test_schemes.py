@@ -422,6 +422,35 @@ def test_a_trace_route_past_the_cap_refuses_before_the_default_field(
     assert called == []
 
 
+def test_certify_all_refuses_past_the_cap_before_any_route(monkeypatch):
+    """The cap is checked once, before the first route, when a trace route
+    will run; a record whose trace routes all fail their preconditions
+    still gets its additive verdict."""
+    # R R^(-1) at 3^5 needs a transform of length 512
+    monkeypatch.setattr(ntt, "_MAX_SIZE", 256)
+    calls = []
+    real = schemes.verify_additive
+
+    def spy(rec):
+        calls.append(rec.D)
+        return real(rec)
+
+    monkeypatch.setattr(schemes, "verify_additive", spy)
+    half = build_DX(3, 1, 5, range(121), provenance="paley")
+    with pytest.raises(ParameterError, match="NTT length 512"):
+        certify(half, "all")
+    assert calls == []
+    # both 0 and 121 lie over the unit coset {1, -1} of F_3: not half-point
+    other = SchemeRecord(field=get_field(3, 5), e=1, l=5, D=(0, 121),
+                         provenance="manual", verified_by=frozenset())
+    assert certify(other, "all", strict=False).verified_by == frozenset()
+    assert calls == [(0, 121)]
+    verdicts = dict(route_verdicts(other, METHODS))
+    assert verdicts["additive"] is False
+    assert all(isinstance(verdicts[m], PreconditionError)
+               for m in METHODS[1:])
+
+
 # -- D^(-1) * R: read off X^(-1) * W in Z_v, once per run ----------------------
 
 

@@ -280,8 +280,7 @@ def oracle_maps(space, F):
     x -> x^p, the least translation x -> g^s x that keeps the space and,
     for a Galois space, the normalizer generators; each formed by scalar
     field arithmetic."""
-    n1, span = F.n1, (space.n1 if space.kind == "cyclotomic_unions"
-                      else space.v)
+    n1, span = F.n1, space.span
     maps = [np.array([F.frobenius(i) for i in range(n1)])]
     orbits = {frozenset(o) for o in space.orbits}
     for s in range(1, span):
@@ -349,8 +348,9 @@ def test_one_product_per_semilinear_class_of_hits(monkeypatch, name):
 def test_9_3_shares_proofs_only_along_f9_maps(monkeypatch):
     """At 9^3 the generators that are not F_9-linear leave the half-point
     family and are skipped; 1 + sigma^2, x -> x + x^9, is kept."""
-    space = galois_space(3, 2, 3)
-    assert [g is not None for g in search._normalizer_maps(space)] == \
+    space, F = galois_space(3, 2, 3), get_field(3, 6)
+    assert [search._action(space, F.linear_map(A)) is not None
+            for A in search._normalizer_generators(F)] == \
         [True, False, False, False]
     checked = spy_on_products(monkeypatch)
     res = search_galois_invariant(3, 2, 3)
@@ -367,7 +367,10 @@ def test_9_3_shares_proofs_only_along_f9_maps(monkeypatch):
 def test_no_normalizer_generator_is_skipped_over_a_prime_field(tower):
     """Over F_p every F_p-linear map keeps the cosets of F_p^*, and its
     parity flip is constant on each, so every generator is used."""
-    maps = search._normalizer_maps(galois_space(*tower))
+    space = galois_space(*tower)
+    F = get_field(tower[0], tower[1] * tower[2])
+    maps = [search._action(space, F.linear_map(A))
+            for A in search._normalizer_generators(F)]
     assert maps and all(g is not None for g in maps)
 
 
@@ -388,16 +391,20 @@ def test_normalizer_generators_normalize_frobenius():
 
 
 def test_a_generator_with_a_wrong_flip_is_caught(monkeypatch):
-    real = search._normalizer_maps
+    F = get_field(7, 3)
+    target = F.linear_map(search._normalizer_generators(F)[0])
+    real = search._action
 
-    def broken(space):
-        maps = real(space)
-        image, flip = maps[0]
+    def broken(space, pi):
+        action = real(space, pi)
+        if not np.array_equal(pi, target):
+            return action
+        perm, flip = action
         flip = flip.copy()
         flip[0] ^= True  # {0} is an orbit of its own
-        return [(image, flip)] + maps[1:]
+        return perm, flip
 
-    monkeypatch.setattr(search, "_normalizer_maps", broken)
+    monkeypatch.setattr(search, "_action", broken)
     with pytest.raises(InternalInconsistencyError, match="not emitted"):
         search_galois_invariant(7, 1, 3)
 
@@ -458,7 +465,7 @@ def test_semilinear_images_are_the_field_maps_that_keep_the_space(space):
     the semilinear maps and the complement, which on all-X and cyclotomic
     spaces act on the index sets directly; on a Galois space also the
     normalizer of <sigma>, applied to D by scalar field arithmetic."""
-    span = space.n1 if space.kind == "cyclotomic_unions" else space.v
+    span = space.span
     n = len(space.orbits)
     where = {x: o for o, orbit in enumerate(space.orbits) for x in orbit}
     images = search._linear_images(space)
