@@ -1,5 +1,8 @@
 """Group-ring arithmetic tests with brute-force oracles."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from paleyschemes.groupring import (CyclicGroup, FieldAdditiveGroup,
                                     GroupRingElement, ds_quotient,
                                     is_difference_set,
                                     is_relative_difference_set)
+from paleyschemes.singer import singer_bundle
 
 
 def index_digits(F):
@@ -152,12 +156,14 @@ def test_product_with_the_inverse_transforms_one_operand(monkeypatch):
                                            (200, 10 ** 6, 2), (20011, 3, 1)])
 def test_cyclic_product_with_the_inverse_transforms_one_row(monkeypatch, n,
                                                              mag, primes):
-    rows = []
+    rows, sizes = [], set()
     transform = ntt._transform
 
-    def spy(x, *args):
+    def spy(x, p, roots, out=None):
+        # one call per transform, whatever the radices of its length
         rows.append(int(np.prod(x.shape[:-1])))
-        return transform(x, *args)
+        sizes.add(x.shape[-1])
+        return transform(x, p, roots, out)
 
     monkeypatch.setattr(ntt, "_transform", spy)
     g = CyclicGroup(n)
@@ -175,6 +181,8 @@ def test_cyclic_product_with_the_inverse_transforms_one_row(monkeypatch, n,
         want[: n - 1] += lin[n:]
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
+    # 20011 takes 5 2^13 < 2^16 points, modulo 167772161 alone
+    assert sizes == {{2: 4, 13: 32, 200: 512, 20011: 40960}[n]}
 
 
 def test_transform_reduces_where_int64_would_wrap():
@@ -391,6 +399,105 @@ def test_transform_reduces_between_stages_below_2_31():
             x = x.astype(np.uint64)
             assert np.array_equal(ntt._transform(x, p, roots),
                                   loop_transform(x, p, roots))
+
+
+def test_transform_at_five_times_a_power_of_two_matches_the_dft():
+    """The radix-5 stage and the radix-2 stages after it, against the
+    matrix w^(jk) in Python integers; `out` = x writes the result back."""
+    p = ntt._PRIMES[-1]
+    rng = np.random.default_rng(5)
+    for k in range(6):
+        size = 5 << k
+        roots = ntt._roots(p, size)
+        w = pow(ntt._GEN, (p - 1) // size, p)
+        dft = np.array([[pow(w, i * j, p) for j in range(size)]
+                        for i in range(size)], dtype=object)
+        for shape in [(size,), (2, size)]:
+            for x in (rng.integers(0, p, size=shape),
+                      np.full(shape, p - 1)):
+                x = x.astype(np.uint64)
+                want = (x.astype(object) @ dft.T % p).astype(np.uint64)
+                before = x.copy()
+                assert np.array_equal(ntt._transform(x, p, roots), want)
+                assert np.array_equal(x, before)
+                assert ntt._transform(x, p, roots, out=x) is x
+                assert np.array_equal(x, want)
+
+
+def test_every_product_to_300_coefficients_is_exact():
+    # n = 3 runs at 8 points, not 5 = 2n - 1; from n = 5 on the lengths
+    # 5 2^k take their turn with the powers of two
+    rng = np.random.default_rng(300)
+    for n in range(1, 301):
+        a = rng.integers(-4, 5, size=n)
+        inv = np.concatenate((a[:1], a[:0:-1]))
+        b = rng.integers(-4, 5, size=rng.integers(1, 301))
+        for b in (inv, b):
+            got = ntt.convolve_exact(a, b)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, np.convolve(a, b))
+
+
+@pytest.mark.parametrize("n,size", [(19531, 40960), (9841, 20480),
+                                    (78124, 163840), (19682, 40960)])
+def test_certify_lengths_match_the_power_of_two_path(n, size):
+    """The route and bundle products of 5^7 and 3^9 at 5 2^k points modulo
+    167772161 against the power of two modulo 998244353."""
+    rng = np.random.default_rng(n)
+    a = rng.integers(0, 2, size=n)
+    P = ntt._PRIMES[0]
+    two = ntt.transform_size(2 * n - 1)
+    for b, inverse in ((np.concatenate((a[:1], a[:0:-1])), True),
+                       (rng.integers(-1, 2, size=n), False)):
+        bound = int(a.sum())
+        assert ntt._plan(2 * n - 1, bound) == ((ntt._PRIMES[-1],), size)
+        want = ntt._crt([ntt._conv_mod(a, None if inverse else b, P, two)],
+                        (P,))
+        assert np.array_equal(ntt.convolve_exact(a, b), want)
+
+
+def test_every_planned_length_is_one_its_primes_support():
+    """A length the prime has no root of unity for returns wrong
+    coefficients without an error, so every length at each boundary
+    2^k +- 1 and 5 2^k +- 1 up to 2^23 must divide p - 1 of each prime,
+    and exceed out_len when it is 5 2^k (odd out_len = 2n - 1 of an
+    inverse product needs an even length)."""
+    ends = sorted({c << k for c in (1, 5) for k in range(24)
+                   if c << k <= 1 << 23})
+    lengths = sorted({e + d for e in ends for d in (-1, 0, 1)
+                      if 1 <= e + d <= 1 << 23})
+    fives = 0
+    for out_len in lengths:
+        # one prime of each kind, then two and three primes
+        for bound in (1, 10 ** 8, 4 * 10 ** 8, 10 ** 12, 10 ** 20):
+            primes, size = ntt._plan(out_len, bound)
+            assert out_len <= size <= 1 << 23
+            assert all((p - 1) % size == 0 for p in primes)
+            assert math.prod(primes) > 2 * bound
+            if size % 5 == 0:
+                fives += 1
+                assert size > out_len and primes == (167772161,)
+                assert size < ntt.transform_size(out_len)
+    assert fives > 0
+
+
+def test_bundle_check_at_5_7_holds_few_bytes_per_point():
+    """R R^(-1) over Z_78124, the 5^7 bundle's self-check, at 163840
+    points: numpy's buffers are traced, and the peak after a warm-up
+    call stays below 9 MiB (14.1 MiB at 2^18 points, with a ping-pong
+    pair and a scratch buffer beside each transform's input)."""
+    R = np.zeros(5 ** 7 - 1, dtype=np.int64)
+    R[list(singer_bundle(5, 1, 7).R)] = 1
+    inv = np.concatenate((R[:1], R[:0:-1]))
+    ntt.convolve_exact(R, inv)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        ntt.convolve_exact(R, inv)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * 2 ** 20
 
 
 def test_ntt_refuses_lengths_past_its_roots_of_unity(monkeypatch):
